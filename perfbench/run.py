@@ -6,14 +6,16 @@ Run from the root of a source checkout; the library is imported from its
 ``src/``.  Each round of the workload runs in a fresh process, as a
 command-line user runs it: set up, one timed round, then the checks of
 that round's outputs outside the timed interval.  Rounds run one after
-another until ``--seconds`` have passed, and at least ``MIN_ROUNDS``.
+another until ``--seconds`` have passed, and at least two (three for
+the sweep, see ``MIN_ROUNDS``).
 Round r of a run with ``--seed n`` gives the workload the solver seed
 1000 n + r.  One JSON object is the last line of standard output.
 
 ``--trace 0`` reports the end-to-end metrics as medians over the rounds:
 ``setup_s`` (importing pinchlab and building the inputs), ``wall_s``
-(first library call to last result) and ``peak_rss_mb`` (the round
-process's maximum resident set, MiB).
+(first library call to last result, less the checks that run after each
+solve, see ``tracing``) and ``peak_rss_mb`` (the round process's maximum
+resident set at the end of the timed round, MiB).
 
 ``--trace 1`` runs one process that does an untraced, a traced and
 another untraced round, checks that the traced round's numeric outputs
@@ -41,12 +43,16 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 WORKLOADS = ("sweep", "torsion", "periods", "curvature")
 DEADLINE_S = 170  # a run must end within 180 s
-#: The sweep's wall time depends on the solver seed: for about one seed in
+#: Rounds a run makes at least, also past ``--seconds``: two, so that a
+#: run's figure is never one round's, and three for the sweep.  The
+#: sweep's wall time depends on the solver seed: for about one seed in
 #: six, eigsh on the three-cycle fiber s = 2.8e-9 (at times its neighbours
 #: too) takes 4-10 s instead of 0.5-1 s.  The median of three rounds, each
-#: with its own seed, keeps one such round from setting the run's figure;
-#: the other workloads run at least one round.
+#: with its own seed, leaves such a stall out of ``wall_s`` unless two of
+#: the three rounds stall; the traced run's ``laplace.eigsh_max_s`` shows
+#: it whenever its round stalls.
 MIN_ROUNDS = {"sweep": 3}
+DEFAULT_MIN_ROUNDS = 2
 
 
 def parse_args(argv=None):
@@ -87,7 +93,9 @@ def one_process(args) -> dict:
         with tracing.installed(rec, tracing.all_names() if traced else workload.captures):
             t0 = time.perf_counter()
             out = workload.run(rec)
-            wall = time.perf_counter() - t0
+            wall = time.perf_counter() - t0 - rec.check_s
+        if "peak_rss_mb" not in record:
+            record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         record["walls"].append(wall)
         record["attempted"] += workload.ops
         record["failed"] += out.failed
@@ -104,7 +112,6 @@ def one_process(args) -> dict:
             print(tracing.format_table(rec, wall))
             write_trace(args, rec, wall)
         del out, rec, digest
-    record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return record
 
 
@@ -178,7 +185,7 @@ def main(argv=None) -> int:
     records = []
     start = time.perf_counter()
     while not records or not args.trace and (
-            len(records) < MIN_ROUNDS.get(args.workload, 1)
+            len(records) < MIN_ROUNDS.get(args.workload, DEFAULT_MIN_ROUNDS)
             or time.perf_counter() - start < args.seconds):
         records.append(spawn(args, len(records), DEADLINE_S - (time.perf_counter() - start)))
     for r in records:

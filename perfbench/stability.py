@@ -3,9 +3,10 @@
     python3 perfbench/stability.py --runs 10 --sets 2
     python3 perfbench/stability.py --workload torsion --runs 5 --sets 1
 
-Runs ``run.py`` once per (set, run, workload), one run at a time,
-workloads interleaved, each run with its own seed.  For every workload
-and end-to-end metric it prints per set the median, the quartiles and
+Runs ``run.py`` once per (set, run, workload), one run at a time, for
+BENCHMARK.json's ``run_seconds``, workloads interleaved, each run with
+its own seed, counting up from ``FIRST_SEED``.  For every workload and
+end-to-end metric it prints per set the median, the quartiles and
 the spread (q3 - q1) / median as a share of the metric's bound, and from
 the second set on the drift of the median from the first set's, also as
 a share of the bound (worse direction positive).  It also prints the
@@ -23,6 +24,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+FIRST_SEED = 5000
 
 
 def run_once(workload: str, seed: int, seconds: float) -> dict:
@@ -44,17 +46,15 @@ def main(argv=None) -> int:
                    help="repeat to pick several; default all")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--sets", type=int, default=2)
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    p.add_argument("--first-seed", type=int, default=1000)
     args = p.parse_args(argv)
     workloads = args.workload or names
 
     results = {w: [[] for _ in range(args.sets)] for w in workloads}
-    seed = args.first_seed
+    seed = FIRST_SEED
     for k in range(args.sets):
         for i in range(args.runs):
             for w in workloads:
-                r = run_once(w, seed, args.seconds)
+                r = run_once(w, seed, spec["run_seconds"])
                 results[w][k].append({"seed": seed, **r})
                 seed += 1
                 print(f"set {k} run {i} {w} seed {seed - 1}: correct={r['correct']} "

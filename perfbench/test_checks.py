@@ -165,11 +165,39 @@ def test_captured_pairs_must_reproduce_the_returned_eigenvalues(pencil):
     class Spectrum:
         eigenvalues = np.maximum(vals[:4], 0.0)
 
-    good = tracing.Solve(None, 4, Spectrum, (vals[order], vecs[:, order]), None)
-    got_vals, got_vecs = good.pairs()
+    got_vals, got_vecs = tracing.returned_pairs((vals[order], vecs[:, order]), Spectrum, 4)
     assert np.array_equal(got_vals, Spectrum.eigenvalues)
     assert np.array_equal(got_vecs, vecs[:, :4])
     stale = vals.copy()
     stale[2] += 1e-12
-    assert tracing.Solve(None, 4, Spectrum, (stale, vecs), None).pairs() is None
-    assert tracing.Solve(None, 4, Spectrum, None, None).pairs() is None
+    assert tracing.returned_pairs((stale, vecs), Spectrum, 4) is None
+    assert tracing.returned_pairs(None, Spectrum, 4) is None
+
+
+def test_residuals_in_blocks_match_one_block(pencil):
+    K, mass, vals, vecs = pencil
+    whole = checks.pencil_residuals(K, mass, vals, vecs, block=len(vals))
+    assert np.allclose(checks.pencil_residuals(K, mass, vals, vecs, block=4), whole,
+                       rtol=0.0, atol=1e-15)
+
+
+def test_recorder_hands_each_solve_to_the_hook_and_keeps_no_reference(pencil):
+    K, mass, vals, vecs = pencil
+    seen = []
+
+    class Spectrum:
+        eigenvalues = np.maximum(vals[:4], 0.0)
+
+    def hook(m, problem, spectrum, pairs):
+        seen.append((m, problem, pairs is not None))
+        return "kept"
+
+    def solve(problem, k):  # calls eigsh through the recorder, as the library does
+        rec.call("laplace.eigsh", lambda: (vals, vecs), (), {})
+        return Spectrum
+
+    rec = tracing.Recorder(False, on_solve=hook)
+    rec.call("mesh.mesh_fiber", lambda: "mesh", (), {})
+    assert rec.call("laplace.solve_smallest", solve, ("pencil", 4), {}) is Spectrum
+    assert seen == [("mesh", "pencil", True)] and rec.solves == ["kept"]
+    assert rec._mesh is None and rec._raw is None and rec.check_s > 0.0

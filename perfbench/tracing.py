@@ -11,9 +11,15 @@ So the original function object is looked for in every loaded
 
 With tracing on, a wrapper records a span (name, start, end, parent) and
 counts; spans stay in memory until the run writes them out.  With tracing
-off, only the captures the checks need are installed: the meshes, and
-the pencil, the returned ``Spectrum`` and the raw pairs of each solve
-(``Spectrum`` carries no eigenvectors).  A capture only keeps references.
+off, only the captures the checks need are installed, on ``mesh_fiber``,
+``solve_smallest``, ``eigsh`` and ``lobpcg`` (``Spectrum`` carries no
+eigenvectors).  When ``solve_smallest`` returns, the workload's
+``on_solve`` hook gets the fiber's mesh, pencil, ``Spectrum`` and the
+raw pairs of the rung that produced it, and keeps only the numbers its
+checks need; the references are then dropped, so a round holds no more
+meshes, pencils or eigenvectors than the library itself does.  The
+hook's time is summed in ``Recorder.check_s`` and left out of the
+round's wall time; with tracing on it is a ``bench.check`` span.
 """
 from __future__ import annotations
 
@@ -61,74 +67,106 @@ COUNTED = (("pinchlab.family", "conformal_factor", "family.conformal_factor"),)
 CAPTURED = ("mesh.mesh_fiber", "laplace.solve_smallest", "laplace.eigsh", "laplace.lobpcg")
 
 
-class Solve:
-    """One ``solve_smallest`` call: its pencil, result and the raw pairs of
-    the rung that produced it (the last eigsh or lobpcg call inside)."""
+def returned_pairs(raw, spectrum, k):
+    """(eigenvalues, eigenvectors) as ``solve_smallest`` post-processes
+    the raw pairs ``raw`` = (values, vectors) of its last rung, or None
+    when they do not reproduce the returned eigenvalues bit for bit."""
+    if raw is None:
+        return None
+    raw_vals, raw_vecs = raw
+    order = np.argsort(raw_vals)[:k]
+    vals = np.maximum(raw_vals[order], 0.0)
+    if not np.array_equal(vals, spectrum.eigenvalues):
+        return None
+    return vals, raw_vecs[:, order]
 
-    __slots__ = ("problem", "k", "spectrum", "raw_vals", "raw_vecs", "error")
 
-    def __init__(self, problem, k, spectrum, raw, error):
-        self.problem, self.k, self.spectrum, self.error = problem, k, spectrum, error
-        self.raw_vals, self.raw_vecs = raw if raw is not None else (None, None)
-
-    def pairs(self):
-        """(eigenvalues, eigenvectors) as ``solve_smallest`` post-processes
-        the raw pairs, or None when they do not reproduce the returned
-        eigenvalues bit for bit."""
-        if self.raw_vals is None:
-            return None
-        order = np.argsort(self.raw_vals)[: self.k]
-        vals = np.maximum(self.raw_vals[order], 0.0)
-        if not np.array_equal(vals, self.spectrum.eigenvalues):
-            return None
-        return vals, self.raw_vecs[:, order]
+#: Span of the ``on_solve`` hook: left out of the round's wall time.
+CHECK_SPAN = "bench.check"
 
 
 class Recorder:
-    """Spans, counts and captures of one round."""
+    """Spans and counts of one round, and what its ``on_solve`` hook
+    returns for each ``solve_smallest`` call.
 
-    def __init__(self, trace: bool):
+    ``on_solve(mesh, problem, spectrum, pairs)`` runs after each solve
+    that returns; ``mesh`` is the last ``mesh_fiber`` result (or None)
+    and ``pairs`` what ``returned_pairs`` gives.  ``solves`` gets its
+    result, or the exception it raised.  A solve that raises adds
+    nothing; the workload counts it as failed.
+    """
+
+    def __init__(self, trace: bool, on_solve=None):
         self.trace = trace
+        self.on_solve = on_solve
         self.spans: list[list] = []  # [name, start, end, parent index]
         self.counts: collections.Counter = collections.Counter()
-        self.meshes: list = []
-        self.solves: list[Solve] = []
+        self.solves: list = []
+        self.check_s = 0.0
         self._stack: list[int] = []
+        self._mesh = None
         self._raw = None
 
     def call(self, name, fn, args, kwargs):
-        if self.trace:
-            index = len(self.spans)
-            self.spans.append([name, time.perf_counter(), None,
-                               self._stack[-1] if self._stack else -1])
-            self._stack.append(index)
+        if not self.trace:
+            out = self._capture(name, fn, args, kwargs)
+        else:
+            index = self._open(name)
             try:
                 out = self._capture(name, fn, args, kwargs)
             finally:
-                self._stack.pop()
-                self.spans[index][2] = time.perf_counter()
+                self._close(index)
             self._count(name, out)
-            return out
-        return self._capture(name, fn, args, kwargs)
+        if name == "laplace.solve_smallest":
+            problem = args[0] if args else kwargs["problem"]
+            k = args[1] if len(args) > 1 else kwargs["k"]
+            self._after_solve(problem, k, out)
+        return out
+
+    def _open(self, name) -> int:
+        index = len(self.spans)
+        self.spans.append([name, time.perf_counter(), None,
+                           self._stack[-1] if self._stack else -1])
+        self._stack.append(index)
+        return index
+
+    def _close(self, index):
+        self._stack.pop()
+        self.spans[index][2] = time.perf_counter()
 
     def _capture(self, name, fn, args, kwargs):
         if name == "laplace.solve_smallest":
             self._raw = None
-            problem = args[0] if args else kwargs["problem"]
-            k = args[1] if len(args) > 1 else kwargs["k"]
             try:
-                out = fn(*args, **kwargs)
-            except Exception as exc:
-                self.solves.append(Solve(problem, k, None, None, repr(exc)))
+                return fn(*args, **kwargs)
+            except Exception:
+                self._mesh = self._raw = None
                 raise
-            self.solves.append(Solve(problem, k, out, self._raw, None))
+        if name in ("laplace.eigsh", "laplace.lobpcg"):
+            self._raw = None  # a failed rung's pairs are not kept while the next runs
+            out = fn(*args, **kwargs)
+            self._raw = out[0], out[1]
             return out
         out = fn(*args, **kwargs)
-        if name in ("laplace.eigsh", "laplace.lobpcg"):
-            self._raw = out[0], out[1]
-        elif name == "mesh.mesh_fiber":
-            self.meshes.append(out)
+        if name == "mesh.mesh_fiber":
+            self._mesh = out
         return out
+
+    def _after_solve(self, problem, k, spectrum):
+        t0 = time.perf_counter()
+        index = self._open(CHECK_SPAN) if self.trace else None
+        try:
+            if self.on_solve is not None:
+                pairs = returned_pairs(self._raw, spectrum, k)
+                try:
+                    self.solves.append(self.on_solve(self._mesh, problem, spectrum, pairs))
+                except Exception as exc:  # a fault of the checks, not of the solve
+                    self.solves.append(exc)
+        finally:
+            self._mesh = self._raw = None
+            if index is not None:
+                self._close(index)
+            self.check_s += time.perf_counter() - t0
 
     def _count(self, name, out):
         self.counts[name] += 1
@@ -138,20 +176,34 @@ class Recorder:
             self.counts["laplace.pairs"] += out.k
             self.counts["laplace.first_rung"] += out.solver_path == "eigsh"
 
-    def self_times(self) -> dict:
-        """Span name -> (calls, total seconds, self seconds)."""
+    def in_checks(self) -> list[bool]:
+        """Per span: whether it runs inside an ``on_solve`` hook."""
+        inside: list[bool] = []
+        for name, _, _, parent in self.spans:
+            inside.append(name == CHECK_SPAN or (parent >= 0 and inside[parent]))
+        return inside
+
+    def self_times(self, keep=None) -> dict:
+        """Span name -> (calls, total seconds, self seconds), over the
+        spans whose entry in ``keep`` is true (default all)."""
         child = [0.0] * len(self.spans)
         for name, start, end, parent in self.spans:
             if parent >= 0:
                 child[parent] += end - start
         table: dict = {}
         for i, (name, start, end, _) in enumerate(self.spans):
+            if keep is not None and not keep[i]:
+                continue
             calls, total, own = table.get(name, (0, 0.0, 0.0))
             table[name] = (calls + 1, total + end - start, own + end - start - child[i])
         return table
 
     def total(self, *names) -> float:
         return sum(end - start for name, start, end, _ in self.spans if name in names)
+
+    def longest(self, *names) -> float:
+        return max((end - start for name, start, end, _ in self.spans if name in names),
+                   default=0.0)
 
 
 class installed:
@@ -224,6 +276,7 @@ PER_LAYER = {
     "laplace.pairs": ("count", "lower"),
     "laplace.eigsh_s": ("s", "lower"),
     "laplace.eigsh_calls": ("count", "lower"),
+    "laplace.eigsh_max_s": ("s", "lower"),
     "laplace.check_s": ("s", "lower"),
     "laplace.first_rung_share": ("ratio", "higher"),
     "heat.torsion_s": ("s", "lower"),
@@ -266,6 +319,7 @@ def layer_metrics(rec: Recorder) -> dict:
         "laplace.pairs": c["laplace.pairs"],
         "laplace.eigsh_s": eigsh,
         "laplace.eigsh_calls": c["laplace.eigsh"] + c["laplace.lobpcg"],
+        "laplace.eigsh_max_s": rec.longest("laplace.eigsh", "laplace.lobpcg"),
         "laplace.check_s": solve - eigsh,
         "laplace.first_rung_share": c["laplace.first_rung"] / solves if solves else 0.0,
         "heat.torsion_s": rec.total("heat.partial_torsion_large_time"),
@@ -288,8 +342,10 @@ def layer_metrics(rec: Recorder) -> dict:
 
 def format_table(rec: Recorder, wall: float) -> str:
     """Per-span calls, total and self time, and self time as a share of
-    the traced round's wall time."""
-    rows = sorted(rec.self_times().items(), key=lambda kv: -kv[1][2])
+    the traced round's wall time; the ``on_solve`` hooks, which run
+    outside that wall time, are summed on a line of their own."""
+    inside = rec.in_checks()
+    rows = sorted(rec.self_times([not h for h in inside]).items(), key=lambda kv: -kv[1][2])
     lines = [f"{'span':<36s} {'calls':>7s} {'total_s':>9s} {'self_s':>9s} {'self%':>6s}"]
     for name, (calls, total, own) in rows:
         lines.append(f"{name:<36s} {calls:7d} {total:9.3f} {own:9.3f} "
@@ -297,6 +353,10 @@ def format_table(rec: Recorder, wall: float) -> str:
     covered = sum(own for _, (_, _, own) in rows)
     lines.append(f"{'(outside any span)':<36s} {'':7s} {'':9s} {wall - covered:9.3f} "
                  f"{100.0 * (wall - covered) / wall:6.1f}")
+    hooks = sorted(rec.self_times(inside).items())
+    lines.append(f"checks after each solve, outside wall_s: {rec.check_s:.3f} s"
+                 + "".join(f"; {name} {total:.3f} s" for name, (_, total, _) in hooks
+                           if name != CHECK_SPAN))
     for name in ("family.conformal_factor", "mesh.vertices", "laplace.pairs"):
         lines.append(f"count {name} = {rec.counts[name]}")
     return "\n".join(lines)

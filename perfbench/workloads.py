@@ -34,12 +34,40 @@ class Output:
         self.errors.append(f"{what}: {type(exc).__name__}: {exc}")
 
 
-def _solved_pairs(label, solve, problems):
-    """The returned pairs of a captured solve, or None (and a problem)."""
-    pairs = solve.pairs()
-    if pairs is None:
-        problems.append(f"{label}: captured pairs do not reproduce the returned eigenvalues")
-    return pairs
+class Fiber:
+    """What the checks keep of one solve: the returned ``Spectrum``, the
+    pencil's dimension, the residuals the benchmark recomputed from the
+    raw pairs (None when those do not reproduce the returned eigenvalues)
+    and, in the sweep, the cut-off Rayleigh bounds.  No mesh, pencil or
+    eigenvector outlives its fiber."""
+
+    __slots__ = ("spectrum", "dimension", "residuals", "bound")
+
+    def __init__(self, spectrum, dimension, residuals, bound):
+        self.spectrum, self.dimension = spectrum, dimension
+        self.residuals, self.bound = residuals, bound
+
+
+def fiber_hook(fam=None):
+    """``Recorder.on_solve`` for the sweep (``fam`` given: with Rayleigh
+    bounds) and for the torsion (without)."""
+    def hook(m, problem, spectrum, pairs):
+        residuals = None if pairs is None else checks.pencil_residuals(
+            problem.stiffness, problem.mass, *pairs)
+        bound = None if fam is None else rayleigh.rayleigh_upper_bound(
+            problem, rayleigh.build_cutoffs(m, fam, spectrum.s))
+        return Fiber(spectrum, problem.dimension, residuals, bound)
+    return hook
+
+
+def _fiber_problems(label, fiber, zeros) -> list[str]:
+    """Residuals and zero-mode count of one captured solve."""
+    if isinstance(fiber, Exception):
+        return [f"{label}: the checks after the solve raised {fiber!r}"]
+    if fiber.residuals is None:
+        return [f"{label}: captured pairs do not reproduce the returned eigenvalues"]
+    return (checks.check_residuals(label, fiber.residuals)
+            + checks.check_zero_modes(label, fiber.spectrum.eigenvalues, zeros))
 
 
 # ---------------------------------------------------------------------------
@@ -65,23 +93,16 @@ class Sweep:
         self.ops = sum(p.count for p in self.plans)
 
     def run(self, rec: tracing.Recorder) -> Output:
-        out = Output(reports=[], fibers=[], bounds=[], fits=[])
+        out = Output(reports=[], fibers=[], fits=[])
         for plan, fam in zip(self.plans, self.families):
-            first = len(rec.solves), len(rec.meshes)
+            rec.on_solve = fiber_hook(fam)
+            first = len(rec.solves)
             report = cli.cmd_sweep(plan)
             out.reports.append(report)
             out.failed += len(report.failures)
             out.errors += [f"{plan.family} s={f['s']:.3g}: {f['error']}" for f in report.failures]
-            solves, meshes = rec.solves[first[0]:], rec.meshes[first[1]:]
-            if len(solves) != len(meshes):
-                raise RuntimeError(f"{plan.family}: {len(meshes)} meshes for {len(solves)} solves")
-            fibers = [(m, sv) for m, sv in zip(meshes, solves) if sv.spectrum is not None]
-            out.fibers.append(fibers)
-            out.bounds.append([
-                rayleigh.rayleigh_upper_bound(
-                    sv.problem, rayleigh.build_cutoffs(m, fam, sv.spectrum.s))
-                for m, sv in fibers
-            ])
+            out.fibers.append(rec.solves[first:])
+        rec.on_solve = None
         out.fits = [cli.cmd_fit(self.plans[0].out, "power", k=1),
                     cli.cmd_fit(self.plans[1].out, "product")]
         return out
@@ -89,19 +110,17 @@ class Sweep:
     def check(self, out: Output) -> list[str]:
         problems = []
         series = []
-        for plan, fibers, bounds in zip(self.plans, out.fibers, out.bounds):
+        for plan, fibers in zip(self.plans, out.fibers):
             s_list, lam = [], []
-            for (m, sv), bound in zip(fibers, bounds):
-                label = f"sweep {plan.family} s={sv.spectrum.s:.3g}"
-                pairs = _solved_pairs(label, sv, problems)
-                if pairs is None:
+            for i, fiber in enumerate(fibers):
+                label = f"sweep {plan.family} fiber {i}"
+                found = _fiber_problems(label, fiber, 1)
+                problems += found
+                if found:
                     continue
-                vals, vecs = pairs
-                problems += checks.check_pairs(label, sv.problem.stiffness, sv.problem.mass,
-                                               vals, vecs)
-                problems += checks.check_zero_modes(label, vals, 1)
-                problems += checks.check_rayleigh(label, bound, vals)
-                s_list.append(sv.spectrum.s)
+                vals = fiber.spectrum.eigenvalues
+                problems += checks.check_rayleigh(label, fiber.bound, vals)
+                s_list.append(fiber.spectrum.s)
                 lam.append(vals)
             series.append((np.array(s_list), np.array(lam)))
 
@@ -122,9 +141,9 @@ class Sweep:
     def digest(self, out: Output) -> list:
         d = [np.array([r[:5] for r in rep.rows], dtype=float) for rep in out.reports]
         for fibers in out.fibers:
-            d += [sv.spectrum.eigenvalues for _, sv in fibers]
-            d += [sv.spectrum.residual_norms for _, sv in fibers]
-        d += [b for bounds in out.bounds for b in bounds]
+            d += [f.spectrum.eigenvalues for f in fibers]
+            d += [f.spectrum.residual_norms for f in fibers]
+            d += [f.bound for f in fibers]
         d += [np.array([f[key] for key in ("c", "p", "slope", "residual")], dtype=float)
               for f in out.fits]
         return d
@@ -154,39 +173,42 @@ class Torsion:
 
     def run(self, rec: tracing.Recorder) -> Output:
         out = Output(fibers=[])
+        rec.on_solve = fiber_hook()
         for s, seed in self.fibers:
             first = len(rec.solves)
             try:
-                m = mesh.mesh_fiber(self.family, INDUCED, s, verify.SWEEP_PARAMS)
-                scalar = laplace.solve_smallest(laplace.assemble(m), self.K, s=s, seed=seed)
-                weight = laplace.component_bundle_weight(m)
-                weighted = laplace.solve_smallest(laplace.assemble_weighted(m, weight),
-                                                  self.K, s=s, seed=seed)
-                tau = heat.partial_torsion_large_time(scalar)[0]
-                tau_w = heat.partial_torsion_large_time(weighted, h0=0)[0]
+                tau, tau_w = self._fiber(s, seed)
             except Exception as exc:  # counted; the round goes on
                 out.fail(f"torsion s={s:.3g}", exc)
                 continue
-            out.fibers.append((s, m.V, rec.solves[first:], tau, tau_w))
+            out.fibers.append((s, rec.solves[first:], tau, tau_w))
+        rec.on_solve = None
         return out
+
+    def _fiber(self, s, seed):
+        m = mesh.mesh_fiber(self.family, INDUCED, s, verify.SWEEP_PARAMS)
+        scalar = laplace.solve_smallest(laplace.assemble(m), self.K, s=s, seed=seed)
+        weight = laplace.component_bundle_weight(m)
+        weighted = laplace.solve_smallest(laplace.assemble_weighted(m, weight),
+                                          self.K, s=s, seed=seed)
+        return (heat.partial_torsion_large_time(scalar)[0],
+                heat.partial_torsion_large_time(weighted, h0=0)[0])
 
     def check(self, out: Output) -> list[str]:
         problems = []
         compensated = []
-        for s, V, (scalar, weighted), tau, tau_w in out.fibers:
-            for name, sv, zeros, value in (("scalar", scalar, 1, tau),
-                                           ("weighted", weighted, 0, tau_w)):
+        for s, (scalar, weighted), tau, tau_w in out.fibers:
+            for name, fiber, zeros, value in (("scalar", scalar, 1, tau),
+                                              ("weighted", weighted, 0, tau_w)):
                 label = f"torsion {name} s={s:.3g}"
-                pairs = _solved_pairs(label, sv, problems)
-                if pairs is None:
+                found = _fiber_problems(label, fiber, zeros)
+                problems += found
+                if found:
                     continue
-                vals, vecs = pairs
-                problems += checks.check_pairs(label, sv.problem.stiffness, sv.problem.mass,
-                                               vals, vecs)
-                problems += checks.check_zero_modes(label, vals, zeros)
+                vals = fiber.spectrum.eigenvalues
                 problems += checks.check_torsion(label, value, vals, zeros)
                 problems += checks.check_below(f"{label} certified tail",
-                                               checks.certified_tail(V, vals), 1e-2)
+                                               checks.certified_tail(fiber.dimension, vals), 1e-2)
                 if name == "scalar":
                     compensated.append(value + math.log(vals[1]))
         if len(compensated) == len(self.fibers):
@@ -196,9 +218,9 @@ class Torsion:
 
     def digest(self, out: Output) -> list:
         d = []
-        for _, _, solves, tau, tau_w in out.fibers:
-            d += [sv.spectrum.eigenvalues for sv in solves]
-            d += [sv.spectrum.residual_norms for sv in solves]
+        for _, fibers, tau, tau_w in out.fibers:
+            d += [f.spectrum.eigenvalues for f in fibers]
+            d += [f.spectrum.residual_norms for f in fibers]
             d.append(np.array([tau, tau_w]))
         return d
 

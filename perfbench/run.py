@@ -1,13 +1,13 @@
 """pinchlab benchmark: one workload, timed end to end or traced per layer.
 
-    python3 perfbench/run.py --workload sweep --seed 0 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload spectral --seed 0 --seconds 50 --trace 0
 
 Run from the root of a source checkout; the library is imported from its
 ``src/``.  Each round of the workload runs in a fresh process, as a
 command-line user runs it: set up, one timed round, then the checks of
 that round's outputs outside the timed interval.  Rounds run one after
-another until ``--seconds`` have passed, and at least two (three for
-the sweep, see ``MIN_ROUNDS``).
+another, at least ``MIN_ROUNDS``, and another only while it is expected
+to end within ``--seconds`` (at the mean duration of the rounds so far).
 Round r of a run with ``--seed n`` gives the workload the solver seed
 1000 n + r.  One JSON object is the last line of standard output.
 
@@ -41,26 +41,23 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
-WORKLOADS = ("sweep", "torsion", "periods", "curvature")
+WORKLOADS = ("spectral", "geometry")
 DEADLINE_S = 170  # a run must end within 180 s
-#: Rounds a run makes at least, also past ``--seconds``: two, so that a
-#: run's figure is never one round's, and three for the sweep.  The
-#: sweep's wall time depends on the solver seed: for about one seed in
-#: six, eigsh on the three-cycle fiber s = 2.8e-9 (at times its neighbours
-#: too) takes 4-10 s instead of 0.5-1 s.  The median of three rounds, each
-#: with its own seed, leaves such a stall out of ``wall_s`` unless two of
-#: the three rounds stall; the traced run's ``laplace.eigsh_max_s`` shows
-#: it whenever its round stalls.
-MIN_ROUNDS = {"sweep": 3}
-DEFAULT_MIN_ROUNDS = 2
+#: Rounds a run makes at least, also past ``--seconds``, so that a run's
+#: figure is never one round's.  A round takes about 25 s here, so a run
+#: of 50 s makes two.  The spectral round's wall time depends on the
+#: solver seed: for about one seed in six to ten, eigsh on a three-cycle
+#: sweep fiber takes 4-10 s instead of 0.5-1.5 s (see CHANGES.md).  The
+#: median of two rounds is their mean, so such a stall shows in ``wall_s``.
+MIN_ROUNDS = 2
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", required=True, choices=WORKLOADS)
     p.add_argument("--seed", type=int, default=0,
-                   help="sets the solver start vectors (sweep, torsion); default 0")
-    p.add_argument("--seconds", type=float, default=15.0)
+                   help="sets the solver start vectors (spectral); default 0")
+    p.add_argument("--seconds", type=float, default=50.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--round", type=int, default=None, metavar="R",
                    help="internal: run round R in this process and print its record")
@@ -185,8 +182,8 @@ def main(argv=None) -> int:
     records = []
     start = time.perf_counter()
     while not records or not args.trace and (
-            len(records) < MIN_ROUNDS.get(args.workload, DEFAULT_MIN_ROUNDS)
-            or time.perf_counter() - start < args.seconds):
+            len(records) < MIN_ROUNDS
+            or (time.perf_counter() - start) * (len(records) + 1) / len(records) <= args.seconds):
         records.append(spawn(args, len(records), DEADLINE_S - (time.perf_counter() - start)))
     for r in records:
         for line in r["errors"] + [f"CHECK FAILED: {p}" for p in r["problems"]]:

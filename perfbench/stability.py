@@ -1,7 +1,7 @@
 """Sets of benchmark runs of the same code, against the bounds in BENCHMARK.json.
 
     python3 perfbench/stability.py --runs 10 --sets 2
-    python3 perfbench/stability.py --workload torsion --runs 5 --sets 1
+    python3 perfbench/stability.py --workload geometry --runs 5 --sets 1
 
 Runs ``run.py`` once per (set, run, workload), one run at a time, for
 BENCHMARK.json's ``run_seconds``, workloads interleaved, each run with

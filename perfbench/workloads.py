@@ -1,5 +1,11 @@
-"""The four workloads: inputs (the set-up), one timed round, and the
+"""The two workloads: inputs (the set-up), one timed round, and the
 checks and bitwise digest of a round's outputs.
+
+A workload is two parts run one after the other in each round:
+``spectral`` is ``Sweep`` then ``Torsion`` (mesh, pencil, eigensolve,
+torsion), ``geometry`` is ``Periods`` then ``Curvature`` (no eigensolve).
+Two workloads, not four, so that a run can time rounds twice as long in
+the time a full set of runs is given (see the README's *Steadiness*).
 
 Every library call goes through a module attribute (``cli.cmd_sweep``,
 ``laplace.solve_smallest``, ...) so that the wrappers in ``tracing``
@@ -386,4 +392,47 @@ def _growth(report) -> float:
     return abs(report.min_values[-1]) / abs(report.min_values[0])
 
 
-WORKLOADS = {"sweep": Sweep, "torsion": Torsion, "periods": Periods, "curvature": Curvature}
+# ---------------------------------------------------------------------------
+# the workloads: two parts each
+# ---------------------------------------------------------------------------
+
+class Combined:
+    """Parts run one after the other in a round; ops, failures, checks
+    and digests are the parts' together."""
+
+    PARTS: tuple = ()
+
+    def __init__(self, seed: int, out_dir: Path):
+        self.parts = [part(seed, out_dir) for part in self.PARTS]
+        self.captures = tuple(dict.fromkeys(c for p in self.parts for c in p.captures))
+        self.ops = sum(p.ops for p in self.parts)
+
+    def run(self, rec: tracing.Recorder) -> Output:
+        outs = [p.run(rec) for p in self.parts]
+        out = Output(parts=outs)
+        out.failed = sum(o.failed for o in outs)
+        out.errors = [e for o in outs for e in o.errors]
+        return out
+
+    def check(self, out: Output) -> list[str]:
+        return [q for p, o in zip(self.parts, out.parts) for q in p.check(o)]
+
+    def digest(self, out: Output) -> list:
+        return [d for p, o in zip(self.parts, out.parts) for d in p.digest(o)]
+
+
+class Spectral(Combined):
+    """The spectral side: the sweep's small-k shift-invert solves, then
+    the torsion's k=150 Lanczos solves on the same laplace layer."""
+
+    PARTS = (Sweep, Torsion)
+
+
+class Geometry(Combined):
+    """No eigensolve: the Quillen side's period Grams, then the
+    curvature module on meshes four times denser than the sweep's."""
+
+    PARTS = (Periods, Curvature)
+
+
+WORKLOADS = {"spectral": Spectral, "geometry": Geometry}

@@ -85,8 +85,12 @@ class SweepPlan:
 
     @property
     def mesh_params(self) -> MeshParams:
-        return MeshParams(rings_per_decade=8 * self.mesh_density,
-                          angular_count=16 * self.mesh_density)
+        return _mesh_params(self.mesh_density)
+
+
+def _mesh_params(density: int) -> MeshParams:
+    """Mesh resolution of a CLI ``--mesh-density``."""
+    return MeshParams(rings_per_decade=8 * density, angular_count=16 * density)
 
 
 @dataclass
@@ -123,9 +127,7 @@ def _fiber_task(args):
     try:
         fam, cfg_metric = resolve_family(family_ref)
         kind = _metric_kind(metric_name, cfg_metric)
-        params = MeshParams(rings_per_decade=8 * density,
-                            angular_count=16 * density)
-        mesh = mesh_fiber(fam, kind, s, params)
+        mesh = mesh_fiber(fam, kind, s, _mesh_params(density))
         spec = solve_smallest(assemble(mesh), num_ev, s=s,
                               seed=seed * 100003 + index)
         seconds = time.perf_counter() - t0
@@ -342,9 +344,7 @@ def cmd_mesh_dump(family_ref: str, metric: str | None, s: float,
     """Vertex table (chart, coordinate) plus size statistics."""
     fam, cfg_metric = resolve_family(family_ref)
     kind = _metric_kind(metric, cfg_metric)
-    params = MeshParams(rings_per_decade=8 * mesh_density,
-                        angular_count=16 * mesh_density)
-    mesh = mesh_fiber(fam, kind, s, params)
+    mesh = mesh_fiber(fam, kind, s, _mesh_params(mesh_density))
     lines = [
         f"# schema={MESH_SCHEMA}",
         f"# family={family_ref}",

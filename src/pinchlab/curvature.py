@@ -30,38 +30,45 @@ from .periods import _gl_panels, _polar_quad, _smooth_bump
 # pointwise curvature
 # ---------------------------------------------------------------------------
 
-def factor_curvature(factor_fn, z: complex, h: float) -> float:
+def factor_curvature(factor_fn, z, h):
     """K = -e^{-2u} Lap u for the factor e^{2u} = factor_fn(z).
 
     Fourth-order central differences with step h in both coordinate
-    directions.
+    directions.  ``z`` and ``h`` may be arrays (they broadcast);
+    ``factor_fn`` is called once per stencil offset with the shifted
+    points.
     """
-    def u(dz: complex) -> float:
-        return 0.5 * math.log(factor_fn(z + dz))
+    f0 = factor_fn(z)
+    u0 = 0.5 * np.log(f0)
+
+    def u(dz):
+        return 0.5 * np.log(factor_fn(z + dz))
 
     lap = 0.0
     for step in (h, 1j * h):
         lap += (
-            -u(2 * step) + 16.0 * u(step) - 30.0 * u(0)
+            -u(2 * step) + 16.0 * u(step) - 30.0 * u0
             + 16.0 * u(-step) - u(-2 * step)
         ) / (12.0 * h * h)
-    return -lap / factor_fn(z)
+    return -lap / f0
 
 
 def _chart_step(family: DegenerationFamily, point: ChartPoint,
-                s: complex, step_scale: float) -> float:
-    """Largest admissible FD step at the point, scaled to |x|."""
-    r = abs(point.coord)
+                s: complex, step_scale: float) -> np.ndarray:
+    """Largest admissible FD step at each point, scaled to |x|."""
+    r = np.abs(point.coord)
     if point.chart[0] == "cap":
-        h = min(step_scale * max(r, 0.1), (1.0 - r) / 2.5)
+        h = np.minimum(step_scale * np.maximum(r, 0.1), (1.0 - r) / 2.5)
     else:
         abs_s = abs(s)
-        h = min(step_scale * r, (1.0 - r) / 2.5, 0.4 * r)
+        h = np.minimum(np.minimum(step_scale * r, (1.0 - r) / 2.5), 0.4 * r)
         if abs_s > 0.0:
-            h = min(h, (r - abs_s) / 2.5)
-    if h <= 0.0 or not math.isfinite(h):
+            h = np.minimum(h, (r - abs_s) / 2.5)
+    bad = ~((h > 0.0) & np.isfinite(h))
+    if bad.any():
         raise StencilOutOfChart(
-            f"no room for a central stencil at |x| = {r} in chart {point.chart}"
+            f"no room for a central stencil at |x| = {np.asarray(r)[bad].flat[0]} "
+            f"in chart {point.chart}"
         )
     return h
 
@@ -72,11 +79,12 @@ def gauss_curvature(
     point: ChartPoint,
     s: complex,
     step_scale: float = 2e-3,
-) -> float:
-    """Gauss curvature of the metric at a chart point of the fiber X_s."""
+):
+    """Gauss curvature of the metric at the chart point(s) of the fiber X_s
+    (``point.coord`` a scalar or an array in one chart)."""
     h = _chart_step(family, point, s, step_scale)
 
-    def factor(z: complex) -> float:
+    def factor(z):
         return conformal_factor(family, kind, ChartPoint(point.chart, z), s)
 
     return factor_curvature(factor, point.coord, h)
@@ -84,11 +92,10 @@ def gauss_curvature(
 
 @dataclass
 class CurvatureField:
-    """Curvature samples of one fiber metric (one value per sample point)."""
+    """Curvature samples of one fiber metric (one value per triangle)."""
 
     kind: MetricKind
     s: complex
-    points: list[ChartPoint]
     values: np.ndarray
 
 
@@ -100,23 +107,20 @@ def curvature_samples(
 ) -> CurvatureField:
     """Curvature at the chart centroid of every mesh triangle.
 
-    Every plumbing factor depends on the chart radius only, so values
-    are cached per (chart, radius).
+    Every plumbing factor depends on the chart radius only, so each
+    chart's centroid radii are rounded to 14 decimals, and the stencil
+    runs once, as one array, on the first radius of each distinct value.
     """
-    points = [
-        ChartPoint(mesh.tri_chart[f], complex(mesh.tri_coords[f].mean()))
-        for f in range(mesh.F)
-    ]
-    cache: dict[tuple, float] = {}
+    radius = np.abs(mesh.tri_coords.mean(axis=1))
     values = np.empty(mesh.F)
-    for f, p in enumerate(points):
-        key = (p.chart, round(abs(p.coord), 14))
-        if key not in cache:
-            cache[key] = gauss_curvature(
-                family, kind, ChartPoint(p.chart, complex(abs(p.coord))), s
-            )
-        values[f] = cache[key]
-    return CurvatureField(kind=kind, s=s, points=points, values=values)
+    charts, ids = mesh.chart_index()
+    for c, chart in enumerate(charts):
+        faces = np.flatnonzero(ids == c)
+        _, first, inverse = np.unique(np.round(radius[faces], 14),
+                                      return_index=True, return_inverse=True)
+        r = radius[faces[first]] + 0j
+        values[faces] = gauss_curvature(family, kind, ChartPoint(chart, r), s)[inverse]
+    return CurvatureField(kind=kind, s=s, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -148,35 +152,25 @@ def min_curvature_sweep(
     against log(1/s)) and reported without being asserted.
     """
     s_grid = np.asarray(s_grid, dtype=float)
+    charts = [("neck", node.node_id, branch)
+              for node in family.nodes for branch in (0, 1)]
+    # no cap chart on two-node components
+    charts += [("cap", comp.id) for comp in family.components
+               if len(comp.marked_points) <= 1]
+    cap_radii = np.linspace(0.0, 0.95, component_samples) + 0j
     mins, argmins, comp_max = [], [], []
     for s in s_grid:
-        best, best_pt = math.inf, None
-        top = -math.inf
-        decades = math.log10(1.0 / s)
-        n = max(8, int(neck_samples_per_decade * decades))
-        radii = np.exp(np.linspace(
-            math.log(s) + 1e-3, -1e-3, n
-        ))
-        for node in family.nodes:
-            for branch in (0, 1):
-                chart = ("neck", node.node_id, branch)
-                for r in radii:
-                    k = gauss_curvature(
-                        family, kind, ChartPoint(chart, complex(r)), s
-                    )
-                    if k < best:
-                        best, best_pt = k, ChartPoint(chart, complex(r))
-        for comp in family.components:
-            if len(comp.marked_points) > 1:
-                continue  # no cap chart on two-node components
-            chart = ("cap", comp.id)
-            for r in np.linspace(0.0, 0.95, component_samples):
-                k = gauss_curvature(
-                    family, kind, ChartPoint(chart, complex(r)), s
-                )
-                top = max(top, k)
-                if k < best:
-                    best, best_pt = k, ChartPoint(chart, complex(r))
+        best, best_pt, top = math.inf, None, -math.inf
+        n = max(8, int(neck_samples_per_decade * math.log10(1.0 / s)))
+        neck_radii = np.exp(np.linspace(math.log(s) + 1e-3, -1e-3, n)) + 0j
+        for chart in charts:
+            z = neck_radii if chart[0] == "neck" else cap_radii
+            k = gauss_curvature(family, kind, ChartPoint(chart, z), s)
+            i = int(np.argmin(k))
+            if chart[0] == "cap":
+                top = max(top, float(k.max()))
+            if k[i] < best:
+                best, best_pt = float(k[i]), ChartPoint(chart, complex(z[i]))
         mins.append(best)
         argmins.append(best_pt)
         comp_max.append(top)
@@ -224,33 +218,6 @@ def gauss_bonnet(mesh: TriangleMesh, field: CurvatureField) -> GaussBonnetReport
 # Gauss-Bonnet for Fermat fibers (chart quadrature)
 # ---------------------------------------------------------------------------
 
-def _nth_roots(w: np.ndarray, d: int) -> np.ndarray:
-    """All d-th roots; shape (d,) + w.shape."""
-    w = np.asarray(w, dtype=complex)
-    rad = np.abs(w) ** (1.0 / d)
-    base = np.angle(w) / d
-    ks = np.arange(d).reshape((d,) + (1,) * w.ndim)
-    return rad * np.exp(1j * (base + 2.0 * math.pi * ks / d))
-
-
-def _fs_factor_vec(a, b, da, db):
-    q = 1.0 + np.abs(a) ** 2 + np.abs(b) ** 2
-    num = q * (np.abs(da) ** 2 + np.abs(db) ** 2) \
-        - np.abs(np.conj(a) * da + np.conj(b) * db) ** 2
-    return num / (q * q)
-
-
-def _lap_fd(fn, z: np.ndarray, h) -> np.ndarray:
-    """Fourth-order FD Laplacian of the scalar field fn at the points z."""
-    out = np.zeros(z.shape)
-    for step in (h, 1j * h):
-        out += (
-            -fn(z + 2 * step) + 16.0 * fn(z + step) - 30.0 * fn(z)
-            + 16.0 * fn(z - step) - fn(z - 2 * step)
-        ) / (12.0 * h * h)
-    return out
-
-
 def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonnetReport:
     """Total curvature of the Fubini-Study metric on the Fermat fiber.
 
@@ -269,15 +236,16 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
     R0, R1 = 0.025, 0.05  # branch-patch bump radii in the a-plane
     SPLIT0, SPLIT1 = 0.85, 0.95  # chart-1 / chart-2 transition in |a|
 
-    def u1(a):
-        b = _nth_roots(-(a ** d) - s, d)
-        db = -((a[None, ...] / b) ** (d - 1))
-        return np.log(_fs_factor_vec(a[None, ...], b, 1.0, db)).sum(axis=0)
+    def density(factor_fn, z, h):
+        # K dv / dA = -(1/2) Lap(log factor) for the product of the sheets'
+        # factors, whose log is the sum over sheets of log(factor)
+        return factor_curvature(factor_fn, z, h) * factor_fn(z)
 
-    def u2(a2):
-        b2 = _nth_roots(-1.0 - s * a2 ** d, d)
-        db2 = -s * ((a2[None, ...] / b2) ** (d - 1))
-        return np.log(_fs_factor_vec(a2[None, ...], b2, 1.0, db2)).sum(axis=0)
+    def f_chart1(a):
+        return atlas.sheet_factors(1, a).prod(axis=0)
+
+    def f_chart2(a2):
+        return atlas.sheet_factors(2, a2).prod(axis=0)
 
     def bump_sum(a):
         out = np.zeros(a.shape)
@@ -290,7 +258,7 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
         dist = np.min(np.abs(a[None, ...] - branch_pts[:, None, None]), axis=0)
         m1 = (1.0 - bump_sum(a)) * _smooth_bump(np.abs(a), SPLIT0, SPLIT1)
         h = np.minimum(5e-3, 0.2 * np.maximum(dist, 1e-12))
-        vals = np.where(m1 > 1e-13, -0.5 * _lap_fd(u1, a, h), 0.0)
+        vals = np.where(m1 > 1e-13, density(f_chart1, a, h), 0.0)
         return m1 * vals
 
     rb = abs(s) ** (1.0 / d)  # radius of the branch-point circle
@@ -307,7 +275,7 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
         r = np.abs(a2)
         m2 = 1.0 - _smooth_bump(np.where(r > 1e-12, 1.0 / np.maximum(r, 1e-12),
                                          math.inf), SPLIT0, SPLIT1)
-        vals = np.where(m2 > 1e-13, -0.5 * _lap_fd(u2, a2, 5e-3), 0.0)
+        vals = np.where(m2 > 1e-13, density(f_chart2, a2, 5e-3), 0.0)
         return m2 * vals
 
     total += _polar_quad(
@@ -317,20 +285,11 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
 
     # branch patches in the sheet coordinate y (single-valued there)
     for xb in branch_pts:
-        def x_vec(y):
-            roots = _nth_roots(-s - y ** d, d)
-            return np.take_along_axis(
-                roots, np.argmin(np.abs(roots - xb), axis=0)[None, ...], axis=0
-            )[0]
-
-        def uy(y):
-            x = x_vec(y)
-            dx = -((y / x) ** (d - 1))
-            return np.log(_fs_factor_vec(x, y, dx, 1.0))
+        x_of_y, _, f_branch = atlas.branch_chart(xb)
 
         def fb(y):
-            mb = _smooth_bump(np.abs(x_vec(y) - xb), R0, R1)
-            vals = np.where(mb > 1e-13, -0.5 * _lap_fd(uy, y, 4e-3), 0.0)
+            mb = _smooth_bump(np.abs(x_of_y(y) - xb), R0, R1)
+            vals = np.where(mb > 1e-13, density(f_branch, y, 4e-3), 0.0)
             return mb * vals
 
         rho = (1.25 * R1 * d * abs(xb) ** (d - 1)) ** (1.0 / d)
@@ -366,11 +325,10 @@ def _radial_total(family: DegenerationFamily, kind: MetricKind,
     breaks = [r_lo, 0.5, r_hi] if r_lo < 0.5 < r_hi else [r_lo, r_hi]
     for a, b in zip(breaks, breaks[1:]):
         r, w = _gl_panels(a, b, 4)
-        for ri, wi in zip(r, w):
-            pt = ChartPoint(chart, complex(ri))
-            k = gauss_curvature(family, kind, pt, 0.0)
-            f = conformal_factor(family, kind, pt, 0.0)
-            total += wi * k * f * 2.0 * math.pi * ri
+        pt = ChartPoint(chart, r + 0j)
+        k = gauss_curvature(family, kind, pt, 0.0)
+        f = conformal_factor(family, kind, pt, 0.0)
+        total += float((w * k * f * 2.0 * math.pi * r).sum())
     return total
 
 

@@ -14,12 +14,11 @@ descriptions to a plain-text config file.
 """
 from __future__ import annotations
 
-import cmath
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -219,39 +218,40 @@ def build_plumbing(
 
 @dataclass(frozen=True)
 class ChartPoint:
-    """A point in one fiber chart.
+    """A point, or an array of points, in one fiber chart.
 
     ``chart`` is ``("neck", node_id, branch)`` with branch 0 = left,
     1 = right (coordinate on that branch, admissible ``|s| <= |x| <= 1``),
     or ``("cap", component_id)`` (coordinate centered at the point
     antipodal to the component's single node chart, ``|x| <= 1``).
+    ``coord`` is a complex scalar or an ndarray of coordinates.
     """
 
     chart: tuple
-    coord: complex
+    coord: complex | np.ndarray
 
 
-def _smoothstep(t: float) -> float:
-    """Quintic smoothstep on [0, 1].
+def _smoothstep(t: np.ndarray) -> np.ndarray:
+    """Quintic smoothstep of t clipped to [0, 1].
 
     The third-order zero at t = 0 dominates the second-order divergence
     of the hyperbolic neck factor at |x| = 1, keeping the blended factor
     continuous across the cap seam.
     """
-    t = min(1.0, max(0.0, t))
+    t = np.clip(t, 0.0, 1.0)
     return t ** 3 * (10.0 - t * (15.0 - 6.0 * t))
 
 
 _LN2 = math.log(2.0)
 
 
-def _sphere_factor(r: float, radius: float) -> float:
+def _sphere_factor(r: np.ndarray, radius: float) -> np.ndarray:
     """Round sphere of the given radius in a stereographic chart."""
     return 4.0 * radius * radius / (1.0 + r * r) ** 2
 
 
-def _neck_factor(kind: MetricKind, r: float, abs_s: float) -> float:
-    """Pure neck conformal factor at branch radius r."""
+def _neck_factor(kind: MetricKind, r: np.ndarray, abs_s: float) -> np.ndarray:
+    """Pure neck conformal factor at branch radii r."""
     if kind is MetricKind.INDUCED:
         return 1.0 + (abs_s * abs_s) / r ** 4
     if kind is MetricKind.CYLINDER:
@@ -259,10 +259,10 @@ def _neck_factor(kind: MetricKind, r: float, abs_s: float) -> float:
     if kind is MetricKind.HYPERBOLIC_MODEL:
         # comparison model written in whichever branch coordinate is local;
         # the two expressions agree on the core circle |x| = sqrt|s|
-        m = math.log(1.0 / r)
+        m = np.log(1.0 / r)
         if abs_s > 0.0:
-            m = min(m, math.log(r / abs_s))
-        if m <= 0.0:
+            m = np.minimum(m, np.log(r / abs_s))
+        if (m <= 0.0).any():
             raise PointOffFiber("hyperbolic neck factor undefined at |x| = 1")
         return 1.0 / (r * m) ** 2
     raise ValueError(f"metric kind {kind} has no neck factor")
@@ -273,70 +273,80 @@ def conformal_factor(
     kind: MetricKind,
     point: ChartPoint,
     s: complex,
-) -> float:
-    """Coefficient of |dx|^2 at the chart point on the fiber X_s."""
+) -> float | np.ndarray:
+    """Coefficient of |dx|^2 at the chart point(s) on the fiber X_s.
+
+    Every plumbing factor depends on |x| only within a chart, so an array
+    of coordinates is evaluated region by region (cap, near blend, pure
+    neck, far blend), each formula on its own points only.  A scalar
+    coordinate gives a float, an array one an array of its shape.
+    """
     if family.kind == "fermat":
         raise ValueError("use FermatAtlas for Fermat families")
     if kind is MetricKind.FUBINI_STUDY_INDUCED:
         raise ValueError("Fubini-Study factor applies to Fermat families only")
     abs_s = abs(s)
+    r = np.abs(np.asarray(point.coord, dtype=complex))
     tag = point.chart[0]
     if tag == "cap":
-        _, cid = point.chart
-        r = abs(point.coord)
-        if r > 1.0 + 1e-12:
-            raise PointOffFiber(f"cap coordinate |x| = {r} > 1")
-        comp = family.component(cid)
-        return family.scale * _sphere_factor(r, comp.radius)
-    if tag != "neck":
+        bad = r > 1.0 + 1e-12
+        if bad.any():
+            raise PointOffFiber(f"cap coordinate |x| = {r[bad].flat[0]} > 1")
+        value = _sphere_factor(r, family.component(point.chart[1]).radius)
+    elif tag == "neck":
+        value = _neck_chart_factor(family, kind, point.chart, r, abs_s)
+    else:
         raise PointOffFiber(f"unknown chart {point.chart}")
+    value = family.scale * value
+    return float(value) if value.ndim == 0 else value
 
-    _, nid, branch = point.chart
+
+def _neck_chart_factor(family: DegenerationFamily, kind: MetricKind,
+                       chart: tuple, r: np.ndarray, abs_s: float) -> np.ndarray:
+    """Factor at radii r of a neck chart: near blend, pure neck, far blend."""
+    _, nid, branch = chart
     node = family.node(nid)
-    r = abs(point.coord)
-    if r == 0.0:
+    if (r == 0.0).any():
         raise ZeroRadiusAtNode(f"node {nid}: factor requested at |x| = 0")
-    if r > 1.0 + 1e-12:
-        raise PointOffFiber(f"neck coordinate |x| = {r} > 1")
-    if abs_s > 0.0 and r < abs_s * (1.0 - 1e-12):
-        raise PointOffFiber(f"neck coordinate |x| = {r} < |s| = {abs_s}")
+    bad = r > 1.0 + 1e-12
+    if bad.any():
+        raise PointOffFiber(f"neck coordinate |x| = {r[bad].flat[0]} > 1")
+    bad = r < abs_s * (1.0 - 1e-12)
+    if abs_s > 0.0 and bad.any():
+        raise PointOffFiber(f"neck coordinate |x| = {r[bad].flat[0]} < |s| = {abs_s}")
 
     near_cid = (node.left if branch == 0 else node.right)[0]
     far_cid = (node.right if branch == 0 else node.left)[0]
-    near_comp = family.component(near_cid)
-
-    if r >= 0.5:
-        value = _blend(kind, r, abs_s, near_comp.radius)
-    else:
-        ry = abs_s / r if abs_s > 0.0 else 0.0
-        if ry >= 0.5:
-            far_comp = family.component(far_cid)
-            # factor in the other branch coordinate, pulled back by
-            # y = s/x:  |dy/dx|^2 = |s|^2/|x|^4
-            value = _blend(kind, ry, abs_s, far_comp.radius) * (abs_s / r ** 2) ** 2
-        else:
-            value = _neck_factor(kind, r, abs_s)
-    return family.scale * value
+    ry = abs_s / r
+    near = r >= 0.5
+    far = ~near & (ry >= 0.5)
+    pure = ~near & ~far
+    value = np.empty_like(r)
+    value[near] = _blend(kind, r[near], abs_s, family.component(near_cid).radius)
+    # far side: factor in the other branch coordinate, pulled back by
+    # y = s/x:  |dy/dx|^2 = |s|^2/|x|^4
+    value[far] = _blend(kind, ry[far], abs_s, family.component(far_cid).radius) \
+        * (abs_s / r[far] ** 2) ** 2
+    value[pure] = _neck_factor(kind, r[pure], abs_s)
+    return value
 
 
-def _blend(kind: MetricKind, r: float, abs_s: float, comp_radius: float) -> float:
+def _blend(kind: MetricKind, r: np.ndarray, abs_s: float, comp_radius: float) -> np.ndarray:
     """Geometric blend of neck and sphere factors for 1/2 <= r <= 1.
 
     Interpolates log-factors, not factors: this keeps d(log factor) /
     d(log r) uniformly bounded on the blend zone even for the hyperbolic
     model (whose factor diverges at r = 1), which is what lets meshes of
-    moderate angular resolution satisfy the triangle inequality.
+    moderate angular resolution satisfy the triangle inequality.  The
+    neck factor is evaluated only where the blend weight is positive.
     """
-    if r >= 1.0:
-        return _sphere_factor(r, comp_radius)
-    t = math.log(1.0 / r) / _LN2
-    t = min(1.0, max(0.0, t))
-    w = _smoothstep(t)
-    sph = _sphere_factor(r, comp_radius)
-    if w <= 0.0:
-        return sph
-    neck = _neck_factor(kind, r, abs_s)
-    return math.exp(w * math.log(neck) + (1.0 - w) * math.log(sph))
+    value = _sphere_factor(r, comp_radius)
+    w = _smoothstep(np.log(1.0 / r) / _LN2)
+    on = w > 0.0
+    w = w[on]
+    neck = _neck_factor(kind, r[on], abs_s)
+    value[on] = np.exp(w * np.log(neck) + (1.0 - w) * np.log(value[on]))
+    return value
 
 
 def neck_core_length(
@@ -365,14 +375,27 @@ def neck_core_length(
 # Fermat plane curves x^d + y^d + s z^d = 0
 # ---------------------------------------------------------------------------
 
-def _fs_factor(a: complex, b: complex, da: complex, db: complex) -> float:
+def _nth_roots(w, d: int) -> np.ndarray:
+    """All d-th roots of w; shape (d,) + w.shape."""
+    w = np.asarray(w, dtype=complex)
+    if d == 1:
+        return w[None, ...]
+    rad = np.abs(w) ** (1.0 / d)
+    base = np.angle(w) / d
+    ks = np.arange(d).reshape((d,) + (1,) * w.ndim)
+    return rad * np.exp(1j * (base + 2.0 * math.pi * ks / d))
+
+
+def _fs_factor(a, b, da, db):
     """Fubini-Study factor induced on a curve in P^2.
 
     The curve is parametrized in an affine chart as zeta -> (a, b) with
-    derivatives (da, db); returns the coefficient of |d zeta|^2.
+    derivatives (da, db); returns the coefficient of |d zeta|^2.  All
+    arguments broadcast.
     """
-    q = 1.0 + abs(a) ** 2 + abs(b) ** 2
-    num = q * (abs(da) ** 2 + abs(db) ** 2) - abs(a.conjugate() * da + b.conjugate() * db) ** 2
+    q = 1.0 + np.abs(a) ** 2 + np.abs(b) ** 2
+    num = q * (np.abs(da) ** 2 + np.abs(db) ** 2) \
+        - np.abs(np.conj(a) * da + np.conj(b) * db) ** 2
     return num / (q * q)
 
 
@@ -410,10 +433,7 @@ class FermatAtlas:
         """Ramification points of the x-projection (solutions of x^d = -s)."""
         if self.d < 2 or self.s == 0:
             return np.zeros(0, dtype=complex)
-        rad = abs(self.s) ** (1.0 / self.d)
-        base = cmath.phase(-self.s) / self.d
-        ks = np.arange(self.d)
-        return rad * np.exp(1j * (base + 2.0 * math.pi * ks / self.d))
+        return _nth_roots(-self.s, self.d)
 
     def genus(self) -> int:
         """Genus from the Euler characteristic of a lifted triangulation.
@@ -443,78 +463,48 @@ class FermatAtlas:
 
     # --- chart evaluations ---------------------------------------------
 
-    def _roots(self, w: complex) -> np.ndarray:
-        """All d-th roots of w."""
-        if w == 0:
-            return np.zeros(self.d, dtype=complex)
-        rad = abs(w) ** (1.0 / self.d)
-        base = cmath.phase(w) / self.d
-        ks = np.arange(self.d)
-        return rad * np.exp(1j * (base + 2.0 * math.pi * ks / self.d))
+    def sheet_factors(self, chart: int, a) -> np.ndarray:
+        """FS factor of every sheet over the base coordinate(s) a of chart
+        1 (``a = x/z``) or chart 2 (``a = z/x``); shape (d,) + a.shape."""
+        a = np.asarray(a, dtype=complex)
+        d, s = self.d, self.s
+        if chart == 1:
+            b = _nth_roots(-(a ** d) - s, d)
+            db = -((a / b) ** (d - 1))
+        else:
+            b = _nth_roots(-1.0 - s * a ** d, d)
+            db = -s * ((a / b) ** (d - 1))
+        return _fs_factor(a, b, 1.0, db)
 
-    def log_factor_sum_chart1(self, a: complex) -> float:
-        """Sum over sheets of log(FS factor) in the chart a = x/z."""
-        d = self.d
-        total = 0.0
-        for b in self._roots(-(a ** d) - self.s):
-            db = -((a / b) ** (d - 1)) if d > 1 else -1.0 + 0j
-            if d == 1:
-                b = -a - self.s
-            total += math.log(_fs_factor(a, b, 1.0 + 0j, db))
-        return total
-
-    def factor_sum_chart1(self, a: complex) -> float:
+    def factor_sum_chart1(self, a):
         """Sum over sheets of the FS factor in the chart a = x/z."""
-        d = self.d
-        total = 0.0
-        for b in self._roots(-(a ** d) - self.s):
-            if d == 1:
-                b = -a - self.s
-            db = -((a / b) ** (d - 1)) if d > 1 else -1.0 + 0j
-            total += _fs_factor(a, b, 1.0 + 0j, db)
-        return total
+        return self.sheet_factors(1, a).sum(axis=0)
 
-    def log_factor_sum_chart2(self, a2: complex) -> float:
-        """Sum over sheets of log(FS factor) in the chart a2 = z/x."""
-        d = self.d
-        total = 0.0
-        for b2 in self._roots(-1.0 - self.s * a2 ** d):
-            if d == 1:
-                b2 = -1.0 - self.s * a2
-            db2 = -self.s * ((a2 / b2) ** (d - 1)) if d > 1 else -self.s + 0j
-            total += math.log(_fs_factor(a2, b2, 1.0 + 0j, db2))
-        return total
-
-    def factor_sum_chart2(self, a2: complex) -> float:
-        d = self.d
-        total = 0.0
-        for b2 in self._roots(-1.0 - self.s * a2 ** d):
-            if d == 1:
-                b2 = -1.0 - self.s * a2
-            db2 = -self.s * ((a2 / b2) ** (d - 1)) if d > 1 else -self.s + 0j
-            total += _fs_factor(a2, b2, 1.0 + 0j, db2)
-        return total
+    def factor_sum_chart2(self, a2):
+        """Sum over sheets of the FS factor in the chart a2 = z/x."""
+        return self.sheet_factors(2, a2).sum(axis=0)
 
     def branch_chart(self, x_b: complex):
         """Local parametrization by the sheet coordinate y near x_b.
 
         Returns ``(x_of_y, log_factor, factor)`` where each accepts the
-        local coordinate y; x(y) is the root of x^d = -s - y^d nearest
-        to x_b (exact for |y| well inside the separation radius).
+        local coordinate y (scalar or array); x(y) is the root of
+        x^d = -s - y^d nearest to x_b (exact for |y| well inside the
+        separation radius).
         """
         d = self.d
 
-        def x_of_y(y: complex) -> complex:
-            roots = self._roots(-self.s - y ** d)
-            return roots[np.argmin(np.abs(roots - x_b))]
+        def x_of_y(y):
+            roots = _nth_roots(-self.s - np.asarray(y) ** d, d)
+            nearest = np.argmin(np.abs(roots - x_b), axis=0)
+            return np.take_along_axis(roots, nearest[None, ...], axis=0)[0]
 
-        def factor(y: complex) -> float:
+        def factor(y):
             x = x_of_y(y)
-            dx = -((y / x) ** (d - 1))
-            return _fs_factor(x, y, dx, 1.0 + 0j)
+            return _fs_factor(x, y, -((y / x) ** (d - 1)), 1.0)
 
-        def log_factor(y: complex) -> float:
-            return math.log(factor(y))
+        def log_factor(y):
+            return np.log(factor(y))
 
         return x_of_y, log_factor, factor
 

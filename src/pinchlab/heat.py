@@ -79,16 +79,6 @@ class HeatTraceReport:
             raise ValueError("heat trace must be decreasing in t")
 
 
-@dataclass
-class TorsionReport:
-    """Large-time partial torsions per sweep point."""
-
-    s_grid: np.ndarray
-    log_tau: np.ndarray
-    tail_bounds: np.ndarray
-    h0: int
-
-
 def _small_count(spectrum: Spectrum) -> int:
     """Indices treated as 'small': zero modes plus degenerating eigenvalues
     well below the bulk of the computed window."""

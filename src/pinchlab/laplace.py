@@ -12,7 +12,7 @@ round-sphere meshes pin the convention down in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,36 +92,9 @@ def assemble(mesh: TriangleMesh) -> SpectralProblem:
     The edge between vertices (j+1, j+2) of a triangle receives half the
     cotangent of the angle at vertex j; the Hodge-Kodaira convention then
     halves the whole form.  Mass lumps one third of each incident area.
+    This is ``assemble_weighted`` with the neutral weight, bit for bit.
     """
-    tl = mesh.triangle_lengths()
-    cot = _cotan_halves(tl, mesh.triangle_areas)
-    tri = mesh.triangles
-    F = mesh.F
-    rows = np.empty(12 * F, dtype=np.int64)
-    cols = np.empty(12 * F, dtype=np.int64)
-    vals = np.empty(12 * F)
-    idx = 0
-    for j in range(3):
-        u = tri[:, (j + 1) % 3]
-        v = tri[:, (j + 2) % 3]
-        w = cot[:, j]
-        n = F
-        rows[idx:idx + n], cols[idx:idx + n], vals[idx:idx + n] = u, u, w
-        idx += n
-        rows[idx:idx + n], cols[idx:idx + n], vals[idx:idx + n] = v, v, w
-        idx += n
-        rows[idx:idx + n], cols[idx:idx + n], vals[idx:idx + n] = u, v, -w
-        idx += n
-        rows[idx:idx + n], cols[idx:idx + n], vals[idx:idx + n] = v, u, -w
-        idx += n
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.V, mesh.V)).tocsr()
-    K *= 0.5  # Hodge-Kodaira = half Hodge-de Rham
-    return SpectralProblem(
-        stiffness=K,
-        mass=mesh.lumped_vertex_mass(),
-        dimension=mesh.V,
-        convention_tag=HODGE_KODAIRA,
-    )
+    return _assemble(mesh, np.ones(mesh.F), np.zeros(mesh.F))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +172,17 @@ def assemble_weighted(mesh: TriangleMesh, weight: WeightField) -> SpectralProble
               + diag of the lumped curvature masses w_T * c_T * A_T^chart;
     mass = w-weighted lumped intrinsic areas.  With the neutral weight
     this reproduces ``assemble`` exactly; with a strictly subharmonic
-    potential the zero mode is lifted uniformly.
+    potential the zero mode is lifted uniformly.  Both share one body,
+    so neither public function calls the other.
     """
-    tl = mesh.triangle_lengths()
-    cot = _cotan_halves(tl, mesh.triangle_areas) * weight.weights[:, None]
+    curv_mass = weight.weights * weight.curvature_density * weight.chart_areas
+    return _assemble(mesh, weight.weights, curv_mass)
+
+
+def _assemble(mesh: TriangleMesh, weights: np.ndarray,
+              curv_mass: np.ndarray) -> SpectralProblem:
+    """Pencil of the per-triangle weights and curvature masses."""
+    cot = _cotan_halves(mesh.triangle_lengths(), mesh.triangle_areas) * weights[:, None]
     tri = mesh.triangles
     rows, cols, vals = [], [], []
     for j in range(3):
@@ -216,15 +196,14 @@ def assemble_weighted(mesh: TriangleMesh, weight: WeightField) -> SpectralProble
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(mesh.V, mesh.V),
     ).tocsr()
-    K *= 0.5
+    K *= 0.5  # Hodge-Kodaira = half Hodge-de Rham
 
-    curv_mass = weight.weights * weight.curvature_density * weight.chart_areas
     diag = np.zeros(mesh.V)
     np.add.at(diag, tri.ravel(), np.repeat(curv_mass / 3.0, 3))
     K = (K + sp.diags(diag)).tocsr()
 
     mass = np.zeros(mesh.V)
-    share = np.repeat(weight.weights * mesh.triangle_areas / 3.0, 3)
+    share = np.repeat(weights * mesh.triangle_areas / 3.0, 3)
     np.add.at(mass, tri.ravel(), share)
     return SpectralProblem(
         stiffness=K, mass=mass, dimension=mesh.V, convention_tag=HODGE_KODAIRA
@@ -401,12 +380,12 @@ def pointwise_factor_ratio(
     """min over mesh vertices of factor(kind_num) / factor(kind_den)."""
     from .family import ChartPoint, conformal_factor
 
-    best = math.inf
+    by_chart: dict[tuple, list[complex]] = {}
     for chart, coord in mesh.vertex_charts():
-        num = conformal_factor(family, kind_num, ChartPoint(chart, coord), s)
-        den = conformal_factor(family, kind_den, ChartPoint(chart, coord), s)
-        best = min(best, num / den)
-    return best
+        by_chart.setdefault(chart, []).append(coord)
+    points = [ChartPoint(chart, np.array(z)) for chart, z in by_chart.items()]
+    return min(float(np.min(conformal_factor(family, kind_num, pt, s)
+                            / conformal_factor(family, kind_den, pt, s))) for pt in points)
 
 
 def dump_matrix(problem: SpectralProblem, path: str) -> None:

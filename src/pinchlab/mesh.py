@@ -6,7 +6,9 @@ annular charts capped by polar disks.  The mesher exploits this: it builds
 one structured stack of concentric rings, log-uniform in |x| on necks and
 latitude-uniform on caps, with rings shared at chart seams.  Edge lengths
 are intrinsic: chart chord length times the square root of the conformal
-factor at the chord midpoint.
+factor at the chord's log-polar midpoint.  Edges are numbered and
+measured with array operations: the metric is called once per chart, on
+all the edges whose first incident triangle lies in that chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
 meshes used to pin down conventions, an independent quadrature for fiber
@@ -15,7 +17,7 @@ areas, and a plain-text OFF-style dump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,34 +52,38 @@ class MeshParams:
             raise ValueError("component_target_h must be positive")
 
 
-def _circular_midpoint(p: complex, q: complex) -> complex:
-    """Midpoint along the log-polar arc (geometric mean of the coords).
+def _circular_midpoint(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Midpoints along the log-polar arcs (geometric mean of the coords).
 
     Keeps edge midpoints of concentric-ring meshes at the geometric-mean
     radius instead of letting chords sag toward the origin, which matters
     for factors with steep radial gradients.  Falls back to the chord
-    midpoint when an endpoint sits at the origin.
+    midpoint where an endpoint sits at the origin.
     """
-    if p == 0 or q == 0:
-        return 0.5 * (p + q)
-    m = complex(np.sqrt(complex(p * q)))
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
     chord = 0.5 * (p + q)
-    return m if abs(m - chord) <= abs(-m - chord) else -m
+    m = np.sqrt(p * q)
+    m = np.where(np.abs(m - chord) <= np.abs(-m - chord), m, -m)
+    return np.where((p == 0) | (q == 0), chord, m)
 
 
 class FiberMetric:
-    """Conformal factor of one fiber as a picklable chart callable."""
+    """Conformal factor of one fiber as a picklable chart callable.
+
+    Like every metric callable here it takes one chart and a scalar or
+    an array of coordinates in it.
+    """
 
     def __init__(self, family: DegenerationFamily, kind: MetricKind, s: complex):
         self.family = family
         self.kind = kind
         self.s = s
 
-    def __call__(self, chart: tuple, coord: complex) -> float:
+    def __call__(self, chart: tuple, coord):
         return conformal_factor(self.family, self.kind, ChartPoint(chart, coord), self.s)
 
     @staticmethod
-    def edge_midpoint(chart: tuple, p: complex, q: complex) -> complex:
+    def edge_midpoint(chart: tuple, p, q):
         return _circular_midpoint(p, q)
 
 
@@ -87,8 +93,8 @@ class ConstantFactor:
     def __init__(self, value: float = 1.0):
         self.value = value
 
-    def __call__(self, chart: tuple, coord: complex) -> float:
-        return self.value
+    def __call__(self, chart: tuple, coord):
+        return np.full(np.shape(coord), float(self.value))
 
 
 class RoundSphereFactor:
@@ -97,13 +103,12 @@ class RoundSphereFactor:
     def __init__(self, radius: float = 1.0):
         self.radius = radius
 
-    def __call__(self, chart: tuple, coord: complex) -> float:
+    def __call__(self, chart: tuple, coord):
+        coord = np.asarray(coord, dtype=complex)
         r2 = coord.real * coord.real + coord.imag * coord.imag
         return 4.0 * self.radius ** 2 / (1.0 + r2) ** 2
 
-    @staticmethod
-    def edge_midpoint(chart: tuple, p: complex, q: complex) -> complex:
-        return _circular_midpoint(p, q)
+    edge_midpoint = staticmethod(FiberMetric.edge_midpoint)
 
 
 class TriangleMesh:
@@ -112,8 +117,10 @@ class TriangleMesh:
     Geometry lives per triangle: ``tri_chart[f]`` names the chart and
     ``tri_coords[f]`` holds the three vertex coordinates there, so charts
     may disagree about a shared vertex (seams, wraparound) without any
-    global embedding.  Each edge gets one canonical intrinsic length,
-    evaluated in the chart of its first incident triangle.
+    global embedding.  Edges are numbered in order of first incidence
+    (triangle f, then corner j; edge j of a triangle is opposite vertex
+    j).  Each edge gets one canonical intrinsic length, evaluated in the
+    chart of its first incident triangle, with one metric call per chart.
     """
 
     def __init__(
@@ -122,7 +129,7 @@ class TriangleMesh:
         triangles: np.ndarray,
         tri_chart: Sequence[tuple],
         tri_coords: np.ndarray,
-        metric: Callable[[tuple, complex], float],
+        metric: Callable[[tuple, np.ndarray], np.ndarray],
         closed: bool = True,
         genus: int | None = None,
     ):
@@ -144,39 +151,46 @@ class TriangleMesh:
 
     def _build_edges(self) -> None:
         tri = self.triangles
-        edge_index: dict[tuple[int, int], int] = {}
-        tri_edge = np.empty((self.F, 3), dtype=np.int64)
-        first_incidence: list[tuple[int, int]] = []
-        for f in range(self.F):
-            for j in range(3):
-                u = int(tri[f, (j + 1) % 3])
-                v = int(tri[f, (j + 2) % 3])
-                key = (u, v) if u < v else (v, u)
-                idx = edge_index.get(key)
-                if idx is None:
-                    idx = len(edge_index)
-                    edge_index[key] = idx
-                    first_incidence.append((f, j))
-                tri_edge[f, j] = idx
-        self.E = len(edge_index)
-        self.tri_edge = tri_edge
-        self._edge_first = first_incidence
-        self.edges = np.array(sorted(edge_index, key=edge_index.get), dtype=np.int64)
+        u, v = tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        # np.unique returns each key's first position in (f, j) order;
+        # ranking those positions numbers the edges by first incidence
+        _, first, inverse = np.unique(lo * self.V + hi, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.E = order.size
+        self.tri_edge = rank[inverse].reshape(self.F, 3)
+        self._edge_first = first[order]  # flat (f, j) index f * 3 + j
+        self.edges = np.stack([lo[self._edge_first], hi[self._edge_first]], axis=1)
+
+    def chart_index(self) -> tuple[list[tuple], np.ndarray]:
+        """Distinct charts in order of first use, and each triangle's index."""
+        charts = list(dict.fromkeys(self.tri_chart))
+        index = {c: i for i, c in enumerate(charts)}
+        ids = np.fromiter(map(index.__getitem__, self.tri_chart), dtype=np.int64,
+                          count=self.F)
+        return charts, ids
 
     def _compute_lengths(self) -> None:
         midpoint = getattr(self.metric, "edge_midpoint", None)
-        lengths = np.empty(self.E)
-        for e, (f, j) in enumerate(self._edge_first):
-            p = self.tri_coords[f, (j + 1) % 3]
-            q = self.tri_coords[f, (j + 2) % 3]
-            chart = self.tri_chart[f]
-            mid = midpoint(chart, p, q) if midpoint else 0.5 * (p + q)
-            fac = self.metric(chart, mid)
-            if not (fac > 0.0 and math.isfinite(fac)):
-                raise DegenerateTriangle(
-                    f"non-positive conformal factor {fac} at edge {e}"
-                )
-            lengths[e] = abs(p - q) * math.sqrt(fac)
+        f, j = np.divmod(self._edge_first, 3)
+        p = self.tri_coords[f, (j + 1) % 3]
+        q = self.tri_coords[f, (j + 2) % 3]
+        fac = np.empty(self.E)
+        charts, ids = self.chart_index()
+        for c, chart in enumerate(charts):
+            on = ids[f] == c
+            mid = midpoint(chart, p[on], q[on]) if midpoint else 0.5 * (p[on] + q[on])
+            fac[on] = self.metric(chart, mid)
+        bad = ~((fac > 0.0) & np.isfinite(fac))
+        if bad.any():
+            e = int(np.flatnonzero(bad)[0])
+            raise DegenerateTriangle(
+                f"non-positive conformal factor {fac[e]} at edge {e}"
+            )
+        lengths = np.abs(p - q) * np.sqrt(fac)
         self.edge_lengths = lengths
         tl = lengths[self.tri_edge]  # (F, 3), edge j opposite vertex j
         a, b, c = tl[:, 0], tl[:, 1], tl[:, 2]
@@ -237,15 +251,11 @@ class TriangleMesh:
     def vertex_charts(self) -> list[tuple[tuple, complex]]:
         """One (chart, coordinate) pair per vertex, deterministically the
         first incidence in triangle order."""
-        out: list[tuple[tuple, complex] | None] = [None] * self.V
-        for f in range(self.F):
-            for j in range(3):
-                v = int(self.triangles[f, j])
-                if out[v] is None:
-                    out[v] = (self.tri_chart[f], complex(self.tri_coords[f, j]))
-        if any(item is None for item in out):
+        verts, first = np.unique(self.triangles.ravel(), return_index=True)
+        if verts.size != self.V:
             raise DegenerateTriangle("isolated vertex")
-        return out  # type: ignore[return-value]
+        charts = map(self.tri_chart.__getitem__, (first // 3).tolist())
+        return list(zip(charts, self.tri_coords.ravel()[first].tolist()))
 
     def lumped_vertex_mass(self) -> np.ndarray:
         """One third of incident triangle areas per vertex."""
@@ -262,36 +272,25 @@ class TriangleMesh:
         New vertices at edge midpoints (one per edge, shared across
         charts); lengths are re-evaluated from the metric.
         """
-        mid_id = self.V + np.arange(self.E)
         midpoint = getattr(self.metric, "edge_midpoint", None)
+        p = self.tri_coords
+        q = np.empty_like(p)  # q[:, j]: midpoint of the edge opposite vertex j
+        charts, ids = self.chart_index()
+        for c, chart in enumerate(charts):
+            on = ids == c
+            for j in range(3):
+                a, b = p[on, (j + 1) % 3], p[on, (j + 2) % 3]
+                q[on, j] = midpoint(chart, a, b) if midpoint else 0.5 * (a + b)
 
-        def mid_of(chart: tuple, p: complex, q: complex) -> complex:
-            return midpoint(chart, p, q) if midpoint else 0.5 * (p + q)
+        def children(corner: np.ndarray, mid: np.ndarray) -> np.ndarray:
+            # triangle f becomes 4f .. 4f+3: the three corners, then the middle
+            kids = [np.stack([corner[:, k], mid[:, (k + 2) % 3], mid[:, (k + 1) % 3]], axis=1)
+                    for k in range(3)]
+            return np.stack(kids + [mid], axis=1).reshape(-1, 3)
 
-        F2 = 4 * self.F
-        tris = np.empty((F2, 3), dtype=np.int64)
-        coords = np.empty((F2, 3), dtype=complex)
-        charts: list[tuple] = []
-        for f in range(self.F):
-            v = self.triangles[f]
-            p = self.tri_coords[f]
-            m = mid_id[self.tri_edge[f]]  # midpoint of edge opposite vertex j
-            c = self.tri_chart[f]
-            q = np.array([
-                mid_of(c, p[1], p[2]),
-                mid_of(c, p[2], p[0]),
-                mid_of(c, p[0], p[1]),
-            ])
-            base = 4 * f
-            tris[base + 0] = (v[0], m[2], m[1])
-            coords[base + 0] = (p[0], q[2], q[1])
-            tris[base + 1] = (v[1], m[0], m[2])
-            coords[base + 1] = (p[1], q[0], q[2])
-            tris[base + 2] = (v[2], m[1], m[0])
-            coords[base + 2] = (p[2], q[1], q[0])
-            tris[base + 3] = (m[0], m[1], m[2])
-            coords[base + 3] = (q[0], q[1], q[2])
-            charts.extend([self.tri_chart[f]] * 4)
+        tris = children(self.triangles, self.V + self.tri_edge)
+        coords = children(p, q)
+        charts = [c for c in self.tri_chart for _ in range(4)]
         return TriangleMesh(
             vertex_count=self.V + self.E,
             triangles=tris,
@@ -315,8 +314,8 @@ class _RingStack:
         self.ring_start: list[int] = []
         self.ring_radius: list[float] = []
         self.next_vertex = 0
-        self.tris: list[tuple[int, int, int]] = []
-        self.coords: list[tuple[complex, complex, complex]] = []
+        self.tris: list[np.ndarray] = []  # (n or 2n, 3) blocks
+        self.coords: list[np.ndarray] = []
         self.charts: list[tuple] = []
 
     def add_ring(self, radius: float) -> int:
@@ -325,46 +324,42 @@ class _RingStack:
         self.next_vertex += self.n
         return len(self.ring_start) - 1
 
-    def _ring_coords(self, ring: int) -> np.ndarray:
-        r = self.ring_radius[ring]
+    def _ring(self, ring: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Vertex ids and coordinates of positions j and j + 1 on a ring."""
+        j = np.arange(self.n)
+        start = self.ring_start[ring]
         ang = 2.0 * np.pi * np.arange(self.n + 1) / self.n
-        return r * np.exp(1j * ang)
+        p = self.ring_radius[ring] * np.exp(1j * ang)
+        return start + j, start + (j + 1) % self.n, p[:-1], p[1:]
+
+    def _add(self, chart: tuple, tris: list, coords: list) -> None:
+        # triangles of position j are consecutive: (j, first), (j, second), ...
+        self.tris.append(np.stack(tris, axis=-1).reshape(-1, 3))
+        self.coords.append(np.stack(coords, axis=-1).reshape(-1, 3))
+        self.charts.extend([chart] * (self.n * len(tris) // 3))
 
     def add_band(self, chart: tuple, lower: int, upper: int) -> None:
-        n = self.n
-        a0, b0 = self.ring_start[lower], self.ring_start[upper]
-        pa, pb = self._ring_coords(lower), self._ring_coords(upper)
-        for j in range(n):
-            jn = (j + 1) % n
-            self.tris.append((a0 + j, a0 + jn, b0 + j))
-            self.coords.append((pa[j], pa[j + 1], pb[j]))
-            self.tris.append((a0 + jn, b0 + jn, b0 + j))
-            self.coords.append((pa[j + 1], pb[j + 1], pb[j]))
-            self.charts.extend([chart, chart])
+        a, an, pa, pan = self._ring(lower)
+        b, bn, pb, pbn = self._ring(upper)
+        self._add(chart, [a, an, b, an, bn, b], [pa, pan, pb, pan, pbn, pb])
 
     def add_fan(self, chart: tuple, ring: int, bottom: bool) -> int:
         center = self.next_vertex
         self.next_vertex += 1
-        n = self.n
-        r0 = self.ring_start[ring]
-        p = self._ring_coords(ring)
-        for j in range(n):
-            jn = (j + 1) % n
-            if bottom:
-                self.tris.append((center, r0 + jn, r0 + j))
-                self.coords.append((0.0, p[j + 1], p[j]))
-            else:
-                self.tris.append((center, r0 + j, r0 + jn))
-                self.coords.append((0.0, p[j], p[j + 1]))
-            self.charts.append(chart)
+        v, vn, p, pn = self._ring(ring)
+        c, zero = np.full(self.n, center), np.zeros(self.n, dtype=complex)
+        if bottom:
+            self._add(chart, [c, vn, v], [zero, pn, p])
+        else:
+            self._add(chart, [c, v, vn], [zero, p, pn])
         return center
 
     def build(self, metric, closed: bool, genus: int | None) -> TriangleMesh:
         return TriangleMesh(
             vertex_count=self.next_vertex,
-            triangles=np.array(self.tris, dtype=np.int64),
+            triangles=np.concatenate(self.tris),
             tri_chart=self.charts,
-            tri_coords=np.array(self.coords, dtype=complex),
+            tri_coords=np.concatenate(self.coords),
             metric=metric,
             closed=closed,
             genus=genus,
@@ -380,7 +375,7 @@ def _cap_radii(comp: ComponentSurface, scale: float, h: float) -> np.ndarray:
 
 
 def _neck_radii(
-    metric: Callable[[tuple, complex], float],
+    metric: Callable[[tuple, np.ndarray], np.ndarray],
     chart: tuple,
     abs_s: float,
     rpd: int,
@@ -391,21 +386,21 @@ def _neck_radii(
     Log-uniform at ``rings_per_decade``, locally refined so the conformal
     factor changes by at most a fixed log amount between adjacent rings
     (the blend zones are not self-similar and need denser rings than the
-    pure neck).
+    pure neck).  Each step tries du, du/2, ... in one metric call and
+    takes the first that keeps the change within ``max_dlnf``, or the
+    first one below 1e-4 of the full step.
     """
     u_end = 0.5 * math.log(1.0 / abs_s)
     du_max = math.log(10.0) / rpd
+    halvings = 0.5 ** np.arange(15)
     us = [0.0]
     u = 0.0
     while u < u_end - 1e-12:
-        du = min(du_max, u_end - u)
-        f0 = metric(chart, complex(math.exp(-u), 0.0))
-        while du > 1e-4 * du_max:
-            f1 = metric(chart, complex(math.exp(-(u + du)), 0.0))
-            if abs(math.log(f1 / f0)) <= max_dlnf:
-                break
-            du *= 0.5
-        u += du
+        du = min(du_max, u_end - u) * halvings
+        tried = du[du > 1e-4 * du_max]
+        f = metric(chart, np.exp(-(u + np.concatenate([[0.0], tried]))) + 0j)
+        ok = np.abs(np.log(f[1:] / f[0])) <= max_dlnf
+        u += tried[np.argmax(ok)] if ok.any() else du[tried.size]
         us.append(u)
     us[-1] = u_end
     if len(us) < 5:
@@ -598,7 +593,7 @@ def annulus_mesh(
     r_outer: float = 1.0,
     n_theta: int = 24,
     rings_per_decade: int = 12,
-    metric: Callable[[tuple, complex], float] | None = None,
+    metric: Callable[[tuple, np.ndarray], np.ndarray] | None = None,
 ) -> TriangleMesh:
     """Log-polar mesh of the annulus r_inner <= |x| <= r_outer (boundary mesh)."""
     if not 0 < r_inner < r_outer:
@@ -616,13 +611,13 @@ def annulus_mesh(
 class _UnionMetric:
     """Dispatch a union mesh's factor to the part named by the chart."""
 
-    def __init__(self, metrics: Sequence[Callable[[tuple, complex], float]]):
+    def __init__(self, metrics: Sequence[Callable[[tuple, np.ndarray], np.ndarray]]):
         self.metrics = list(metrics)
 
-    def __call__(self, chart: tuple, coord: complex) -> float:
+    def __call__(self, chart: tuple, coord):
         return self.metrics[chart[0]](chart[1:], coord)
 
-    def edge_midpoint(self, chart: tuple, p: complex, q: complex) -> complex:
+    def edge_midpoint(self, chart: tuple, p, q):
         inner = getattr(self.metrics[chart[0]], "edge_midpoint", None)
         if inner is None:
             return 0.5 * (p + q)

@@ -26,7 +26,7 @@ from .errors import (
     IllConditionedFit,
     QuadratureNotConverged,
 )
-from .family import DegenerationFamily, INF_POINT, is_inf_point
+from .family import DegenerationFamily, INF_POINT, _smoothstep, is_inf_point
 
 #: Annulus log prefactor: sqrt(-1) * Int_{|t|<=|x|<=1} dx wedge dxbar / |x|^2
 #: = KAPPA * log(1/|t|).  Direct polar computation and the quadrature
@@ -317,12 +317,6 @@ def _node_points(family: DegenerationFamily, cid: int) -> list[complex]:
     return pts
 
 
-def _pole(form_poles: list, loc: complex, res: complex) -> None:
-    """Append a finite pole, or fold a pole at infinity into the implicit
-    residue by adding compensating finite residues."""
-    form_poles.append((loc, res))
-
-
 def _form_with_residues(assignments: list[tuple[complex, complex]]) -> RationalForm:
     """Rational form with prescribed simple poles (locations may include
     infinity; residues must sum to zero)."""
@@ -354,7 +348,6 @@ def canonical_basis(family: DegenerationFamily) -> tuple[
     if is_cycle:
         forms = {}
         for comp in family.components:
-            pts = _node_points(family, comp.id)
             # residue +1 at the 0-side node, -1 at the infinity-side node
             forms[comp.id] = _form_with_residues([(0.0 + 0j, 1.0 + 0j), (INF_POINT, -1.0 + 0j)])
         cyc = PlumbingDifferential(forms=forms, punctures=(), label="cycle")
@@ -427,8 +420,7 @@ def residue_free_differential(family: DegenerationFamily) -> PlumbingDifferentia
 
 def _smooth_bump(r: np.ndarray, r_half: float, r_full: float) -> np.ndarray:
     """1 below r_half, 0 above r_full, quintic smoothstep between."""
-    tt = np.clip((r_full - r) / (r_full - r_half), 0.0, 1.0)
-    return tt ** 3 * (10.0 - tt * (15.0 - 6.0 * tt))
+    return _smoothstep((r_full - r) / (r_full - r_half))
 
 
 def _polar_quad(fn, center: complex, breaks: list[float], rel_tol: float,
@@ -510,11 +502,6 @@ def component_pairing(
 
     def density(z: np.ndarray) -> np.ndarray:
         return 2.0 * fi.eval(z) * np.conj(fj.eval(z)) * _puncture_weight(z, puncs)
-
-    def density_xi(xi: np.ndarray) -> np.ndarray:
-        # z = 1/xi; the form transforms by -1/xi^2 per factor
-        z = 1.0 / xi
-        return density(z) / np.abs(xi) ** 4
 
     # bump radius per puncture (in its local coordinate), chosen so the
     # patch stays inside the region and clear of the other punctures

@@ -55,7 +55,7 @@ from .rayleigh import build_cutoffs, dirichlet_energy, log_ramp, rayleigh_upper_
 #: Default sweep grid: 12 points, geometric, 1e-2 down to 1e-10.
 DEFAULT_GRID = np.logspace(-2.0, -10.0, 12)
 
-#: Mesh resolution used by the eigenvalue sweeps (~2e4 vertices/fiber).
+#: Mesh resolution used by the eigenvalue sweeps (V = 1.4k-15.4k per fiber).
 SWEEP_PARAMS = MeshParams(rings_per_decade=16, angular_count=32)
 
 #: Dense mesh for curvature quadrature (the neck carries a sharp bump).
@@ -108,10 +108,6 @@ def _memo(key, fn):
     return _CACHE[key]
 
 
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
 def eigen_sweep(name: str, kind: MetricKind, grid: np.ndarray, num_ev: int,
                 scale: float = 1.0, params: MeshParams = SWEEP_PARAMS):
     """Smallest eigenvalues along a sweep, one seeded solve per fiber."""
@@ -131,10 +127,6 @@ def eigen_sweep(name: str, kind: MetricKind, grid: np.ndarray, num_ev: int,
 
 def _lambda_series(specs, index: int) -> np.ndarray:
     return np.array([sp.eigenvalues[index] for sp in specs])
-
-
-def _grid_of(specs) -> np.ndarray:
-    return np.array([abs(complex(sp.s)) for sp in specs])
 
 
 # ---------------------------------------------------------------------------

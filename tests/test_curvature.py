@@ -151,7 +151,7 @@ class TestCurvatureField:
         mesh = mesh_fiber(fam, MetricKind.INDUCED, s)
         field = curvature_samples(fam, MetricKind.INDUCED, s, mesh)
         assert isinstance(field, CurvatureField)
-        assert len(field.points) == mesh.F
+        assert len(field.values) == mesh.F
         assert np.isfinite(field.values).all()
 
 

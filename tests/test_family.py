@@ -158,6 +158,43 @@ class TestConformalFactor:
         with pytest.raises(ZeroRadiusAtNode):
             neck_factor(fam, MetricKind.INDUCED, 0.0, 0.0)
 
+    @pytest.mark.parametrize("kind", ALL_PLUMBING_KINDS)
+    def test_array_matches_scalar_calls(self, kind):
+        # |x| from |s| to 1 spans the far blend (|s|/r >= 1/2), the pure
+        # neck and the near blend (r >= 1/2) on both branches, and the cap
+        fam = two_sphere_family()
+        s = 1e-4
+        r = np.concatenate([np.geomspace(s, 1.0, 57), [0.5, 2 * s, 1.0]])
+        z = r * np.exp(1j * np.linspace(0.0, 6.0, r.size))
+        assert ((r >= 0.5).any() and (s / r >= 0.5).any()
+                and ((r < 0.5) & (s / r < 0.5)).any())
+        for chart in (("neck", 0, 0), ("neck", 0, 1), ("cap", 0)):
+            arr = conformal_factor(fam, kind, ChartPoint(chart, z), s)
+            one = [conformal_factor(fam, kind, ChartPoint(chart, complex(c)), s)
+                   for c in z]
+            assert arr.shape == z.shape
+            np.testing.assert_allclose(arr, one, rtol=4e-15, atol=0.0)
+
+    @pytest.mark.parametrize("kind,chart,r,s,good,exc", [
+        (MetricKind.INDUCED, ("neck", 0, 0), 0.0, 0.0, [0.9, 0.3], ZeroRadiusAtNode),
+        (MetricKind.CYLINDER, ("neck", 0, 1), 1.5, 1e-4, [0.9, 0.3], PointOffFiber),
+        (MetricKind.INDUCED, ("cap", 1), 1.5, 1e-4, [0.9, 0.0], PointOffFiber),
+        (MetricKind.INDUCED, ("neck", 0, 0), 1e-5, 1e-4, [0.9, 3e-4], PointOffFiber),
+        # hyperbolic neck at |x| = 1 (log(1/r) or log(r/|s|) not positive)
+        (MetricKind.HYPERBOLIC_MODEL, ("neck", 0, 0), 0.6, 0.6, [0.9, 1.0], PointOffFiber),
+        (MetricKind.HYPERBOLIC_MODEL, ("neck", 0, 0), 1.0 - 2.0 ** -53, 1.0, [1.0],
+         PointOffFiber),
+    ])
+    def test_one_off_range_element_raises_like_scalar(self, kind, chart, r, s, good, exc):
+        fam = two_sphere_family()
+        for x in good:
+            conformal_factor(fam, kind, ChartPoint(chart, complex(x)), s)
+        with pytest.raises(exc):
+            conformal_factor(fam, kind, ChartPoint(chart, complex(r)), s)
+        z = np.array(good[:1] + [r] + good[1:], dtype=complex)
+        with pytest.raises(exc):
+            conformal_factor(fam, kind, ChartPoint(chart, z), s)
+
     @settings(max_examples=60, deadline=None)
     @given(
         logr=st.floats(min_value=-9.0, max_value=0.0),

@@ -1,4 +1,5 @@
 """Tests for the structured fiber mesher and reference meshes."""
+import cmath
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from pinchlab.errors import ChartOverlapConflict, DegenerateTriangle, PointOffFiber
 from pinchlab.family import (
     INF_POINT,
+    ChartPoint,
     ComponentSurface,
     MetricKind,
     NodeSpec,
     build_plumbing,
+    conformal_factor,
     three_cycle_family,
     two_sphere_family,
 )
@@ -117,6 +120,47 @@ class TestMeshValidity:
         fam = build_plumbing(comps, nodes)
         with pytest.raises(ChartOverlapConflict):
             mesh_fiber(fam, MetricKind.INDUCED, 1e-3)
+
+
+class TestEdges:
+    """Edge numbering and lengths on one fiber, against per-edge loops."""
+
+    S = 1e-4
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return mesh_fiber(two_sphere_family(), MetricKind.HYPERBOLIC_MODEL, self.S)
+
+    @pytest.fixture(scope="class")
+    def first_incidence(self, mesh):
+        first = {}
+        for idx, e in enumerate(mesh.tri_edge.ravel().tolist()):
+            first.setdefault(e, divmod(idx, 3))
+        return first
+
+    def test_edge_is_sorted_pair_opposite_corner(self, mesh):
+        for f in range(mesh.F):
+            for j in range(3):
+                u, v = mesh.triangles[f, (j + 1) % 3], mesh.triangles[f, (j + 2) % 3]
+                assert tuple(mesh.edges[mesh.tri_edge[f, j]]) == (min(u, v), max(u, v))
+
+    def test_edge_ids_in_order_of_first_incidence(self, mesh, first_incidence):
+        assert list(first_incidence) == list(range(mesh.E))
+
+    def test_length_from_first_triangle_chart(self, mesh, first_incidence):
+        fam = two_sphere_family()
+        for e, (f, j) in first_incidence.items():
+            p, q = mesh.tri_coords[f, (j + 1) % 3], mesh.tri_coords[f, (j + 2) % 3]
+            chord = 0.5 * (p + q)
+            mid = cmath.sqrt(p * q)
+            if abs(-mid - chord) < abs(mid - chord):
+                mid = -mid
+            if p == 0 or q == 0:
+                mid = chord
+            point = ChartPoint(mesh.tri_chart[f], complex(mid))
+            fac = conformal_factor(fam, MetricKind.HYPERBOLIC_MODEL, point, self.S)
+            assert mesh.edge_lengths[e] == pytest.approx(abs(p - q) * math.sqrt(fac),
+                                                         rel=1e-14)
 
 
 class TestAreaAgainstQuadrature:

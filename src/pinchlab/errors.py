@@ -60,7 +60,7 @@ class InsufficientSpectrum(PinchlabError):
 # periods ----------------------------------------------------------------
 
 class QuadratureNotConverged(PinchlabError):
-    """2-D quadrature failed to reach the requested relative accuracy."""
+    """Polar quadrature (components, Fermat patches, annulus oracle) not converged."""
 
 
 class AGMNotConverged(PinchlabError):

@@ -380,10 +380,8 @@ def pointwise_factor_ratio(
     """min over mesh vertices of factor(kind_num) / factor(kind_den)."""
     from .family import ChartPoint, conformal_factor
 
-    by_chart: dict[tuple, list[complex]] = {}
-    for chart, coord in mesh.vertex_charts():
-        by_chart.setdefault(chart, []).append(coord)
-    points = [ChartPoint(chart, np.array(z)) for chart, z in by_chart.items()]
+    charts, ids, coords = mesh.vertex_chart_index()
+    points = [ChartPoint(charts[c], coords[ids == c]) for c in np.unique(ids)]
     return min(float(np.min(conformal_factor(family, kind_num, pt, s)
                             / conformal_factor(family, kind_den, pt, s))) for pt in points)
 

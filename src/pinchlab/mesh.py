@@ -41,7 +41,6 @@ class MeshParams:
     rings_per_decade: int = 8
     angular_count: int = 16
     component_target_h: float = 0.12
-    min_angle_deg: float = 10.0
 
     def __post_init__(self) -> None:
         if self.rings_per_decade < 8:
@@ -248,14 +247,19 @@ class TriangleMesh:
             worst = min(worst, float(ang.min()))
         return worst
 
-    def vertex_charts(self) -> list[tuple[tuple, complex]]:
-        """One (chart, coordinate) pair per vertex, deterministically the
-        first incidence in triangle order."""
+    def vertex_chart_index(self) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+        """Distinct charts, each vertex's index into them and its coordinate
+        there, deterministically the first incidence in triangle order."""
         verts, first = np.unique(self.triangles.ravel(), return_index=True)
         if verts.size != self.V:
             raise DegenerateTriangle("isolated vertex")
-        charts = map(self.tri_chart.__getitem__, (first // 3).tolist())
-        return list(zip(charts, self.tri_coords.ravel()[first].tolist()))
+        charts, ids = self.chart_index()
+        return charts, ids[first // 3], self.tri_coords.ravel()[first]
+
+    def vertex_charts(self) -> list[tuple[tuple, complex]]:
+        """One (chart, coordinate) pair per vertex (see vertex_chart_index)."""
+        charts, ids, coords = self.vertex_chart_index()
+        return list(zip(map(charts.__getitem__, ids.tolist()), coords.tolist()))
 
     def lumped_vertex_mass(self) -> np.ndarray:
         """One third of incident triangle areas per vertex."""

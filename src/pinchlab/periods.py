@@ -7,8 +7,9 @@ divergence, coefficient KAPPA per unit |residue|^2) and t-independent
 component-interior integrals.  Determinant growth in loglog(1/|t|) and
 the eigenvalue-product/period-determinant identity are checked on top.
 
-KAPPA is pinned by direct quadrature of the annulus with constant
-Taylor data; see the constant's docstring for the competing candidate.
+The node annuli are paired in closed form (plumbing_gram) and the
+component interiors by doubling polar quadrature; the annulus quadrature
+annulus_log_integral is kept as the closed form's test oracle.
 """
 from __future__ import annotations
 
@@ -172,7 +173,7 @@ def validate_residues(family: DegenerationFamily,
 
 
 # ---------------------------------------------------------------------------
-# annulus integral
+# annulus quadrature (the closed form's test oracle)
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -623,44 +624,39 @@ def plumbing_gram(
     rel_tol: float = 1e-6,
     degree: int = 24,
 ) -> PeriodGram:
-    """Gram over the grid: node annuli (rescaled to branch disks of
-    radius RHO, so the annulus parameter is t/RHO^2) plus t-independent
-    component interiors."""
+    """Gram over the grid: node annuli in closed form plus t-independent
+    component interiors (doubling quadrature to rel_tol).
+
+    An annulus rescaled to branch disks of radius RHO has parameter
+    T = t/RHO^2 and data alpha = sum g_m x^m - sum_{m>=1} h_m (T/x)^m
+    (bivariate_taylor, to ``degree``).  The angular integral removes the
+    cross terms, leaving 4 pi [g_0 conj(g'_0) log(1/|T|) + sum_{m>=1}
+    (g_m conj(g'_m) + h_m conj(h'_m)) (1 - |T|^2m)/(2m)]: finite for all
+    0 < |T| < 1, unlike the per-frequency form with |T|^-2m.
+    """
+    t_hat = np.abs(np.asarray(t_grid, dtype=complex)) / RHO ** 2
+    bad = np.asarray(t_grid)[~((t_hat > 0) & (t_hat < 1))]
+    if bad.size:
+        raise ValueError(f"|t| = {abs(bad[0])} outside the plumbing range")
     n = len(diffs)
     base = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            val = 0.0 + 0.0j
-            for comp in family.components:
-                val += component_pairing(family, diffs[i], diffs[j], comp.id, rel_tol)
-            base[i, j] = val
-            base[j, i] = np.conj(val)
+    for i, j in zip(*np.triu_indices(n)):
+        base[i, j] = sum(component_pairing(family, diffs[i], diffs[j], comp.id, rel_tol)
+                         for comp in family.components)
+        base[j, i] = np.conj(base[i, j])
 
+    # taylor[b, q, i]: branch b of node q for diffs[i]; h_0 is not in alpha
     scale = RHO ** np.arange(degree + 1)
-    taylors = []
-    for d in diffs:
-        per_node = []
-        for node in family.nodes:
-            g = node_taylor(family, d, node, 0, degree) * scale
-            h = node_taylor(family, d, node, 1, degree) * scale
-            per_node.append(bivariate_taylor(g, h))
-        taylors.append(per_node)
+    taylor = np.zeros((2, len(family.nodes), n, degree + 1), dtype=complex)
+    for b, q, i in np.ndindex(taylor.shape[:3]):
+        taylor[b, q, i] = scale * node_taylor(family, diffs[i], family.nodes[q], b, degree)
+    taylor[1, :, :, 0] = 0.0
 
-    mats = []
-    for t in np.asarray(t_grid):
-        that = complex(t) / RHO ** 2
-        if not 0 < abs(that) < 1:
-            raise ValueError(f"|t| = {abs(t)} outside the plumbing range")
-        G = base.copy()
-        for q in range(len(family.nodes)):
-            for i in range(n):
-                for j in range(i, n):
-                    v = annulus_log_integral(that, taylors[i][q], taylors[j][q], rel_tol)
-                    G[i, j] += v
-                    if j > i:
-                        G[j, i] += np.conj(v)
-        G = 0.5 * (G + G.conj().T)
-        mats.append(G)
+    log_t = np.log(t_hat)[:, None]
+    m = np.arange(1, degree + 1)
+    radial = np.hstack([-log_t, -np.expm1(2 * m * log_t) / (2 * m)])
+    G = base + KAPPA * np.einsum("bqim,bqjm,tm->tij", taylor, taylor.conj(), radial)
+    mats = list(0.5 * (G + G.conj().transpose(0, 2, 1)))
     return PeriodGram(
         t_grid=np.asarray(t_grid, dtype=complex),
         matrices=mats,

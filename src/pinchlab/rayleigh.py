@@ -35,13 +35,15 @@ def cutoff_epsilon(s: complex, nu: int = 1) -> float:
     return eps
 
 
-def log_ramp(r: float, eps: float) -> float:
-    """(2/log(1/eps)) * log(r/eps) between eps and sqrt(eps); 0 below, 1 above."""
-    if r <= eps:
-        return 0.0
-    if r * r >= eps:
-        return 1.0
-    return 2.0 * math.log(r / eps) / math.log(1.0 / eps)
+def log_ramp(r, eps: float):
+    """(2/log(1/eps)) * log(r/eps) between eps and sqrt(eps); 0 below, 1
+    above.  Takes a scalar (returns a float) or an array of r."""
+    r = np.asarray(r, dtype=float)
+    out = np.where(r <= eps, 0.0, 1.0)
+    ramp = (r > eps) & (r * r < eps)
+    # math.log, not np.log: numpy's SIMD log can differ in the last bit
+    out[ramp] = [2.0 * math.log(q) / math.log(1.0 / eps) for q in (r[ramp] / eps).tolist()]
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -76,28 +78,26 @@ def build_cutoffs(mesh: TriangleMesh, family: DegenerationFamily,
     comp_ids = [c.id for c in family.components]
     col = {cid: i for i, cid in enumerate(comp_ids)}
     phi = np.zeros((mesh.V, len(comp_ids)))
-    for v, (chart, coord) in enumerate(mesh.vertex_charts()):
+    charts, ids, coords = mesh.vertex_chart_index()
+    radius = np.hypot(coords.real, coords.imag)  # abs(complex)'s bits, unlike np.abs
+    for c, chart in enumerate(charts):
+        on = ids == c
         if chart[0] == "cap":
-            phi[v, col[chart[1]]] = 1.0
+            phi[on, col[chart[1]]] = 1.0
             continue
         _, nid, branch = chart
-        node = family.node(nid)
-        own = (node.left if branch == 0 else node.right)[0]
-        other = (node.right if branch == 0 else node.left)[0]
-        r = abs(coord)
-        phi[v, col[own]] += log_ramp(r, eps)
+        ends = (family.node(nid).left[0], family.node(nid).right[0])
+        own, other = ends[branch], ends[1 - branch]
+        r = radius[on]
+        phi[on, col[own]] += log_ramp(r, eps)
         # the opposite branch coordinate on the same neck is s / x
-        phi[v, col[other]] += log_ramp(abs(s) / r, eps)
+        phi[on, col[other]] += log_ramp(abs(s) / r, eps)
     mass = mesh.lumped_vertex_mass()
-    areas = np.empty(len(comp_ids))
-    for i in range(len(comp_ids)):
-        plateau = phi[:, i] == 1.0
-        areas[i] = float(mass[plateau].sum())
-        if areas[i] <= 0:
-            raise EpsilonOutOfRange(
-                f"component {comp_ids[i]} has no plateau vertices at eps={eps:.3g}"
-            )
-        phi[:, i] /= math.sqrt(areas[i])
+    areas = np.array([mass[phi[:, i] == 1.0].sum() for i in range(len(comp_ids))])
+    for cid, area in zip(comp_ids, areas):
+        if area <= 0:
+            raise EpsilonOutOfRange(f"component {cid} has no plateau vertices at eps={eps:.3g}")
+    phi /= np.sqrt(areas)
     nodes_of = {cid: tuple(n.node_id for n in family.nodes
                            if cid in (n.left[0], n.right[0]))
                 for cid in comp_ids}

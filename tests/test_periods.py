@@ -15,6 +15,7 @@ from pinchlab.laplace import Spectrum
 from pinchlab.periods import (
     KAPPA,
     KAPPA_CANDIDATE_REJECTED,
+    RHO,
     RHO_0,
     RHO_1,
     PeriodGram,
@@ -373,6 +374,73 @@ class TestPlumbingGram:
             np.allclose(a, b) for a, b in zip(back.matrices, g.matrices)
         )
         assert back.twisted
+
+
+def quadrature_gram(fam, ts, diffs, rel_tol=1e-10, degree=24):
+    """plumbing_gram with every annulus pairing from the quadrature oracle;
+    the component interiors as plumbing_gram computes them."""
+    n = len(diffs)
+    base = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            base[i, j] = sum(component_pairing(fam, diffs[i], diffs[j], c.id)
+                             for c in fam.components)
+            base[j, i] = np.conj(base[i, j])
+    scale = RHO ** np.arange(degree + 1)
+    taylors = [[bivariate_taylor(node_taylor(fam, d, node, 0, degree) * scale,
+                                 node_taylor(fam, d, node, 1, degree) * scale)
+                for node in fam.nodes] for d in diffs]
+    mats = []
+    for t in ts:
+        G = base.copy()
+        for q in range(len(fam.nodes)):
+            for i in range(n):
+                for j in range(i, n):
+                    v = annulus_log_integral(t / RHO ** 2, taylors[i][q], taylors[j][q],
+                                             rel_tol)
+                    G[i, j] += v
+                    if j > i:
+                        G[j, i] += np.conj(v)
+        mats.append(0.5 * (G + G.conj().T))
+    return np.array(mats)
+
+
+class TestClosedFormAnnuli:
+    @pytest.mark.parametrize("name", ["three-cycle twisted", "two-sphere residue-free"])
+    def test_matches_quadrature_oracle(self, name):
+        if name == "three-cycle twisted":
+            fam = three_cycle_family()
+            diffs = canonical_basis(fam)[0]
+        else:
+            fam = two_sphere_family()
+            diffs = canonical_basis(fam)[0] + [residue_free_differential(fam)]
+        ts = np.array([1e-3, 1e-9, 1e-24])
+        got = np.array(plumbing_gram(fam, ts, diffs, twisted=True).matrices)
+        expect = quadrature_gram(fam, ts, diffs)
+        # the residue-free pair's cross entries vanish (|G| ~ 1e-15), so
+        # the tolerance is absolute below |G| = 1
+        assert (np.abs(got - expect) <= 1e-12 * np.maximum(np.abs(expect), 1.0)).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_deep_and_edge_grids_run_clean(self):
+        # |t| = 1e-120 is the verify suite's deepest point: |t|^-2m would
+        # overflow there; just under RHO^2 the annuli are nearly empty
+        fam = three_cycle_family()
+        tw, _ = canonical_basis(fam)
+        deep = np.logspace(-20.0, -120.0, 8)
+        fit = fit_log_asymptotics(plumbing_twisted_gram(fam, deep))
+        res = np.array([[node_residue(fam, d, n, 0) for n in fam.nodes] for d in tw])
+        pred = KAPPA * res @ res.conj().T
+        assert abs(fit.a - pred).max() < 1e-9 * abs(pred).max()
+        edge = plumbing_twisted_gram(two_sphere_family(), np.array([RHO ** 2 * (1.0 - 1e-12)]))
+        assert np.isfinite(edge.matrices[0]).all()
+        assert abs(edge.matrices[0] - edge.matrices[0].conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("t", [0.0, RHO ** 2, 0.3, -RHO ** 2])
+    def test_rejects_t_outside_plumbing_range(self, t):
+        fam = two_sphere_family()
+        with pytest.raises(ValueError, match="outside the plumbing range"):
+            plumbing_twisted_gram(fam, np.array([1e-3, t]))
 
 
 class TestProp51:

@@ -110,6 +110,41 @@ class TestBuildCutoffs:
                                    else fam.nodes[0].right)[0]
                     assert raw[v, branch_comp] == 1.0
 
+    @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family])
+    def test_matches_per_vertex_loop(self, make_family):
+        # the scalar ramp, vertex by vertex: the arrays must give the same
+        # bits, since the plateau test compares with 1.0 exactly
+        def ramp(r, eps):
+            if r <= eps:
+                return 0.0
+            if r * r >= eps:
+                return 1.0
+            return 2.0 * math.log(r / eps) / math.log(1.0 / eps)
+
+        fam = make_family()
+        s = 1e-10
+        mesh = mesh_fiber(fam, MetricKind.INDUCED, s)
+        eps = cutoff_epsilon(s)
+        col = {c.id: i for i, c in enumerate(fam.components)}
+        phi = np.zeros((mesh.V, len(col)))
+        for v, (chart, coord) in enumerate(mesh.vertex_charts()):
+            if chart[0] == "cap":
+                phi[v, col[chart[1]]] = 1.0
+                continue
+            node = fam.node(chart[1])
+            own, other = (node.left, node.right) if chart[2] == 0 else (node.right, node.left)
+            phi[v, col[own[0]]] += ramp(abs(coord), eps)
+            phi[v, col[other[0]]] += ramp(abs(s) / abs(coord), eps)
+        assert ((phi > 0.0) & (phi < 1.0)).any()  # the ramp is on the mesh
+        mass = mesh.lumped_vertex_mass()
+        areas = np.empty(len(col))
+        for i in range(len(col)):
+            areas[i] = float(mass[phi[:, i] == 1.0].sum())
+            phi[:, i] /= math.sqrt(areas[i])
+        ts = build_cutoffs(mesh, fam, s)
+        assert np.array_equal(ts.plateau_areas, areas)
+        assert np.array_equal(ts.vectors, phi)
+
     def test_normalized_mass_near_one_at_small_s(self):
         fam = two_sphere_family()
         s = 1e-16

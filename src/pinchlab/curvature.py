@@ -1,11 +1,12 @@
 """Gauss curvature of the conformal metrics and Gauss-Bonnet checks.
 
-Curvature is computed from the analytic conformal factor by fourth-order
-central finite differences of u = (1/2) log(factor), K = -e^{-2u} Lap u
-(mesh-based discrete curvature converges too slowly in the blow-up
-regime).  The module provides the curvature blow-up sweep on the neck,
-per-triangle Gauss-Bonnet totals, the chart-quadrature Gauss-Bonnet
-total for Fermat fibers, and the nodal-fiber curvature defect.
+On the plumbing charts, K = -e^{-2u} Lap u comes from the analytic
+conformal factor by fourth-order central differences of u = (1/2) log
+factor (mesh-based curvature converges too slowly in the blow-up regime);
+on the Fermat charts the density is in closed form, with the stencil as
+its test oracle.  The module provides the blow-up sweep on the neck,
+per-triangle and Fermat chart-quadrature Gauss-Bonnet totals, and the
+nodal-fiber curvature defect.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .family import (
     DegenerationFamily,
     FermatAtlas,
     MetricKind,
+    _fs_density,
     conformal_factor,
 )
 from .mesh import TriangleMesh
@@ -226,6 +228,19 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
     from the branch points, the chart at infinity a2 = z/x past |a| =
     0.85, and one sheet-coordinate patch around each ramification point
     (where the sheet sum has a conical kink in a).
+
+    The density is exact.  A sheet zeta -> (A, B) in an affine chart of
+    P^2 has factor F = dd^c log q, q = 1+|A|^2+|B|^2, and by the Lagrange
+    identity F = n/q^2 with n = |A'|^2+|B'|^2+|W|^2, W = AB'-BA', a sum of
+    |holomorphic|^2.  So, with Lap = 4 dd^c and W' = AB''-BA'',
+    -(1/2) Lap log F = 4F - 2 [n (|A''|^2+|B''|^2+|W'|^2)
+    - |conj(A')A''+conj(B')B''+conj(W)W'|^2] / n^2.  Each chart is a graph
+    A = u, B = v(u) of v^d + c u^d = const: c = 1 in chart 1, c = s in
+    chart 2, and c = 1 in a branch chart with x and y swapped.  There
+    A'' = 0, W' = u v'', and the Lagrange identity for (1, u) and (v', W)
+    turns the bracket into q |v''|^2: the density is 4F - 2 q |v''|^2/n^2
+    (`family._fs_density`), with v'' = -(d-1)(c u^(d-2) + v^(d-2) v'^2)
+    / v^(d-1) from differentiating v^(d-1) v' = -c u^(d-1).
     """
     if d < 2:
         raise ValueError("chart quadrature needs degree >= 2")
@@ -236,16 +251,13 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
     R0, R1 = 0.025, 0.05  # branch-patch bump radii in the a-plane
     SPLIT0, SPLIT1 = 0.85, 0.95  # chart-1 / chart-2 transition in |a|
 
-    def density(factor_fn, z, h):
-        # K dv / dA = -(1/2) Lap(log factor) for the product of the sheets'
-        # factors, whose log is the sum over sheets of log(factor)
-        return factor_curvature(factor_fn, z, h) * factor_fn(z)
-
-    def f_chart1(a):
-        return atlas.sheet_factors(1, a).prod(axis=0)
-
-    def f_chart2(a2):
-        return atlas.sheet_factors(2, a2).prod(axis=0)
+    def masked(weight, density):
+        # weight * density, evaluated only on the points `on` of weight
+        # above 1e-13, so never at a branch point (v = 0)
+        on = weight > 1e-13
+        out = np.zeros(weight.shape)
+        out[on] = weight[on] * density(on)
+        return out
 
     def bump_sum(a):
         out = np.zeros(a.shape)
@@ -255,11 +267,8 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
 
     # chart 1: mask away the branch patches and the chart seam
     def f1(a):
-        dist = np.min(np.abs(a[None, ...] - branch_pts[:, None, None]), axis=0)
         m1 = (1.0 - bump_sum(a)) * _smooth_bump(np.abs(a), SPLIT0, SPLIT1)
-        h = np.minimum(5e-3, 0.2 * np.maximum(dist, 1e-12))
-        vals = np.where(m1 > 1e-13, density(f_chart1, a, h), 0.0)
-        return m1 * vals
+        return masked(m1, lambda on: atlas.sheet_density(1, a[on]))
 
     rb = abs(s) ** (1.0 / d)  # radius of the branch-point circle
     if rb - R1 <= 0.0:
@@ -275,8 +284,7 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
         r = np.abs(a2)
         m2 = 1.0 - _smooth_bump(np.where(r > 1e-12, 1.0 / np.maximum(r, 1e-12),
                                          math.inf), SPLIT0, SPLIT1)
-        vals = np.where(m2 > 1e-13, density(f_chart2, a2, 5e-3), 0.0)
-        return m2 * vals
+        return masked(m2, lambda on: atlas.sheet_density(2, a2[on]))
 
     total += _polar_quad(
         f2, 0.0 + 0.0j, [0.0, 0.6, 1.0 / SPLIT1, 1.0 / SPLIT0],
@@ -285,12 +293,12 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
 
     # branch patches in the sheet coordinate y (single-valued there)
     for xb in branch_pts:
-        x_of_y, _, f_branch = atlas.branch_chart(xb)
+        x_of_y, _ = atlas.branch_chart(xb)
 
         def fb(y):
-            mb = _smooth_bump(np.abs(x_of_y(y) - xb), R0, R1)
-            vals = np.where(mb > 1e-13, density(f_branch, y, 4e-3), 0.0)
-            return mb * vals
+            x = x_of_y(y)
+            mb = _smooth_bump(np.abs(x - xb), R0, R1)
+            return masked(mb, lambda on: _fs_density(y[on], x[on], 1.0, d))
 
         rho = (1.25 * R1 * d * abs(xb) ** (d - 1)) ** (1.0 / d)
         rho0 = (0.5 * R0 * d * abs(xb) ** (d - 1)) ** (1.0 / d)

@@ -399,6 +399,18 @@ def _fs_factor(a, b, da, db):
     return num / (q * q)
 
 
+def _fs_density(u, v, c: complex, d: int):
+    """Curvature density K F = -(1/2) Lap log F of the Fubini-Study factor
+    F on the sheet u -> (u, v(u)) of v^d + c u^d = const, in closed form
+    (derived in `curvature.fermat_gauss_bonnet`); arguments broadcast."""
+    t = (u / v) ** (d - 2)
+    dv = -c * t * (u / v)
+    ddv = -(d - 1) * (c * t + dv * dv) / v
+    q = 1.0 + np.abs(u) ** 2 + np.abs(v) ** 2
+    n = 1.0 + np.abs(dv) ** 2 + np.abs(u * dv - v) ** 2
+    return 4.0 * n / (q * q) - 2.0 * q * np.abs(ddv) ** 2 / (n * n)
+
+
 @dataclass
 class FermatAtlas:
     """Chart atlas of one Fermat fiber with FS conformal factors.
@@ -467,28 +479,31 @@ class FermatAtlas:
         """FS factor of every sheet over the base coordinate(s) a of chart
         1 (``a = x/z``) or chart 2 (``a = z/x``); shape (d,) + a.shape."""
         a = np.asarray(a, dtype=complex)
+        c, b = self._sheets(chart, a)
+        return _fs_factor(a, b, 1.0, -c * ((a / b) ** (self.d - 1)))
+
+    def sheet_density(self, chart: int, a) -> np.ndarray:
+        """Sum over sheets of the curvature density `_fs_density` over the
+        base coordinate(s) a of chart 1 or chart 2, one sheet at a time."""
+        a = np.asarray(a, dtype=complex)
+        c, roots = self._sheets(chart, a)
+        out = np.zeros(a.shape)
+        for b in roots:
+            out += _fs_density(a, b, c, self.d)
+        return out
+
+    def _sheets(self, chart: int, a: np.ndarray):
+        """(c, b): the sheets b of b^d + c a^d = const over chart 1 or 2."""
         d, s = self.d, self.s
         if chart == 1:
-            b = _nth_roots(-(a ** d) - s, d)
-            db = -((a / b) ** (d - 1))
-        else:
-            b = _nth_roots(-1.0 - s * a ** d, d)
-            db = -s * ((a / b) ** (d - 1))
-        return _fs_factor(a, b, 1.0, db)
-
-    def factor_sum_chart1(self, a):
-        """Sum over sheets of the FS factor in the chart a = x/z."""
-        return self.sheet_factors(1, a).sum(axis=0)
-
-    def factor_sum_chart2(self, a2):
-        """Sum over sheets of the FS factor in the chart a2 = z/x."""
-        return self.sheet_factors(2, a2).sum(axis=0)
+            return 1.0, _nth_roots(-(a ** d) - s, d)
+        return s, _nth_roots(-1.0 - s * a ** d, d)
 
     def branch_chart(self, x_b: complex):
         """Local parametrization by the sheet coordinate y near x_b.
 
-        Returns ``(x_of_y, log_factor, factor)`` where each accepts the
-        local coordinate y (scalar or array); x(y) is the root of
+        Returns ``(x_of_y, factor)``, both taking the local coordinate y
+        (scalar or array); x(y) is the root of
         x^d = -s - y^d nearest to x_b (exact for |y| well inside the
         separation radius).
         """
@@ -503,10 +518,7 @@ class FermatAtlas:
             x = x_of_y(y)
             return _fs_factor(x, y, -((y / x) ** (d - 1)), 1.0)
 
-        def log_factor(y):
-            return np.log(factor(y))
-
-        return x_of_y, log_factor, factor
+        return x_of_y, factor
 
 
 def fermat_fiber_charts(d: int, s: complex) -> FermatAtlas:

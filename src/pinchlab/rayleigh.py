@@ -46,19 +46,6 @@ def log_ramp(r, eps: float):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Ramp geometry of one component's cut-off."""
-
-    epsilon: float
-    component: int
-    nodes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 0.25:
-            raise EpsilonOutOfRange(f"epsilon {self.epsilon} outside (0, 1/4]")
-
-
 @dataclass
 class TestFunctionSet:
     """One normalized vertex vector per component, disjoint supports."""
@@ -86,24 +73,16 @@ def build_cutoffs(mesh: TriangleMesh, family: DegenerationFamily,
             phi[on, col[chart[1]]] = 1.0
             continue
         _, nid, branch = chart
-        ends = (family.node(nid).left[0], family.node(nid).right[0])
-        own, other = ends[branch], ends[1 - branch]
-        r = radius[on]
-        phi[on, col[own]] += log_ramp(r, eps)
-        # the opposite branch coordinate on the same neck is s / x
-        phi[on, col[other]] += log_ramp(abs(s) / r, eps)
+        # a neck chart covers |x| >= sqrt|s| only, where the other branch's
+        # ramp log_ramp(|s|/|x|, eps) is 0 since eps >= sqrt|s|
+        own = (family.node(nid).left[0], family.node(nid).right[0])[branch]
+        phi[on, col[own]] = log_ramp(radius[on], eps)
     mass = mesh.lumped_vertex_mass()
     areas = np.array([mass[phi[:, i] == 1.0].sum() for i in range(len(comp_ids))])
     for cid, area in zip(comp_ids, areas):
         if area <= 0:
             raise EpsilonOutOfRange(f"component {cid} has no plateau vertices at eps={eps:.3g}")
     phi /= np.sqrt(areas)
-    nodes_of = {cid: tuple(n.node_id for n in family.nodes
-                           if cid in (n.left[0], n.right[0]))
-                for cid in comp_ids}
-    # record the spec per component (validates the epsilon range)
-    for cid in comp_ids:
-        CutoffSpec(epsilon=eps, component=cid, nodes=nodes_of[cid])
     return TestFunctionSet(
         vectors=phi, component_ids=comp_ids, epsilon=eps, plateau_areas=areas
     )

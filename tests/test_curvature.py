@@ -1,5 +1,6 @@
 """Tests for Gauss curvature, curvature blow-up, and Gauss-Bonnet checks."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from pinchlab.family import (
     ChartPoint,
     ComponentSurface,
     DegenerationFamily,
+    FermatAtlas,
     MetricKind,
+    _fs_density,
     three_cycle_family,
     two_sphere_family,
 )
@@ -204,9 +207,90 @@ class TestFermatGaussBonnet:
         assert rep.expected == pytest.approx(-8.0 * math.pi)
         assert abs(rep.deviation) < 0.02 * 8.0 * math.pi
 
+    def test_quintic_genus_six(self):
+        rep = fermat_gauss_bonnet(5, 0.01)
+        assert rep.expected == pytest.approx(-20.0 * math.pi)
+        assert abs(rep.deviation) < 0.02 * 20.0 * math.pi
+
     def test_degree_one_rejected(self):
         with pytest.raises(ValueError):
             fermat_gauss_bonnet(1, 0.1)
+
+    def test_branch_point_on_the_grid(self, monkeypatch):
+        # s = -1/16 puts a branch point at a = 0.5 with 0.5^4 + s == 0 in
+        # floating point, so there the chart-1 sheets meet at b = 0 and the
+        # branch chart reaches x = 0 exactly (at y = 0.5).  Every integrand
+        # is also evaluated there; the zero weight must skip the kernel,
+        # with no 0/0 warning
+        seen = []
+
+        def quad(fn, center, breaks, rel_tol, n_theta0):
+            seen.append(fn(np.array([[0.5 + 0j]]))[0, 0])
+            return polar_quad(fn, center, breaks, rel_tol, n_theta0=n_theta0)
+
+        polar_quad = cv._polar_quad
+        monkeypatch.setattr(cv, "_polar_quad", quad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = fermat_gauss_bonnet(4, -1.0 / 16.0)
+        # chart 1, chart 2 (unramified), then the four branch charts
+        assert len(seen) == 6 and seen[0] == 0.0 and seen[2:] == [0.0] * 4
+        assert np.isfinite(seen[1])
+        assert abs(rep.deviation) < 0.02 * 8.0 * math.pi
+
+
+def _stencil_bound(factor_fn, z, h):
+    """The fourth-order stencil's density D_h at step h and a bound on its
+    largest error over the points z.  D_h - D_{h/2} = (15/16) C h^4 +
+    O(h^6), so twice the largest difference bounds the truncation error
+    (pointwise the estimate fails where C changes sign); the rounding of
+    log(factor), taken as 64 ulps, enters each stencil with weight
+    128/(12 h^2), five times over between D_h and D_{h/2}."""
+    def dens(step):
+        return factor_curvature(factor_fn, z, step) * factor_fn(z)
+
+    d_h = dens(h)
+    rounding = 5.0 * 128.0 * 64.0 * np.finfo(float).eps / (12.0 * h * h)
+    return d_h, 2.0 * np.abs(d_h - dens(0.5 * h)).max() + rounding
+
+
+class TestFermatDensity:
+    """The closed-form curvature density against the stencil oracle."""
+
+    @staticmethod
+    def _disk(rng, r_lo, r_hi, n=2000):
+        return rng.uniform(r_lo, r_hi, n) * np.exp(2j * math.pi * rng.uniform(size=n))
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_chart1(self, d):
+        atlas = FermatAtlas(d=d, s=0.1)
+        a = self._disk(np.random.default_rng(d), 0.65, 0.85)
+        stencil, bound = _stencil_bound(
+            lambda z: atlas.sheet_factors(1, z).prod(axis=0), a, 5e-3)
+        assert np.abs(atlas.sheet_density(1, a) - stencil).max() <= bound
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_chart2(self, d):
+        atlas = FermatAtlas(d=d, s=0.1)
+        a2 = self._disk(np.random.default_rng(d), 0.0, 1.0 / 0.85)
+        stencil, bound = _stencil_bound(
+            lambda z: atlas.sheet_factors(2, z).prod(axis=0), a2, 5e-3)
+        assert np.abs(atlas.sheet_density(2, a2) - stencil).max() <= bound
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_branch_chart(self, d):
+        atlas = FermatAtlas(d=d, s=0.1)
+        x_of_y, factor = atlas.branch_chart(atlas.branch_points[0])
+        y = self._disk(np.random.default_rng(d), 0.0, 0.25)
+        stencil, bound = _stencil_bound(factor, y, 4e-3)
+        assert np.abs(_fs_density(y, x_of_y(y), 1.0, d) - stencil).max() <= bound
+
+    def test_round_sphere_line(self):
+        # a line (d = 1) is a round sphere: K = 4 everywhere, so K F = 4F
+        atlas = FermatAtlas(d=1, s=0.3)
+        a = self._disk(np.random.default_rng(0), 0.0, 2.0)
+        assert np.allclose(atlas.sheet_density(1, a),
+                           4.0 * atlas.sheet_factors(1, a)[0], rtol=1e-13, atol=0.0)
 
 
 def _single_sphere_family() -> DegenerationFamily:

@@ -11,7 +11,6 @@ from pinchlab.family import MetricKind, three_cycle_family, two_sphere_family
 from pinchlab.laplace import assemble, solve_smallest
 from pinchlab.mesh import annulus_mesh, mesh_fiber
 from pinchlab.rayleigh import (
-    CutoffSpec,
     build_cutoffs,
     cutoff_epsilon,
     dirichlet_energy,
@@ -29,6 +28,35 @@ def two_sphere_setup():
     return fam, s, mesh, pb
 
 
+def _per_vertex_cutoffs(mesh, fam, s):
+    """Cut-offs vertex by vertex with the scalar ramp, both branches of
+    every neck ramped; returns the normalized vectors and plateau areas."""
+    def ramp(r, eps):
+        if r <= eps:
+            return 0.0
+        if r * r >= eps:
+            return 1.0
+        return 2.0 * math.log(r / eps) / math.log(1.0 / eps)
+
+    eps = cutoff_epsilon(s)
+    col = {c.id: i for i, c in enumerate(fam.components)}
+    phi = np.zeros((mesh.V, len(col)))
+    for v, (chart, coord) in enumerate(mesh.vertex_charts()):
+        if chart[0] == "cap":
+            phi[v, col[chart[1]]] = 1.0
+            continue
+        node = fam.node(chart[1])
+        own, other = (node.left, node.right) if chart[2] == 0 else (node.right, node.left)
+        phi[v, col[own[0]]] += ramp(abs(coord), eps)
+        phi[v, col[other[0]]] += ramp(abs(s) / abs(coord), eps)
+    mass = mesh.lumped_vertex_mass()
+    areas = np.empty(len(col))
+    for i in range(len(col)):
+        areas[i] = float(mass[phi[:, i] == 1.0].sum())
+        phi[:, i] /= math.sqrt(areas[i])
+    return phi, areas
+
+
 class TestEpsilon:
     def test_formula_and_clamp(self):
         assert cutoff_epsilon(1e-16) == pytest.approx(2e-2)
@@ -42,10 +70,6 @@ class TestEpsilon:
         # eps^2 < |s| would let ramps from both branches overlap
         with pytest.raises(EpsilonOutOfRange):
             cutoff_epsilon(0.1)
-
-    def test_spec_range_validated(self):
-        with pytest.raises(EpsilonOutOfRange):
-            CutoffSpec(epsilon=0.3, component=0, nodes=(0,))
 
 
 class TestLogRamp:
@@ -112,35 +136,26 @@ class TestBuildCutoffs:
 
     @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family])
     def test_matches_per_vertex_loop(self, make_family):
-        # the scalar ramp, vertex by vertex: the arrays must give the same
-        # bits, since the plateau test compares with 1.0 exactly
-        def ramp(r, eps):
-            if r <= eps:
-                return 0.0
-            if r * r >= eps:
-                return 1.0
-            return 2.0 * math.log(r / eps) / math.log(1.0 / eps)
-
+        # the arrays must give the same bits, since the plateau test
+        # compares with 1.0 exactly
         fam = make_family()
         s = 1e-10
         mesh = mesh_fiber(fam, MetricKind.INDUCED, s)
-        eps = cutoff_epsilon(s)
-        col = {c.id: i for i, c in enumerate(fam.components)}
-        phi = np.zeros((mesh.V, len(col)))
-        for v, (chart, coord) in enumerate(mesh.vertex_charts()):
-            if chart[0] == "cap":
-                phi[v, col[chart[1]]] = 1.0
-                continue
-            node = fam.node(chart[1])
-            own, other = (node.left, node.right) if chart[2] == 0 else (node.right, node.left)
-            phi[v, col[own[0]]] += ramp(abs(coord), eps)
-            phi[v, col[other[0]]] += ramp(abs(s) / abs(coord), eps)
+        phi, areas = _per_vertex_cutoffs(mesh, fam, s)
         assert ((phi > 0.0) & (phi < 1.0)).any()  # the ramp is on the mesh
-        mass = mesh.lumped_vertex_mass()
-        areas = np.empty(len(col))
-        for i in range(len(col)):
-            areas[i] = float(mass[phi[:, i] == 1.0].sum())
-            phi[:, i] /= math.sqrt(areas[i])
+        ts = build_cutoffs(mesh, fam, s)
+        assert np.array_equal(ts.plateau_areas, areas)
+        assert np.array_equal(ts.vectors, phi)
+
+    @pytest.mark.parametrize("kind", [MetricKind.INDUCED, MetricKind.CYLINDER])
+    @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family])
+    @pytest.mark.parametrize("s", [1e-3, 1e-8, 1e-16])
+    def test_other_branch_ramp_adds_nothing(self, make_family, kind, s):
+        # the reference also adds each neck's other-branch ramp
+        # log_ramp(|s|/|x|, eps); build_cutoffs leaves it out, bit for bit
+        fam = make_family()
+        mesh = mesh_fiber(fam, kind, s)
+        phi, areas = _per_vertex_cutoffs(mesh, fam, s)
         ts = build_cutoffs(mesh, fam, s)
         assert np.array_equal(ts.plateau_areas, areas)
         assert np.array_equal(ts.vectors, phi)

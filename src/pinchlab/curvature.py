@@ -55,8 +55,7 @@ def factor_curvature(factor_fn, z, h):
     return -lap / f0
 
 
-def _chart_step(family: DegenerationFamily, point: ChartPoint,
-                s: complex, step_scale: float) -> np.ndarray:
+def _chart_step(point: ChartPoint, s: complex, step_scale: float) -> np.ndarray:
     """Largest admissible FD step at each point, scaled to |x|."""
     r = np.abs(point.coord)
     if point.chart[0] == "cap":
@@ -84,7 +83,7 @@ def gauss_curvature(
 ):
     """Gauss curvature of the metric at the chart point(s) of the fiber X_s
     (``point.coord`` a scalar or an array in one chart)."""
-    h = _chart_step(family, point, s, step_scale)
+    h = _chart_step(point, s, step_scale)
 
     def factor(z):
         return conformal_factor(family, kind, ChartPoint(point.chart, z), s)

@@ -2,8 +2,9 @@
 
 Assembles the intrinsic Dirichlet form from per-triangle edge lengths
 (law of cosines, no embedding needed), a lumped mass matrix, and solves
-the generalized pencil for the smallest eigenvalues by shift-invert with
-a deterministic start vector, checked by residuals and an inertia count.
+the generalized pencil for the smallest eigenvalues by shift-invert
+Lanczos at a spectrum-scaled shift from a deterministic start vector,
+checked by residuals and an inertia count.
 
 Reported eigenvalues follow the Hodge-Kodaira convention: half the
 Hodge-de Rham (geometer's) Laplacian on functions.  The flat-torus and
@@ -59,6 +60,8 @@ class Spectrum:
     s: complex
     zero_threshold: float = 0.0
     solver_path: str = "eigsh"  # the solve_smallest rung that produced it
+    shift: float = 0.0  # sigma of the shift-invert operator
+    opinv_solves: int = 0  # applications of (K - sigma M)^-1, all rungs
 
     def __post_init__(self) -> None:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
@@ -228,52 +231,61 @@ def solve_smallest(
 ) -> Spectrum:
     """k smallest eigenpairs of K u = lambda M u.
 
-    Tries a ladder of solvers and returns the first result that passes
-    two checks on its k lowest pairs: every residual
-    ||K u - lambda M u|| / ||u||_M is at most ``tol`` (absolute), and a
-    Sylvester inertia count of K - mu M, with mu just below the top
-    computed cluster, equals the number of pairs found below mu (so no
-    copy of a multiple eigenvalue was skipped).  The rungs are
+    Shift-invert Lanczos (ARPACK ``eigsh``) at sigma = -0.01 * 2 pi / sum(M),
+    a hundredth of the Weyl spacing of the Hodge-Kodaira spectrum below
+    zero: the shift sits at the scale of the wanted eigenvalues whatever
+    the mesh resolution, and sigma * sum(M) is invariant under scaling the
+    metric.  K - sigma M is positive definite; it is factored once, with
+    the symmetric-mode LU of the inertia count, and every rung applies
+    that factor.  The Lanczos basis holds ``max(3 k // 2 + 1, 40)``
+    vectors (at most the dimension): 40 resolves the exactly degenerate
+    pairs of small k, and 1.5 k takes fewer solves, less time and less
+    memory than 2 k at k = 150.  A rung passes if every residual
+    ||K u - lambda M u|| / ||u||_M of its k lowest pairs is at most
+    ``tol`` (absolute), and a Sylvester inertia count of K - mu M, with mu
+    just below the top computed cluster, equals the number of pairs found
+    below mu (so no copy of a multiple eigenvalue was skipped).  The rungs:
 
-    1. ``eigsh``: shift-invert Lanczos (ARPACK) for exactly k pairs
-       around a slightly negative shift, from a seeded start vector;
-    2. ``eigsh+g`` for g = 2, 4, 8 (k + g capped at dimension - 1): the
-       same for k + g pairs from the next seeded start vector, truncated
-       to the k lowest.  When the window edge cuts an eigenvalue cluster
-       the k-th Ritz pair can stall above the gate, or a copy inside the
-       window can be skipped; the guard band moves the edge away;
-    3. ``lobpcg``: blocked preconditioned iteration for k + 2 pairs.
+    1. ``eigsh``: exactly k pairs from a seeded start vector;
+    2. ``eigsh+g`` for g = 2, 4, 8 (k + g capped at dimension - 1): k + g
+       pairs from the next seeded start vector, truncated to the k lowest,
+       so that the window edge moves away from a cluster it may cut.
 
-    An ARPACK exception and a failed check both move on to the next
-    rung; ``Spectrum.solver_path`` names the rung that passed.  If none
-    does, ``NoConvergence`` names the dimension, k, seed, the rungs
-    tried and what failed on the last one.
+    An ARPACK exception and a failed check both move on to the next rung;
+    ``Spectrum.solver_path`` names the rung that passed, ``shift`` the
+    shift and ``opinv_solves`` the applications of the factor over all
+    rungs.  If none passes, ``NoConvergence`` names the dimension, k,
+    seed, the rungs tried and what failed on the last one.
     """
     if not 0 < k < problem.dimension:
         raise ValueError("need 0 < k < dimension")
     n = problem.dimension
     K = problem.stiffness
     M = sp.diags(problem.mass).tocsr()
-    ref = problem.reference_scale()
-    zero_threshold = 1e-10 * ref
+    zero_threshold = 1e-10 * problem.reference_scale()
+    sigma = -0.02 * math.pi / float(problem.mass.sum())
     rng = np.random.default_rng(seed)
+    lu, solves = None, 0
 
-    def shift_invert(k_try: int, maxiter: int):
-        return spla.eigsh(
-            K, k=k_try, M=M, sigma=-1e-6 * ref, which="LM",
-            v0=rng.standard_normal(n), tol=0.0, maxiter=maxiter,
-        )
+    def apply_inverse(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
 
-    rungs = [("eigsh", lambda: shift_invert(k, 5000))]
-    for k_try in sorted({min(k + g, n - 1) for g in _GUARD_BANDS} - {k}):
-        rungs.append(
-            (f"eigsh+{k_try - k}", lambda k_try=k_try: shift_invert(k_try, 20000))
-        )
-    rungs.append(("lobpcg", lambda: _lobpcg_fallback(K, problem.mass, k, rng)))
-
-    for path, run in rungs:
+    opinv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
+    rungs = [("eigsh", k, 5000)] + [
+        (f"eigsh+{k_try - k}", k_try, 20000)
+        for k_try in sorted({min(k + g, n - 1) for g in _GUARD_BANDS} - {k})
+    ]
+    for path, k_try, maxiter in rungs:
+        if lu is None:
+            lu = _symmetric_lu(K, problem.mass, sigma)
         try:
-            vals, vecs = run()
+            vals, vecs = spla.eigsh(
+                K, k=k_try, M=M, sigma=sigma, which="LM", OPinv=opinv,
+                ncv=min(max(3 * k_try // 2 + 1, 40), n),
+                v0=rng.standard_normal(n), tol=0.0, maxiter=maxiter,
+            )
         except _SOLVER_ERRORS as exc:
             outcome = f"{type(exc).__name__}: {exc}"
             continue
@@ -287,7 +299,10 @@ def solve_smallest(
             continue
         # accurate pairs can still skip one copy of a multiple eigenvalue.
         # mu lies below the top computed cluster by far more than solver
-        # noise; the zero threshold keeps +-1e-13 zero modes one cluster
+        # noise; the zero threshold keeps +-1e-13 zero modes one cluster.
+        # The shift-invert factor is freed first, so that two factors are
+        # never held at once; a later rung factors it again
+        lu = None
         mu = vals[-1] - (1e-8 * abs(vals[-1]) + zero_threshold)
         below = _count_below(K, problem.mass, mu)
         found = int((vals < mu).sum())
@@ -301,28 +316,35 @@ def solve_smallest(
             s=s,
             zero_threshold=zero_threshold,
             solver_path=path,
+            shift=sigma,
+            opinv_solves=solves,
         )
     raise NoConvergence(
         f"laplace.solve_smallest(V={n}, k={k}, seed={seed}, tol={tol}): "
-        f"no rung passed (tried {', '.join(p for p, _ in rungs)}); "
+        f"no rung passed (tried {', '.join(p for p, _, _ in rungs)}); "
         f"last rung {path}: {outcome}"
+    )
+
+
+def _symmetric_lu(K, mass, shift: float):
+    """SuperLU of K - shift M with a symmetric fill-reducing permutation
+    and diagonal pivots only (no pivoting at all if it is definite)."""
+    return spla.splu(
+        (K - sp.diags(shift * mass)).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
     )
 
 
 def _count_below(K, mass, mu: float) -> int | None:
     """Number of eigenvalues of K u = lambda M u below mu.
 
-    Sylvester's law of inertia: factor P (K - mu M) P^T = L D L^T with a
-    symmetric fill-reducing permutation and diagonal pivots only, and
+    Sylvester's law of inertia: factor P (K - mu M) P^T = L D L^T and
     count the negative pivots.  Returns None if SuperLU had to pivot off
     the diagonal (an exactly zero pivot), where the count does not hold.
     """
-    lu = spla.splu(
-        (K - sp.diags(mu * mass)).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    lu = _symmetric_lu(K, mass, mu)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     return int((lu.U.diagonal() < 0).sum())
@@ -335,29 +357,6 @@ def _residuals(K, mass, vals, vecs) -> np.ndarray:
         r = K @ u - vals[i] * (mass * u)
         out[i] = np.linalg.norm(r) / math.sqrt(float(u @ (mass * u)))
     return out
-
-
-def _lobpcg_fallback(K, mass, k, rng):
-    """k lowest pairs by LOBPCG with two extra block vectors.
-
-    No vector is deflated: the constant (zero) mode is found like any
-    other.  The Jacobi preconditioner is the stiffness diagonal plus a
-    tiny mass-scaled shift that keeps it invertible.
-    """
-    n = K.shape[0]
-    M = sp.diags(mass).tocsr()
-    X = rng.standard_normal((n, k + 2))
-    diag = K.diagonal() + 1e-12 * float(np.median(mass))
-    prec = spla.LinearOperator(
-        (n, n),
-        matvec=lambda x: x.reshape(-1) / diag,
-        matmat=lambda X: X / diag[:, None],
-    )
-    vals, vecs = spla.lobpcg(
-        K, X, B=M, M=prec, tol=1e-10, maxiter=2000, largest=False,
-    )
-    order = np.argsort(vals)[:k]
-    return vals[order], vecs[:, order]
 
 
 def metric_comparison_bound(spectrum: Spectrum, pointwise_min_ratio: float) -> float:

@@ -259,9 +259,18 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
         return out
 
     def bump_sum(a):
+        # a bump is exactly 0 from R1 on, so only the nodes of the band
+        # |xb| - R1 < |a| < |xb| + R1 (the panel rb - R1 <= |a| <= rb + R1)
+        # can meet one, and only there are the bumps evaluated
+        radii = np.abs(branch_pts)
+        r = np.abs(a)
+        band = (r > radii.min() - R1) & (r < radii.max() + R1)
+        near = a[band]
         out = np.zeros(a.shape)
+        sub = np.zeros(near.shape)
         for xb in branch_pts:
-            out += _smooth_bump(np.abs(a - xb), R0, R1)
+            sub += _smooth_bump(np.abs(near - xb), R0, R1)
+        out[band] = sub
         return out
 
     # chart 1: mask away the branch patches and the chart seam

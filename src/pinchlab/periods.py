@@ -7,8 +7,11 @@ divergence, coefficient KAPPA per unit |residue|^2) and t-independent
 component-interior integrals.  Determinant growth in loglog(1/|t|) and
 the eigenvalue-product/period-determinant identity are checked on top.
 
-The node annuli are paired in closed form (plumbing_gram) and the
-component interiors by doubling polar quadrature; the annulus quadrature
+The node annuli are paired in closed form (plumbing_gram).  The
+component interiors are one Hermitian block per component
+(component_pairing): the pairs that share a puncture set share one set
+of doubling polar quadratures, integrands with a leading axis that
+_polar_quad evaluates in chunks of radii.  The annulus quadrature
 annulus_log_integral is kept as the closed form's test oracle.
 """
 from __future__ import annotations
@@ -140,21 +143,6 @@ def node_taylor(family: DegenerationFamily, diff: PlumbingDifferential,
     return form.taylor_alpha_at_zero(degree)
 
 
-def bivariate_taylor(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Bivariate coefficients c[m, n] of alpha(x, y) on the node annulus.
-
-    Left restriction alpha(x, 0) = sum g_m x^m; the right branch enters
-    with a sign because dy/y = -dx/x, so c[0, n] = -h_n for n >= 1.  The
-    constant terms agree up to sign (opposite residues), and c[0, 0] is
-    taken from the left branch.
-    """
-    M, N = len(g), len(h)
-    c = np.zeros((M, N), dtype=complex)
-    c[:, 0] = g
-    c[0, 1:] = -h[1:]
-    return c
-
-
 def validate_residues(family: DegenerationFamily,
                       diff: PlumbingDifferential) -> None:
     """Residue theorem per component; opposite residues across each node."""
@@ -248,19 +236,6 @@ def annulus_log_integral(
         prev = value
         n_panels *= 2
     raise QuadratureNotConverged("annulus quadrature did not stabilize")
-
-
-def leading_coefficient(
-    residues_i: np.ndarray, residues_j: np.ndarray
-) -> complex:
-    """a_ij = KAPPA * sum over nodes of Res_q(omega_i) conj(Res_q(omega_j)).
-
-    Residues are per node (one branch each, consistently chosen; the
-    product is invariant under the simultaneous sign flip of a node).
-    """
-    ri = np.asarray(residues_i, dtype=complex)
-    rj = np.asarray(residues_j, dtype=complex)
-    return KAPPA * complex((ri * np.conj(rj)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -420,34 +395,66 @@ def residue_free_differential(family: DegenerationFamily) -> PlumbingDifferentia
 # ---------------------------------------------------------------------------
 
 def _smooth_bump(r: np.ndarray, r_half: float, r_full: float) -> np.ndarray:
-    """1 below r_half, 0 above r_full, quintic smoothstep between."""
-    return _smoothstep((r_full - r) / (r_full - r_half))
+    """1 below r_half, 0 from r_full on, quintic smoothstep between; the
+    smoothstep is evaluated only where r < r_full."""
+    out = np.zeros(np.shape(r))
+    near = r < r_full
+    out[near] = _smoothstep((r_full - r[near]) / (r_full - r_half))
+    return out
+
+
+#: Most quadrature nodes (radii x angles) that _polar_quad evaluates at
+#: once: a panel set's radii are taken in chunks of this many nodes, so
+#: integrands with leading axes hold no larger temporaries than one panel.
+_CHUNK_NODES = 1 << 14
 
 
 def _polar_quad(fn, center: complex, breaks: list[float], rel_tol: float,
-                n_theta0: int = 32, max_iter: int = 7) -> complex:
+                n_theta0: int = 32, max_iter: int = 7):
     """Integral of fn over the disk/annulus around center with the given
-    radial panel breakpoints; doubling tensor quadrature."""
-    prev = None
+    radial panel breakpoints; doubling tensor quadrature.
+
+    fn maps an (radii, angles) array of points to values of that shape,
+    or of that shape behind leading axes, one entry per integrand; the
+    result is a complex, or an array of the leading shape.  Each entry is
+    frozen at the first level whose change from the level before is
+    within rel_tol of the entry's L1 mass, exactly as if it were
+    integrated alone.
+    """
+    prev, result, done = np.inf, 0j, np.False_
     n_theta = n_theta0
     split = 1
     for _ in range(max_iter):
-        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+        phase = np.exp(1j * (2.0 * math.pi * np.arange(n_theta) / n_theta))
+        dtheta = 2.0 * math.pi / n_theta
+        rows = max(1, _CHUNK_NODES // n_theta)
         total = 0.0 + 0.0j
         total_abs = 0.0  # L1 mass: tolerance scale robust to cancellation
         for a, b in zip(breaks, breaks[1:]):
             r, wr = _gl_panels(a, b, 2 * split)
-            z = center + r[:, None] * np.exp(1j * theta[None, :])
-            vals = fn(z)
-            dtheta = 2.0 * math.pi / n_theta
-            total += complex(((vals.sum(axis=1) * dtheta) * (wr * r)).sum())
-            total_abs += float(((np.abs(vals).sum(axis=1) * dtheta) * (wr * r)).sum())
-        if prev is not None and abs(total - prev) <= rel_tol * max(total_abs, 1e-12):
-            return total
+            points = (center + r[lo:lo + rows, None] * phase for lo in range(0, len(r), rows))
+            sums = [(v.sum(axis=-1), np.abs(v).sum(axis=-1)) for v in map(fn, points)]
+            row_sum, row_abs = (np.concatenate(s, axis=-1) * dtheta * (wr * r) for s in zip(*sums))
+            total = total + row_sum.sum(axis=-1)
+            total_abs = total_abs + row_abs.sum(axis=-1)
+        bound = rel_tol * np.maximum(total_abs, 1e-12)
+        diff = np.abs(total - prev)
+        ok = diff <= bound
+        result = np.where(ok & ~done, total, result)
+        done = done | ok
+        if done.all():
+            return result if result.ndim else complex(result)
         prev = total
         n_theta *= 2
         split *= 2
-    raise QuadratureNotConverged("component-interior quadrature did not stabilize")
+    worst = np.unravel_index(np.argmax(np.where(done, -np.inf, diff / bound)), diff.shape)
+    entry = f" of entry {tuple(map(int, worst))}" if diff.ndim else ""
+    raise QuadratureNotConverged(
+        f"polar quadrature around {complex(center):.6g} on radial breaks "
+        f"[{', '.join(f'{float(b):.6g}' for b in breaks)}] did not stabilize "
+        f"in {max_iter} levels (n_theta {n_theta0} to {n_theta // 2}): the last "
+        f"change{entry} was {diff[worst]:.3e} against rel_tol*L1 = {bound[worst]:.3e}"
+    )
 
 
 #: Outer radius of the puncture weight transition; the weight is exactly
@@ -473,36 +480,72 @@ def _weight_profile(r: np.ndarray) -> np.ndarray:
 
 
 def _puncture_weight(z: np.ndarray, punctures: list[complex]) -> np.ndarray:
+    """Product of the puncture profiles, each evaluated only within RHO_1
+    of its puncture (beyond, it is exactly 1)."""
     w = np.ones(z.shape)
     for p in punctures:
-        w = w * _weight_profile(_puncture_distance(z, p))
+        r = _puncture_distance(z, p)
+        near = r < RHO_1
+        w[near] = w[near] * _weight_profile(r[near])
     return w
 
 
 def component_pairing(
     family: DegenerationFamily,
-    di: PlumbingDifferential,
-    dj: PlumbingDifferential,
+    diffs: list[PlumbingDifferential],
     cid: int,
     rel_tol: float = 1e-6,
-) -> complex:
-    """sqrt(-1) Int_{component region} omega_i ^ conj(omega_j) * weight.
+) -> np.ndarray:
+    """Hermitian (n, n) block of sqrt(-1) Int_{component region}
+    omega_i ^ conj(omega_j) * weight over the n differentials.
 
     The region is the component minus its node chart disks of radius RHO;
-    the weight vanishes quadratically at the punctures (flat bundle
-    metric away from them, exactly 1 near all nodes).  Each puncture gets
-    a polar quadrature patch in its own local coordinate; a smooth
-    partition of unity splits the region so every piece is resolved by
-    doubling tensor quadrature.
+    the weight vanishes quadratically at the punctures of the pair
+    (flat bundle metric away from them, exactly 1 near all nodes).  Each
+    puncture gets a polar quadrature patch in its own local coordinate; a
+    smooth partition of unity splits the region so every piece is
+    resolved by doubling tensor quadrature.
+
+    The pairs i <= j are grouped by their puncture set on cid, which fixes
+    the weight and the partition.  Each group runs one set of patch and
+    remainder quadratures with one entry per pair, evaluating every
+    distinct form once per node; each entry stops at the level where it
+    would alone.  Forms absent on cid give zero rows, and the diagonal
+    keeps the real part.
     """
-    fi, fj = di.form(cid), dj.form(cid)
-    if not fi.poles or not fj.poles:
-        return 0.0 + 0.0j
-    puncs = [p for c, p in set(di.punctures) | set(dj.punctures) if c == cid]
+    n = len(diffs)
+    forms = [d.form(cid) for d in diffs]
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for i, j in zip(*np.triu_indices(n)):
+        if forms[i].poles and forms[j].poles:
+            puncs = tuple(p for c, p in set(diffs[i].punctures) | set(diffs[j].punctures)
+                          if c == cid)
+            groups.setdefault(puncs, []).append((i, j))
+    block = np.zeros((n, n), dtype=complex)
+    for puncs, pairs in groups.items():
+        rows, cols = np.array(pairs).T
+        block[rows, cols] = _group_pairing(family, cid, [forms[i] for i in rows],
+                                           [forms[j] for j in cols], puncs, rel_tol)
+    upper = np.triu(block, 1)
+    return upper + upper.conj().T + np.diag(block.diagonal().real)
+
+
+def _group_pairing(family: DegenerationFamily, cid: int, left: list[RationalForm],
+                   right: list[RationalForm], puncs: tuple[complex, ...],
+                   rel_tol: float) -> np.ndarray:
+    """component_pairing of the pairs (left[k], right[k]), which share the
+    punctures puncs on component cid."""
+    uniq = list(dict.fromkeys(left + right))
+    fi = [uniq.index(f) for f in left]
+    fj = [uniq.index(f) for f in right]
     node_pts = _node_points(family, cid)
 
     def density(z: np.ndarray) -> np.ndarray:
-        return 2.0 * fi.eval(z) * np.conj(fj.eval(z)) * _puncture_weight(z, puncs)
+        f = np.stack([form.eval(z) for form in uniq])
+        vals = (2.0 * f)[fi]
+        vals *= np.conj(f)[fj]
+        vals *= _puncture_weight(z, puncs)
+        return vals
 
     # bump radius per puncture (in its local coordinate), chosen so the
     # patch stays inside the region and clear of the other punctures
@@ -522,41 +565,28 @@ def component_pairing(
             vals = vals * bump(z, puncs[k])
         return vals
 
+    def in_xi(k: int):
+        # piece k in the chart xi = 1/z
+        return lambda xi: piece(1.0 / xi, k) / np.abs(xi) ** 4
+
     total = 0.0 + 0.0j
     for k, p in enumerate(puncs):
+        breaks = [0.0, RHO_0, bump_r[p]]
         if is_inf_point(p):
-            def patch(xi: np.ndarray, k=k) -> np.ndarray:
-                return piece(1.0 / xi, k) / np.abs(xi) ** 4
-
-            breaks = [0.0, RHO_0, bump_r[p]]
-            total += _polar_quad(patch, 0.0 + 0j, breaks, rel_tol)
+            total = total + _polar_quad(in_xi(k), 0.0 + 0j, breaks, rel_tol)
         else:
-            def patch(z: np.ndarray, k=k) -> np.ndarray:
-                return piece(z, k)
-
-            breaks = [0.0, RHO_0, bump_r[p]]
-            total += _polar_quad(patch, p, breaks, rel_tol)
+            total = total + _polar_quad(lambda z, k=k: piece(z, k), p, breaks, rel_tol)
 
     k_rem = len(puncs)
-    if family.node_degree(cid) == 1:
-        if 0 in node_pts:
-            # region |z| >= RHO: integrate in the xi = 1/z chart
-            def remainder(xi: np.ndarray) -> np.ndarray:
-                return piece(1.0 / xi, k_rem) / np.abs(xi) ** 4
-
-            total += _polar_quad(remainder, 0.0 + 0j, [0.0, 1.0, 1.0 / RHO], rel_tol)
-        else:
-            # node at infinity: region is the disk |z| <= 1/RHO
-            def remainder(z: np.ndarray) -> np.ndarray:
-                return piece(z, k_rem)
-
-            total += _polar_quad(remainder, 0.0 + 0j, [0.0, 1.0, 1.0 / RHO], rel_tol)
+    if family.node_degree(cid) != 1:
+        remainder, breaks = (lambda z: piece(z, k_rem)), [RHO, 1.0, 1.0 / RHO]
+    elif 0 in node_pts:
+        # region |z| >= RHO: integrate in the xi = 1/z chart
+        remainder, breaks = in_xi(k_rem), [0.0, 1.0, 1.0 / RHO]
     else:
-        def remainder(z: np.ndarray) -> np.ndarray:
-            return piece(z, k_rem)
-
-        total += _polar_quad(remainder, 0.0 + 0j, [RHO, 1.0, 1.0 / RHO], rel_tol)
-    return total
+        # node at infinity: region is the disk |z| <= 1/RHO
+        remainder, breaks = (lambda z: piece(z, k_rem)), [0.0, 1.0, 1.0 / RHO]
+    return total + _polar_quad(remainder, 0.0 + 0j, breaks, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +655,15 @@ def plumbing_gram(
     degree: int = 24,
 ) -> PeriodGram:
     """Gram over the grid: node annuli in closed form plus t-independent
-    component interiors (doubling quadrature to rel_tol).
+    component interiors, one component_pairing block per component
+    (doubling quadrature to rel_tol).
 
     An annulus rescaled to branch disks of radius RHO has parameter
-    T = t/RHO^2 and data alpha = sum g_m x^m - sum_{m>=1} h_m (T/x)^m
-    (bivariate_taylor, to ``degree``).  The angular integral removes the
-    cross terms, leaving 4 pi [g_0 conj(g'_0) log(1/|T|) + sum_{m>=1}
+    T = t/RHO^2 and data alpha = sum g_m x^m - sum_{m>=1} h_m (T/x)^m,
+    with g and h the node_taylor data of the left and right branch to
+    ``degree`` (h enters with a minus sign because dy/y = -dx/x; its
+    constant term, minus g_0, is dropped).  The angular integral removes
+    the cross terms, leaving 4 pi [g_0 conj(g'_0) log(1/|T|) + sum_{m>=1}
     (g_m conj(g'_m) + h_m conj(h'_m)) (1 - |T|^2m)/(2m)]: finite for all
     0 < |T| < 1, unlike the per-frequency form with |T|^-2m.
     """
@@ -639,11 +672,8 @@ def plumbing_gram(
     if bad.size:
         raise ValueError(f"|t| = {abs(bad[0])} outside the plumbing range")
     n = len(diffs)
-    base = np.zeros((n, n), dtype=complex)
-    for i, j in zip(*np.triu_indices(n)):
-        base[i, j] = sum(component_pairing(family, diffs[i], diffs[j], comp.id, rel_tol)
-                         for comp in family.components)
-        base[j, i] = np.conj(base[i, j])
+    base = sum(component_pairing(family, diffs, comp.id, rel_tol)
+               for comp in family.components)
 
     # taylor[b, q, i]: branch b of node q for diffs[i]; h_0 is not in alpha
     scale = RHO ** np.arange(degree + 1)

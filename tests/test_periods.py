@@ -1,6 +1,7 @@
 """Tests for period Gram matrices, annulus integrals, and determinant growth."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipk
 
-from pinchlab.errors import AGMNotConverged, GridMismatch, GridTooShort, IllConditionedFit
+from pinchlab.errors import (
+    AGMNotConverged,
+    GridMismatch,
+    GridTooShort,
+    IllConditionedFit,
+    QuadratureNotConverged,
+)
 from pinchlab.family import INF_POINT, three_cycle_family, two_sphere_family
 from pinchlab.laplace import Spectrum
 from pinchlab.periods import (
@@ -21,15 +28,14 @@ from pinchlab.periods import (
     PeriodGram,
     PlumbingDifferential,
     RationalForm,
+    _polar_quad,
     annulus_log_integral,
-    bivariate_taylor,
     canonical_basis,
     component_pairing,
     det_growth_fit,
     elliptic_period_gram,
     fit_log_asymptotics,
     key_identity_check,
-    leading_coefficient,
     node_residue,
     node_taylor,
     plumbing_gram,
@@ -38,6 +44,32 @@ from pinchlab.periods import (
     residue_free_differential,
     validate_residues,
 )
+
+
+def bivariate_taylor(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Bivariate coefficients c[m, n] of alpha(x, y) on the node annulus,
+    the quadrature oracle's input.
+
+    Left restriction alpha(x, 0) = sum g_m x^m; the right branch enters
+    with a sign because dy/y = -dx/x, so c[0, n] = -h_n for n >= 1.  The
+    constant terms agree up to sign (opposite residues), and c[0, 0] is
+    taken from the left branch.
+    """
+    c = np.zeros((len(g), len(h)), dtype=complex)
+    c[:, 0] = g
+    c[0, 1:] = -h[1:]
+    return c
+
+
+def leading_coefficient(residues_i, residues_j) -> complex:
+    """a_ij = KAPPA * sum over nodes of Res_q(omega_i) conj(Res_q(omega_j)).
+
+    Residues are per node (one branch each, consistently chosen; the
+    product is invariant under the simultaneous sign flip of a node).
+    """
+    ri = np.asarray(residues_i, dtype=complex)
+    rj = np.asarray(residues_j, dtype=complex)
+    return KAPPA * complex((ri * np.conj(rj)).sum())
 
 
 def annulus_closed_form(t, ci, cj):
@@ -278,34 +310,122 @@ class TestCanonicalBasis:
                 assert c[0] == pytest.approx(node_residue(fam, d, node, 0))
 
 
+class TestPolarQuad:
+    @staticmethod
+    def gaussians(widths):
+        # exp(-|z|^2 / w) over the disk |z| <= 1, one entry per width; a
+        # narrow Gaussian needs more doublings than a wide one
+        widths = np.asarray(widths, dtype=float)[:, None, None]
+        return lambda z: np.exp(-np.abs(z) ** 2 / widths) * (1.0 + 0.5j)
+
+    def test_entries_equal_scalar_calls(self):
+        widths = [1.0, 0.3, 1e-3]
+        vec = _polar_quad(self.gaussians(widths), 0.0 + 0j, [0.0, 0.5, 1.0], 1e-8)
+        assert vec.shape == (3,)
+        levels = []
+        for k, w in enumerate(widths):
+            calls = []
+
+            def one(z, w=w):
+                calls.append(z.shape[1])
+                return self.gaussians([w])(z)[0]
+
+            scalar = _polar_quad(one, 0.0 + 0j, [0.0, 0.5, 1.0], 1e-8)
+            assert isinstance(scalar, complex)
+            assert vec[k] == scalar
+            levels.append(len(set(calls)))
+        # the narrow entry converges at a later level than its neighbour,
+        # and the batch keeps the earlier entries' values
+        assert levels[2] > levels[1]
+
+    def test_chunked_radii_match_one_array(self, monkeypatch):
+        import pinchlab.periods as pm
+
+        fn = self.gaussians([0.2, 0.05])
+        whole = _polar_quad(fn, 0.3 + 0j, [0.0, 0.4], 1e-9)
+        monkeypatch.setattr(pm, "_CHUNK_NODES", 100)
+        seen = []
+
+        def counted(z):
+            seen.append(z.shape)
+            return fn(z)
+
+        chunked = _polar_quad(counted, 0.3 + 0j, [0.0, 0.4], 1e-9)
+        # at most 100 nodes per call, or a single row of more angles
+        assert all(rows * angles <= max(100, angles) for rows, angles in seen)
+        assert len(seen) > 4 * len({angles for _, angles in seen})
+        assert np.array_equal(whole, chunked)
+
+    def test_failure_names_center_breaks_levels_and_worst_entry(self):
+        def step(z):
+            # discontinuous across |z| = 0.3, off every panel break, and
+            # a smooth entry beside it
+            jump = (np.abs(z - 0.1) < 0.3).astype(float)
+            return np.stack([np.ones(z.shape), jump])
+
+        with pytest.raises(QuadratureNotConverged) as err:
+            _polar_quad(step, 0.1 + 0j, [0.0, 0.5], 1e-12, max_iter=2)
+        msg = str(err.value)
+        assert "polar quadrature around 0.1+0j on radial breaks [0, 0.5]" in msg
+        assert "did not stabilize in 2 levels (n_theta 32 to 64)" in msg
+        found = re.search(r"change of entry \(1,\) was (\S+) against rel_tol\*L1 = (\S+)$", msg)
+        assert found and float(found[1]) > float(found[2]) > 0
+
+
 class TestComponentPairing:
     def test_radial_oracle_for_cap_form(self):
         # f = dz/z on a one-node component with puncture at infinity: the
         # weighted density is radial, so a 1D quadrature is exact
         fam = two_sphere_family()
         tw, _ = canonical_basis(fam)
-        v = component_pairing(fam, tw[0], tw[0], 0)
+        block = component_pairing(fam, tw[:1], 0)
+        assert block.shape == (1, 1)
         from pinchlab.periods import _weight_profile
 
         def radial(rho):  # rho = |1/z|, density 2/|z|^2 * W(rho)
             return float(_weight_profile(np.array([rho]))[0]) / rho
 
         oracle = 4.0 * math.pi * quad(radial, 1e-12, 2.0, limit=400)[0]
-        assert v.real == pytest.approx(oracle, rel=1e-5)
-        assert abs(v.imag) < 1e-9
+        assert block[0, 0].real == pytest.approx(oracle, rel=1e-5)
+        assert block[0, 0].imag == 0.0  # the diagonal keeps the real part
 
     def test_hermitian(self):
         fam = three_cycle_family()
         tw, _ = canonical_basis(fam)
-        a = component_pairing(fam, tw[0], tw[1], 0)
-        b = component_pairing(fam, tw[1], tw[0], 0)
-        assert a == pytest.approx(np.conj(b), abs=1e-4)
+        for comp in fam.components:
+            block = component_pairing(fam, tw, comp.id)
+            assert block.shape == (3, 3)
+            assert np.array_equal(block, block.conj().T)
+        # the reversed order gives the transposed block, to quadrature accuracy
+        a = component_pairing(fam, tw[:2], 0)
+        b = component_pairing(fam, tw[1::-1], 0)
+        assert a[0, 1] == pytest.approx(b[1, 0], abs=1e-4)
+
+    @pytest.mark.parametrize("name", ["three-cycle twisted", "two-sphere residue-free"])
+    def test_entries_equal_pair_blocks(self, name):
+        # batching the pairs of a puncture set mixes no entries: each entry
+        # equals the off-diagonal of the block of its own pair
+        if name == "three-cycle twisted":
+            fam = three_cycle_family()
+            diffs = canonical_basis(fam)[0]
+        else:
+            fam = two_sphere_family()
+            diffs = canonical_basis(fam)[0] + [residue_free_differential(fam)]
+        for comp in fam.components:
+            block = component_pairing(fam, diffs, comp.id)
+            for i in range(len(diffs)):
+                for j in range(i, len(diffs)):
+                    pair = component_pairing(fam, [diffs[i], diffs[j]], comp.id)
+                    assert block[i, j] == pair[0, 1 if j > i else 0]
 
     def test_zero_when_form_absent(self):
         fam = three_cycle_family()
         tw, _ = canonical_basis(fam)
         # twisted-1 routes through components 0 and 1 only
-        assert component_pairing(fam, tw[1], tw[1], 2) == 0
+        assert component_pairing(fam, tw[1:2], 2)[0, 0] == 0
+        block = component_pairing(fam, tw, 2)
+        assert not block[1].any() and not block[:, 1].any()
+        assert block[0, 0] != 0 and block[2, 2] != 0
 
 
 @pytest.fixture(scope="module")
@@ -380,12 +500,7 @@ def quadrature_gram(fam, ts, diffs, rel_tol=1e-10, degree=24):
     """plumbing_gram with every annulus pairing from the quadrature oracle;
     the component interiors as plumbing_gram computes them."""
     n = len(diffs)
-    base = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            base[i, j] = sum(component_pairing(fam, diffs[i], diffs[j], c.id)
-                             for c in fam.components)
-            base[j, i] = np.conj(base[i, j])
+    base = sum(component_pairing(fam, diffs, c.id) for c in fam.components)
     scale = RHO ** np.arange(degree + 1)
     taylors = [[bivariate_taylor(node_taylor(fam, d, node, 0, degree) * scale,
                                  node_taylor(fam, d, node, 1, degree) * scale)

@@ -20,7 +20,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NoConvergence, NonFiniteEntry
-from .family import DegenerationFamily, MetricKind
 from .mesh import TriangleMesh
 
 HODGE_KODAIRA = "HodgeKodaira"
@@ -56,7 +55,7 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     residual_norms: np.ndarray
-    k: int
+    dimension: int  # eigenvalues of the whole pencil, computed or not
     s: complex
     zero_threshold: float = 0.0
     solver_path: str = "eigsh"  # the solve_smallest rung that produced it
@@ -67,15 +66,16 @@ class Spectrum:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
         if not (np.diff(self.eigenvalues) >= -1e-12).all():
             raise ValueError("eigenvalues must be ascending")
+        if len(self.eigenvalues) > self.dimension:
+            raise ValueError("more eigenvalues than the pencil dimension")
+
+    @property
+    def k(self) -> int:
+        """Number of computed eigenvalues."""
+        return len(self.eigenvalues)
 
     def numerically_zero(self) -> np.ndarray:
         return self.eigenvalues < self.zero_threshold
-
-    def first_nonzero(self) -> float:
-        above = self.eigenvalues[~self.numerically_zero()]
-        if above.size == 0:
-            raise ValueError("no nonzero eigenvalue in the computed window")
-        return float(above[0])
 
 
 def _cotan_halves(lengths: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -312,7 +312,7 @@ def solve_smallest(
         return Spectrum(
             eigenvalues=np.maximum(vals, 0.0),  # clamp -0.0-size zero modes
             residual_norms=residuals,
-            k=k,
+            dimension=n,
             s=s,
             zero_threshold=zero_threshold,
             solver_path=path,
@@ -357,41 +357,3 @@ def _residuals(K, mass, vals, vecs) -> np.ndarray:
         r = K @ u - vals[i] * (mass * u)
         out[i] = np.linalg.norm(r) / math.sqrt(float(u @ (mass * u)))
     return out
-
-
-def metric_comparison_bound(spectrum: Spectrum, pointwise_min_ratio: float) -> float:
-    """Certified lower bound for the comparison metric's first nonzero
-    eigenvalue: monotonicity of the Rayleigh quotient under pointwise
-    conformal-factor domination gives lambda'_1 >= min(g/g') * lambda_1.
-    """
-    if pointwise_min_ratio <= 0:
-        raise ValueError("pointwise ratio must be positive")
-    return pointwise_min_ratio * spectrum.first_nonzero()
-
-
-def pointwise_factor_ratio(
-    mesh: TriangleMesh,
-    family: DegenerationFamily,
-    kind_num: MetricKind,
-    kind_den: MetricKind,
-    s: complex,
-) -> float:
-    """min over mesh vertices of factor(kind_num) / factor(kind_den)."""
-    from .family import ChartPoint, conformal_factor
-
-    charts, ids, coords = mesh.vertex_chart_index()
-    points = [ChartPoint(charts[c], coords[ids == c]) for c in np.unique(ids)]
-    return min(float(np.min(conformal_factor(family, kind_num, pt, s)
-                            / conformal_factor(family, kind_den, pt, s))) for pt in points)
-
-
-def dump_matrix(problem: SpectralProblem, path: str) -> None:
-    """Coordinate-format text dump: '# rows cols nnz' then 'i j value'."""
-    coo = problem.stiffness.tocoo()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz} stiffness\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v:.17g}\n")
-        fh.write(f"# {problem.dimension} mass diagonal\n")
-        for i, v in enumerate(problem.mass):
-            fh.write(f"{i} {i} {v:.17g}\n")

@@ -1,59 +1,62 @@
-"""Tests for the exponential integral, heat traces, and partial torsions."""
+"""Tests for heat traces, partial torsions and their certified tails."""
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pinchlab.errors import InsufficientSpectrum
 from pinchlab.heat import (
-    EULER_GAMMA,
-    exp_integral_e1,
     heat_trace,
-    heat_trace_report,
     partial_torsion_large_time,
     small_ev_extraction_check,
-    spectral_growth_rate,
 )
 from pinchlab.laplace import Spectrum, assemble, solve_smallest
 from pinchlab.mesh import flat_torus_mesh
 
 
-def make_spectrum(evs, s=1e-3, zero_threshold=1e-12):
+def make_spectrum(evs, s=1e-3, zero_threshold=1e-12, dimension=1000):
     evs = np.asarray(evs, dtype=float)
     return Spectrum(
         eigenvalues=evs,
         residual_norms=np.zeros_like(evs),
-        k=len(evs),
+        dimension=dimension,
         s=s,
         zero_threshold=zero_threshold,
     )
 
 
+def e1_by_torsion(lam):
+    """E1(lam) as the large-time torsion of a one-eigenvalue pencil."""
+    return partial_torsion_large_time(make_spectrum([lam], dimension=1), h0=0)[0]
+
+
 class TestExpIntegral:
     def test_value_at_one(self):
-        assert exp_integral_e1(1.0) == pytest.approx(0.219384, abs=5e-7)
+        assert e1_by_torsion(1.0) == pytest.approx(0.219384, abs=5e-7)
 
     @pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.3, 0.99, 1.0, 1.01, 5.0, 50.0, 100.0])
     def test_matches_quadrature(self, lam):
         oracle = quad(lambda t: math.exp(-lam * t) / t, 1.0, np.inf, limit=500)[0]
-        assert exp_integral_e1(lam) == pytest.approx(oracle, rel=1e-10)
+        assert e1_by_torsion(lam) == pytest.approx(oracle, rel=1e-10)
 
     def test_small_argument_log_asymptote(self):
         lam = 1e-8
-        assert exp_integral_e1(lam) == pytest.approx(
-            -math.log(lam) - EULER_GAMMA, abs=1e-7
+        assert e1_by_torsion(lam) == pytest.approx(
+            -math.log(lam) - np.euler_gamma, abs=1e-7
         )
 
     @settings(max_examples=50, deadline=None)
     @given(loglam=st.floats(min_value=-6, max_value=2))
     def test_positive_and_decreasing(self, loglam):
         lam = 10.0 ** loglam
-        v = exp_integral_e1(lam)
+        v = e1_by_torsion(lam)
         assert 0 < v < math.inf
-        assert exp_integral_e1(lam * 1.01) < v
+        assert e1_by_torsion(lam * 1.01) < v
 
 
 class TestHeatTrace:
@@ -61,7 +64,7 @@ class TestHeatTrace:
         sp = make_spectrum([0.0, 2.0, 20.0, 40.0, 60.0, 80.0])
         v, tail = heat_trace(sp, t=1.0, M=2)
         assert v == pytest.approx(1.0 + math.exp(-2.0))
-        assert tail >= 0
+        assert tail == pytest.approx(998 * math.exp(-2.0))
 
     def test_kernel_only_survives_large_time(self):
         sp = make_spectrum([0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
@@ -74,47 +77,69 @@ class TestHeatTrace:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_flat_torus_small_time_expansion(self):
-        # truncated trace approximates Area/(4 pi t_HdR) + a1 within the
-        # tail bound plus the fitted residual
-        mesh = flat_torus_mesh(20)
+        # In Hodge-Kodaira units exp(-lambda t) is the geometer's kernel at
+        # time t/2, so the trace is a0 / (t/2) with a0 = area / 4 pi, up to
+        # terms of order exp(-1/(2t)) on the flat torus
+        area = 1.0
+        mesh = flat_torus_mesh(20, area=area)
         spec = solve_smallest(assemble(mesh), 60, s=0.0)
-        t_grid = np.array([0.08, 0.1, 0.12, 0.15])
-        rep = heat_trace_report(spec, t_grid, area=1.0)
-        i = 1  # t = 0.1
-        model = 2.0 * rep.a0 / t_grid[i] + rep.a1
-        assert abs(rep.values[i] - model) <= rep.tail_bounds[i] + 0.05
-        # and against the exact Fourier spectrum
-        exact = sum(
-            math.exp(-2.0 * math.pi ** 2 * (m * m + n * n) * 0.1)
-            for m in range(-20, 21)
-            for n in range(-20, 21)
-        )
-        assert rep.values[i] == pytest.approx(exact, rel=0.02)
+        a0 = area / (4.0 * math.pi)
+        for t in (0.05, 0.06, 0.08):
+            value, tail = heat_trace(spec, t)
+            assert abs(value - 2.0 * a0 / t) <= tail + 0.05
+            # and against the exact Fourier spectrum
+            exact = sum(
+                math.exp(-2.0 * math.pi ** 2 * (m * m + n * n) * t)
+                for m in range(-20, 21)
+                for n in range(-20, 21)
+            )
+            assert value == pytest.approx(exact, rel=0.02)
 
     def test_insufficient_spectrum_raises(self):
         sp = make_spectrum([0.0, 1.0, 2.0, 3.0])
-        with pytest.raises(InsufficientSpectrum):
+        with pytest.raises(InsufficientSpectrum, match=r"heat\.heat_trace"):
             heat_trace(sp, 1.0, M=10)
 
-    def test_growth_rate_positive(self):
-        sp = make_spectrum([0.0, 0.01, 1.0, 1.5, 2.2, 2.9, 3.4])
-        B, n0 = spectral_growth_rate(sp)
-        k = np.arange(1, 8)
-        ev = sp.eigenvalues
-        assert B > 0
-        assert all(ev[i] >= B * math.sqrt(k[i] - n0) - 1e-12 for i in range(n0, 7))
+
+class TestDenseOracle:
+    """Reported values and tails against the full spectrum of a small pencil."""
+
+    @pytest.fixture(scope="class")
+    def pencil(self):
+        # area 20 brings the eigenvalues down to about |n|^2, so the tails
+        # are of order one at small k
+        pb = assemble(flat_torus_mesh(12, area=20.0))
+        full = scipy.linalg.eigh(
+            pb.stiffness.toarray(), np.diag(pb.mass), eigvals_only=True
+        )
+        return pb, full
+
+    @pytest.mark.parametrize("k", [10, 30, 60])
+    def test_reported_value_plus_unseen_sum_is_full_sum(self, pencil, k):
+        pb, full = pencil
+        spec = solve_smallest(pb, k)
+        value, tail = partial_torsion_large_time(spec, h0=1, tail_tol=math.inf)
+        unseen = float(scipy.special.exp1(full[k:]).sum())
+        whole = float(scipy.special.exp1(full[1:]).sum())
+        assert value + unseen == pytest.approx(whole, rel=1e-9)
+        assert unseen <= tail
+        for t in (0.1, 1.0, 10.0):
+            value, tail = heat_trace(spec, t)
+            unseen = float(np.exp(-t * full[k:]).sum())
+            assert value + unseen == pytest.approx(float(np.exp(-t * full).sum()), rel=1e-9)
+            assert unseen <= tail
 
 
 class TestPartialTorsion:
     def test_single_unit_eigenvalue(self):
         sp = make_spectrum([0.0, 1.0] + [10.0 + 5 * j for j in range(40)])
         v, tail = partial_torsion_large_time(sp, h0=1)
-        contrib_rest = sum(exp_integral_e1(l) for l in sp.eigenvalues[2:])
+        contrib_rest = float(scipy.special.exp1(sp.eigenvalues[2:]).sum())
         assert v == pytest.approx(0.219384 + contrib_rest, abs=1e-6)
-        assert tail < 1e-3
+        assert tail == pytest.approx(958 * math.exp(-205.0) / 205.0)
 
     def test_empty_positive_spectrum(self):
-        sp = make_spectrum([0.0, 0.0])
+        sp = make_spectrum([0.0, 0.0], dimension=2)
         v, tail = partial_torsion_large_time(sp, h0=2)
         assert (v, tail) == (0.0, 0.0)
 
@@ -133,6 +158,21 @@ class TestPartialTorsion:
         assert d1 == pytest.approx(math.log(100), rel=3e-3)
         assert d2 == pytest.approx(math.log(100), rel=1e-4)
 
+    def test_failure_names_layer_and_input(self):
+        # four eigenvalues of a 10000-dimensional pencil, lambda_k = 1.5
+        sp = make_spectrum([0.0, 0.5, 1.0, 1.5], dimension=10_000)
+        with pytest.raises(InsufficientSpectrum) as err:
+            partial_torsion_large_time(sp)
+        tail = 9996 * math.exp(-1.5) / 1.5
+        for part in ("heat.partial_torsion_large_time(V=10000, k=4, h0=1)",
+                     f"{tail:.3e}", "lambda_k = 1.5 ", "tail_tol = 0.01"):
+            assert part in str(err.value)
+
+    def test_unseen_spectrum_above_zero_window_raises(self):
+        sp = make_spectrum([0.0, 0.0], dimension=3)
+        with pytest.raises(InsufficientSpectrum, match="inf"):
+            partial_torsion_large_time(sp, h0=2)
+
 
 class TestExtractionCheck:
     def test_synthetic_inverse_log_spectrum_converges(self):
@@ -149,9 +189,9 @@ class TestExtractionCheck:
         chk = small_ev_extraction_check(np.array(torsions), spectra, n_small=1)
         # residual drift is the E1 remainder O(lambda_1) ~ 0.04 here
         assert chk.variation < 0.05
-        fixed_part = sum(exp_integral_e1(l) for l in base)
+        fixed_part = float(scipy.special.exp1(base).sum())
         # series -> fixed torsion part - gamma as the small mode vanishes
-        assert chk.series[-1] == pytest.approx(fixed_part - EULER_GAMMA, abs=0.05)
+        assert chk.series[-1] == pytest.approx(fixed_part - np.euler_gamma, abs=0.05)
 
     def test_no_degeneration_series_is_torsion(self):
         base = [1.0 + 0.5 * j for j in range(40)]
@@ -167,4 +207,4 @@ class TestExtractionCheck:
     def test_gamma_compensation_identity(self):
         # int_1^inf e^{-t}dt/t + int_0^1 (e^{-t}-1)dt/t = -gamma
         second = quad(lambda t: (math.exp(-t) - 1.0) / t, 0.0, 1.0)[0]
-        assert exp_integral_e1(1.0) + second == pytest.approx(-EULER_GAMMA, abs=1e-12)
+        assert e1_by_torsion(1.0) + second == pytest.approx(-np.euler_gamma, abs=1e-12)

@@ -631,7 +631,7 @@ def _spectrum(evs, s):
     return Spectrum(
         eigenvalues=evs,
         residual_norms=np.zeros_like(evs),
-        k=len(evs),
+        dimension=len(evs),
         s=s,
         zero_threshold=1e-12,
     )

@@ -13,10 +13,11 @@ from pinchlab.errors import NoConvergence, NonFiniteEntry
 from pinchlab.family import MetricKind, three_cycle_family, two_sphere_family
 from pinchlab.laplace import (
     SpectralProblem,
+    WeightField,
+    _band_cholesky,
     assemble,
     assemble_weighted,
     component_bundle_weight,
-    neutral_weight,
     solve_smallest,
 )
 from pinchlab.mesh import (
@@ -27,7 +28,22 @@ from pinchlab.mesh import (
     mesh_fiber,
     unit_sphere_mesh,
 )
-from pinchlab.verify import SWEEP_PARAMS, TORSION_GRID
+from pinchlab.verify import DEFAULT_GRID, SWEEP_PARAMS, TORSION_GRID
+
+
+def neutral_weight(mesh):
+    """Unit weight with zero curvature density: the oracle that
+    ``assemble_weighted`` reproduces ``assemble``."""
+    return WeightField(
+        weights=np.ones(mesh.F),
+        curvature_density=np.zeros(mesh.F),
+        chart_areas=component_bundle_weight(mesh).chart_areas,
+    )
+
+
+def sweep_shift(pb):
+    """The shift ``solve_smallest`` factors at: -0.01 * 2 pi / sum(M)."""
+    return -0.02 * math.pi / float(pb.mass.sum())
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +175,95 @@ class TestSolveSmallest:
         assert base.shift < 0
 
 
+class TestZeroThreshold:
+    """The zero threshold is 1e-10 * 2 pi / sum(M), on the spectrum's
+    scale: it does not grow with the neck as the finest triangles do."""
+
+    @pytest.fixture(scope="class", params=[1.0, 4.0], ids=["scale1", "scale4"])
+    def deep_spectrum(self, request):
+        s = 1e-20
+        m = mesh_fiber(two_sphere_family(request.param), MetricKind.INDUCED, s,
+                       SWEEP_PARAMS)
+        return solve_smallest(assemble(m), 3, s=s, seed=2)
+
+    def test_deep_fiber_has_one_zero_mode(self, deep_spectrum):
+        assert deep_spectrum.numerically_zero().sum() == 1
+
+    def test_sylvester_point_positive(self, deep_spectrum):
+        # mu of the inertia count; the count is vacuous once it drops below 0
+        lam_k = deep_spectrum.eigenvalues[-1]
+        assert lam_k > 0
+        assert lam_k - (1e-8 * abs(lam_k) + deep_spectrum.zero_threshold) > 0
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3])
+    def test_mass_scaling_divides_threshold(self, torus_problem, c):
+        scaled = SpectralProblem(stiffness=torus_problem.stiffness,
+                                 mass=c * torus_problem.mass,
+                                 dimension=torus_problem.dimension)
+        base = solve_smallest(torus_problem, 2).zero_threshold
+        assert solve_smallest(scaled, 2).zero_threshold == pytest.approx(base / c,
+                                                                         rel=1e-14)
+
+
+class TestBandCholesky:
+    """The shift-invert factor: a band Cholesky in Cuthill-McKee
+    order, against dense solves, its bandwidth on the fibers the sweeps
+    and the torsion suite mesh, and its failure on an indefinite input."""
+
+    @pytest.mark.parametrize("which", ["two-sphere", "three-cycle", "sphere-union"])
+    def test_solve_matches_dense(self, which):
+        if which == "sphere-union":  # two components: a disconnected graph
+            half = unit_sphere_mesh(8, 16, radius=0.5)
+            m = disjoint_union([half, half])
+        else:
+            fam = two_sphere_family() if which == "two-sphere" else three_cycle_family()
+            m = mesh_fiber(fam, MetricKind.INDUCED, 1e-6)
+        pb = assemble(m)
+        sigma = sweep_shift(pb)
+        solve, _ = _band_cholesky(pb.stiffness, pb.mass, sigma)
+        rhs = np.random.default_rng(0).standard_normal((m.V, 2))
+        dense = np.linalg.solve(pb.stiffness.toarray() - sigma * np.diag(pb.mass), rhs)
+        for j in range(2):
+            x = solve(rhs[:, j])
+            assert np.linalg.norm(x - dense[:, j]) <= 1e-10 * np.linalg.norm(dense[:, j])
+
+    def test_bandwidth_at_most_three_rings(self):
+        # a fiber is a stack of rings of angular_count vertices: the band
+        # stays three rings wide on a cycle of components and one on a
+        # path, at any depth, so the factor is O(V b^2).  The deepest
+        # torsion fiber's band was three rings from a mid-neck start.
+        params = SweepPlan(family="two-sphere").mesh_params
+        fibers = [(fam, s, params, rings)
+                  for fam, rings in ((two_sphere_family(), 1), (three_cycle_family(), 3))
+                  for s in DEFAULT_GRID]
+        fibers.append((two_sphere_family(4.0), float(TORSION_GRID[-1]), SWEEP_PARAMS, 1))
+        for fam, s, p, rings in fibers:
+            pb = assemble(mesh_fiber(fam, MetricKind.INDUCED, s, p))
+            _, b = _band_cholesky(pb.stiffness, pb.mass, sweep_shift(pb))
+            assert b <= 3 * p.angular_count + 1, (s, pb.dimension, b)
+            assert b <= rings * p.angular_count + 2, (s, pb.dimension, b)
+
+    def test_indefinite_input_names_layer_and_input(self, torus_problem):
+        # K - 5 M has negative eigenvalues, so K - 5 M - sigma M is not definite
+        pb = torus_problem
+        shifted = SpectralProblem(stiffness=(pb.stiffness - sp.diags(5.0 * pb.mass)).tocsr(),
+                                  mass=pb.mass, dimension=pb.dimension)
+        _, b = _band_cholesky(pb.stiffness, pb.mass, sweep_shift(pb))
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            solve_smallest(shifted, 3)
+        msg = str(err.value)
+        for part in ("laplace.solve_smallest(V=576)", f"half-bandwidth {b}",
+                     f"sigma = {sweep_shift(pb):.6g}", "failed at pivot "):
+            assert part in msg
+
+    def test_spectrum_records_bandwidth(self, fiber_mesh):
+        pb = assemble(fiber_mesh)
+        spec = solve_smallest(pb, 3)
+        _, b = _band_cholesky(pb.stiffness, pb.mass, spec.shift)
+        assert spec.factor_bandwidth == b
+        assert 0 < b <= 3 * 16 + 1  # default MeshParams.angular_count
+
+
 class TestShiftInvertWork:
     """Work counts, not clock times: the first rung passes within three
     times the applications of (K - sigma M)^-1 measured with the shift on
@@ -167,7 +272,7 @@ class TestShiftInvertWork:
     def test_three_cycle_pair_stall_input(self):
         # default sweep fiber 10 (s = 5.3e-10), plan seed 6002000: exactly
         # degenerate pairs.  73 applications; 4476 (26 s) with the default
-        # ncv, a general LU and the shift -1e-6 * reference_scale
+        # ncv, a general LU and the shift -1e-6 * median(diag(K) / M)
         plan = SweepPlan(family="three-cycle", num_ev=5, seed=6002000)
         m = mesh_fiber(three_cycle_family(), MetricKind.INDUCED,
                        plan.s_grid[10], plan.mesh_params)
@@ -178,7 +283,7 @@ class TestShiftInvertWork:
     def test_deep_torsion_pencils(self):
         # V = 8546, the deepest torsion fiber, at the benchmark's k = 150:
         # 493 applications for each pencil (879 with the shift
-        # -1e-6 * reference_scale)
+        # -1e-6 * median(diag(K) / M))
         s = float(TORSION_GRID[11])
         m = mesh_fiber(two_sphere_family(4.0), MetricKind.INDUCED, s, SWEEP_PARAMS)
         assert m.V == 8546

@@ -1,18 +1,17 @@
 """Command line: sweeps, fits, period reports, verification tables.
 
 Reports are plain UTF-8 with LF line endings: CSV for series, JSON for
-structured results, each carrying a versioned ``schema`` marker.  All
-randomness derives from the plan seed; fibers fan out to a process pool
-and results are order-normalized (by s, then eigenvalue index) before
-the single writer emits them, so worker count never changes the output.
+structured results, each carrying a versioned ``schema`` marker.  A sweep
+runs through ``verify.solve_fibers``, which seeds each fiber from the
+plan seed and its index and fans the fibers out to a process pool; rows
+are order-normalized (by s, then eigenvalue index) before the single
+writer emits them, so worker count never changes the output.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +26,9 @@ from .fitting import (
     fit_power_of_log,
     product_law_check,
 )
-from .laplace import assemble, solve_smallest
 from .mesh import MeshParams, mesh_fiber
 from .periods import det_growth_fit, plumbing_twisted_gram, plumbing_untwisted_gram
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, solve_fibers
 
 SWEEP_SCHEMA = "pinchlab-sweep-v1"
 RUN_SCHEMA = "pinchlab-run-v1"
@@ -115,56 +113,25 @@ def _metric_kind(plan_metric: str | None, config_metric: MetricKind | None
     return config_metric or MetricKind.INDUCED
 
 
-def _fiber_task(args):
-    """Solve one fiber; returns (index, rows, error-or-None).
-
-    Runs inside worker processes, so everything is rebuilt from plain
-    picklable values and the seed depends only on the plan seed and the
-    fiber index.
-    """
-    index, family_ref, metric_name, s, num_ev, density, seed = args
-    t0 = time.perf_counter()
-    try:
-        fam, cfg_metric = resolve_family(family_ref)
-        kind = _metric_kind(metric_name, cfg_metric)
-        mesh = mesh_fiber(fam, kind, s, _mesh_params(density))
-        spec = solve_smallest(assemble(mesh), num_ev, s=s,
-                              seed=seed * 100003 + index)
-        seconds = time.perf_counter() - t0
-        rows = [
-            (float(s), k, float(spec.eigenvalues[k]),
-             float(spec.residual_norms[k]), mesh.V, seconds)
-            for k in range(num_ev)
-        ]
-        return index, rows, None
-    except Exception as exc:  # recorded, the sweep continues
-        return index, [], f"{type(exc).__name__}: {exc}"
-
-
 def cmd_sweep(plan: SweepPlan) -> RunReport:
     """Run the sweep, write the CSV, and return the aggregated report."""
     fam, cfg_metric = resolve_family(plan.family)
     kind = _metric_kind(plan.metric, cfg_metric)
-    tasks = [
-        (i, plan.family, plan.metric, float(s), plan.num_ev,
-         plan.mesh_density, plan.seed)
-        for i, s in enumerate(plan.s_grid)
-    ]
-    if plan.workers == 1:
-        results = [_fiber_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            results = list(pool.map(_fiber_task, tasks))
+    records = solve_fibers(fam, kind, plan.s_grid, plan.num_ev,
+                           plan.mesh_params, plan.seed, plan.workers)
 
     report = RunReport(family=plan.family, metric=kind.value,
                        n_components=len(fam.components), seed=plan.seed)
-    for index, rows, error in sorted(results):
-        if error is not None:
-            report.failures.append({"index": index,
-                                    "s": float(plan.s_grid[index]),
-                                    "error": error})
-        else:
-            report.rows.extend(rows)
+    for index, rec in enumerate(records):
+        if rec.error is not None:
+            report.failures.append({"index": index, "s": rec.s,
+                                    "error": rec.error})
+            continue
+        spec = rec.spectrum
+        report.rows.extend(
+            (rec.s, k, float(spec.eigenvalues[k]),
+             float(spec.residual_norms[k]), spec.dimension, rec.seconds)
+            for k in range(plan.num_ev))
     report.rows.sort(key=lambda r: (-r[0], r[1]))
 
     lines = [

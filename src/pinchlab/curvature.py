@@ -55,14 +55,18 @@ def factor_curvature(factor_fn, z, h):
     return -lap / f0
 
 
-def _chart_step(point: ChartPoint, s: complex, step_scale: float) -> np.ndarray:
+#: Finite-difference step relative to |x| (to max(|x|, 0.1) on caps).
+STEP_SCALE = 2e-3
+
+
+def _chart_step(point: ChartPoint, s: complex) -> np.ndarray:
     """Largest admissible FD step at each point, scaled to |x|."""
     r = np.abs(point.coord)
     if point.chart[0] == "cap":
-        h = np.minimum(step_scale * np.maximum(r, 0.1), (1.0 - r) / 2.5)
+        h = np.minimum(STEP_SCALE * np.maximum(r, 0.1), (1.0 - r) / 2.5)
     else:
         abs_s = abs(s)
-        h = np.minimum(np.minimum(step_scale * r, (1.0 - r) / 2.5), 0.4 * r)
+        h = np.minimum(np.minimum(STEP_SCALE * r, (1.0 - r) / 2.5), 0.4 * r)
         if abs_s > 0.0:
             h = np.minimum(h, (r - abs_s) / 2.5)
     bad = ~((h > 0.0) & np.isfinite(h))
@@ -79,11 +83,10 @@ def gauss_curvature(
     kind: MetricKind,
     point: ChartPoint,
     s: complex,
-    step_scale: float = 2e-3,
 ):
     """Gauss curvature of the metric at the chart point(s) of the fiber X_s
     (``point.coord`` a scalar or an array in one chart)."""
-    h = _chart_step(point, s, step_scale)
+    h = _chart_step(point, s)
 
     def factor(z):
         return conformal_factor(family, kind, ChartPoint(point.chart, z), s)
@@ -144,10 +147,9 @@ def min_curvature_sweep(
     family: DegenerationFamily,
     kind: MetricKind,
     s_grid,
-    neck_samples_per_decade: int = 16,
-    component_samples: int = 40,
 ) -> MinCurvatureReport:
-    """Minimum of K over neck sample grids plus component samples, per s.
+    """Minimum of K over neck sample grids (16 radii per decade) plus 40
+    radii on each cap, per s.
 
     The divergence exponent is fitted (least squares on log(-min K)
     against log(1/s)) and reported without being asserted.
@@ -158,11 +160,11 @@ def min_curvature_sweep(
     # no cap chart on two-node components
     charts += [("cap", comp.id) for comp in family.components
                if len(comp.marked_points) <= 1]
-    cap_radii = np.linspace(0.0, 0.95, component_samples) + 0j
+    cap_radii = np.linspace(0.0, 0.95, 40) + 0j
     mins, argmins, comp_max = [], [], []
     for s in s_grid:
         best, best_pt, top = math.inf, None, -math.inf
-        n = max(8, int(neck_samples_per_decade * math.log10(1.0 / s)))
+        n = max(8, int(16 * math.log10(1.0 / s)))
         neck_radii = np.exp(np.linspace(math.log(s) + 1e-3, -1e-3, n)) + 0j
         for chart in charts:
             z = neck_radii if chart[0] == "neck" else cap_radii
@@ -351,9 +353,9 @@ def _radial_total(family: DegenerationFamily, kind: MetricKind,
 def nodal_defect(
     family: DegenerationFamily,
     eps_grid,
-    kind: MetricKind = MetricKind.INDUCED,
 ) -> DefectReport:
-    """Limit of the curvature integral of X_0 minus eps-balls at the nodes.
+    """Limit of the induced curvature integral of X_0 minus eps-balls at
+    the nodes.
 
     Compared against 2 pi chi(X_s) and against the normalization value
     2 pi (chi(X_0~) + sum_q (N_q - 1)) with N_q = 1 at nodal branches;
@@ -362,6 +364,7 @@ def nodal_defect(
     eps_grid = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
     if eps_grid.size < 2 or eps_grid.min() <= 0 or eps_grid.max() >= 0.5:
         raise ValueError("need at least two ball radii in (0, 1/2)")
+    kind = MetricKind.INDUCED
     values = []
     for eps in eps_grid:
         total = 0.0

@@ -121,7 +121,6 @@ class DegenerationFamily:
     nodes: tuple[NodeSpec, ...]
     N: int
     g: int
-    nu: int = 1
     kind: str = "plumbing"
     d: int = 0
     scale: float = 1.0
@@ -149,7 +148,6 @@ class DegenerationFamily:
             nodes=self.nodes,
             N=self.N,
             g=self.g,
-            nu=self.nu,
             kind=self.kind,
             d=self.d,
             scale=scale,
@@ -207,8 +205,8 @@ def build_plumbing(
 
     b1 = len(nds) - len(comps) + 1
     return DegenerationFamily(
-        components=comps, nodes=nds, N=len(comps), g=b1, nu=1,
-        kind="plumbing", scale=scale,
+        components=comps, nodes=nds, N=len(comps), g=b1, kind="plumbing",
+        scale=scale,
     )
 
 
@@ -448,25 +446,11 @@ class FermatAtlas:
         return _nth_roots(-self.s, self.d)
 
     def genus(self) -> int:
-        """Genus from the Euler characteristic of a lifted triangulation.
-
-        A small base triangulation of the sphere (branch values plus the
-        two projection poles, fanned) is lifted through the d-sheeted
-        cover; branch vertices have a single preimage, everything else
-        lifts d times.
-        """
+        """(d-1)(d-2)/2 for a smooth plane curve of degree d; 0 at s = 0
+        (d lines) and for d < 2."""
         if self.s == 0 or self.d < 2:
             return 0
-        B = self.d  # branch points, each with full ramification
-        V_base, E_base, F_base = B + 2, 3 * B, 2 * B
-        assert V_base - E_base + F_base == 2
-        V = self.d * (V_base - B) + B
-        E = self.d * E_base
-        F = self.d * F_base
-        chi = V - E + F
-        if (2 - chi) % 2:
-            raise UnresolvedChartOverlap("lifted complex has odd Euler defect")
-        return (2 - chi) // 2
+        return (self.d - 1) * (self.d - 2) // 2
 
     @property
     def component_count(self) -> int:
@@ -539,7 +523,7 @@ def fermat_family(d: int, s_dummy: float = 0.0) -> DegenerationFamily:
     )
     g = (d - 1) * (d - 2) // 2
     return DegenerationFamily(
-        components=comps, nodes=(), N=d, g=g, nu=1, kind="fermat", d=d,
+        components=comps, nodes=(), N=d, g=g, kind="fermat", d=d,
     )
 
 

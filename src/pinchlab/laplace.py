@@ -131,15 +131,15 @@ def _chart_areas(mesh: TriangleMesh) -> np.ndarray:
     return 0.5 * np.abs(u.real * v.imag - u.imag * v.real)
 
 
-def component_bundle_weight(mesh: TriangleMesh, beta: float = 1.0) -> WeightField:
+def component_bundle_weight(mesh: TriangleMesh) -> WeightField:
     """Weight modeling a metric that is flat near nodes and strictly
     subharmonic on component interiors.
 
-    Per local chart the potential is ``beta * log((1+rho^2)/(5/4))`` on
-    the component side (cap charts, and neck charts at branch radius
+    Per local chart the potential is ``log((1+rho^2)/(5/4))`` on the
+    component side (cap charts, and neck charts at branch radius
     rho >= 1/2), continuous across seams, and identically zero on the
-    pure neck; its quarter-Laplacian ``beta/(1+rho^2)^2`` is the
-    curvature density.
+    pure neck; its quarter-Laplacian ``1/(1+rho^2)^2`` is the curvature
+    density.
     """
     cent = mesh.tri_coords.mean(axis=1)
     rho = np.abs(cent)
@@ -147,10 +147,8 @@ def component_bundle_weight(mesh: TriangleMesh, beta: float = 1.0) -> WeightFiel
         (ch[0] == "cap" for ch in mesh.tri_chart), dtype=bool, count=mesh.F
     )
     interior = is_cap | (rho >= 0.5)
-    phi = np.where(
-        interior, beta * np.log((1.0 + rho ** 2) / 1.25), 0.0
-    )
-    density = np.where(interior, beta / (1.0 + rho ** 2) ** 2, 0.0)
+    phi = np.where(interior, np.log((1.0 + rho ** 2) / 1.25), 0.0)
+    density = np.where(interior, 1.0 / (1.0 + rho ** 2) ** 2, 0.0)
     return WeightField(
         weights=np.exp(-phi),
         curvature_density=density,

@@ -11,8 +11,8 @@ measured with array operations: the metric is called once per chart, on
 all the edges whose first incident triangle lies in that chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
-meshes used to pin down conventions, an independent quadrature for fiber
-areas, and a plain-text OFF-style dump.
+meshes used to pin down conventions, and an independent quadrature for
+fiber areas.
 """
 from __future__ import annotations
 
@@ -40,15 +40,12 @@ class MeshParams:
 
     rings_per_decade: int = 8
     angular_count: int = 16
-    component_target_h: float = 0.12
 
     def __post_init__(self) -> None:
         if self.rings_per_decade < 8:
             raise ValueError("rings_per_decade must be >= 8")
         if self.angular_count < 16:
             raise ValueError("angular_count must be >= 16")
-        if self.component_target_h <= 0:
-            raise ValueError("component_target_h must be positive")
 
 
 def _circular_midpoint(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -370,10 +367,14 @@ class _RingStack:
         )
 
 
-def _cap_radii(comp: ComponentSurface, scale: float, h: float) -> np.ndarray:
+#: Target arc length between latitude rings on a cap.
+CAP_RING_SPACING = 0.12
+
+
+def _cap_radii(comp: ComponentSurface, scale: float) -> np.ndarray:
     """Latitude-uniform cap rings: radius tan of half the colatitude."""
     arc = 0.5 * math.pi * comp.radius * math.sqrt(scale)
-    J = max(3, math.ceil(arc / h))
+    J = max(3, math.ceil(arc / CAP_RING_SPACING))
     lat = 0.5 * math.pi * np.arange(1, J + 1) / J
     return np.tan(0.5 * lat)
 
@@ -504,7 +505,7 @@ def mesh_fiber(
     first_comp = family.component(comp_order[0])
     if not is_cycle:
         # opening cap: rings from near the pole out to the seam |x| = 1
-        cap_r = _cap_radii(first_comp, family.scale, params.component_target_h)
+        cap_r = _cap_radii(first_comp, family.scale)
         extend(("cap", first_comp.id), list(cap_r), reuse_first=False)
 
     for i, (node, branch) in enumerate(node_order):
@@ -526,7 +527,7 @@ def mesh_fiber(
     if not is_cycle:
         # closing cap: rings from the seam |x| = 1 back toward the pole
         last_comp = family.component(comp_order[-1])
-        cap_r = _cap_radii(last_comp, family.scale, params.component_target_h)
+        cap_r = _cap_radii(last_comp, family.scale)
         extend(("cap", last_comp.id), list(cap_r[::-1]), reuse_first=True)
 
     for chart, lo, hi in bands:
@@ -649,7 +650,7 @@ def disjoint_union(meshes: Sequence[TriangleMesh]) -> TriangleMesh:
 
 
 # ---------------------------------------------------------------------------
-# independent area quadrature and mesh dump
+# independent area quadrature
 # ---------------------------------------------------------------------------
 
 def fiber_area_quadrature(
@@ -686,25 +687,3 @@ def fiber_area_quadrature(
             val, _ = quad(f, 0.0, 1.0, limit=200)
             total += 2.0 * math.pi * val
     return total
-
-
-def dump_off(mesh: TriangleMesh, path: str) -> None:
-    """Plain-text OFF-style dump plus a sidecar of intrinsic edge lengths.
-
-    Vertex lines carry the first-incidence chart coordinate (x, y, 0);
-    the sidecar ``path + '.lengths'`` lists one ``u v length`` line per
-    edge.
-    """
-    charts = mesh.vertex_charts()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.V} {mesh.F} {mesh.E}\n")
-        for chart, coord in charts:
-            fh.write(f"{coord.real:.17g} {coord.imag:.17g} 0\n")
-        for f in range(mesh.F):
-            v = mesh.triangles[f]
-            fh.write(f"3 {v[0]} {v[1]} {v[2]}\n")
-    with open(path + ".lengths", "w", encoding="utf-8", newline="\n") as fh:
-        for e in range(mesh.E):
-            u, v = mesh.edges[e]
-            fh.write(f"{u} {v} {mesh.edge_lengths[e]:.17g}\n")

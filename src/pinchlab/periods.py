@@ -17,7 +17,6 @@ annulus_log_integral is kept as the closed form's test oracle.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -34,11 +33,8 @@ from .family import DegenerationFamily, INF_POINT, _smoothstep, is_inf_point
 
 #: Annulus log prefactor: sqrt(-1) * Int_{|t|<=|x|<=1} dx wedge dxbar / |x|^2
 #: = KAPPA * log(1/|t|).  Direct polar computation and the quadrature
-#: oracle agree on 4*pi (= 2*pi per unit of log|t|^{-2}); the competing
-#: candidate 8*pi (4*pi per unit of log|t|^{-2}) is recorded for reports
-#: but not used.
+#: oracle agree on 4*pi (= 2*pi per unit of log|t|^{-2}).
 KAPPA = 4.0 * math.pi
-KAPPA_CANDIDATE_REJECTED = 8.0 * math.pi
 
 #: Node chart disks kept out of component-interior regions have this
 #: radius; annulus integrals run in the rescaled coordinate x/RHO.
@@ -616,35 +612,6 @@ class PeriodGram:
             worst = min(worst, float(np.linalg.eigvalsh(m).min()))
         return worst
 
-    def to_json(self, path: str) -> None:
-        payload = {
-            "schema": "pinchlab-gram-v1",
-            "twisted": self.twisted,
-            "labels": self.labels,
-            "entries": [
-                {
-                    "t": abs(complex(t)),
-                    "matrix_re": np.real(m).tolist(),
-                    "matrix_im": np.imag(m).tolist(),
-                }
-                for t, m in zip(self.t_grid, self.matrices)
-            ],
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=1)
-
-    @classmethod
-    def from_json(cls, path: str) -> "PeriodGram":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        ts = np.array([e["t"] for e in payload["entries"]])
-        mats = [
-            np.array(e["matrix_re"]) + 1j * np.array(e["matrix_im"])
-            for e in payload["entries"]
-        ]
-        return cls(t_grid=ts, matrices=mats, twisted=payload["twisted"],
-                   labels=payload.get("labels", []))
-
 
 def plumbing_gram(
     family: DegenerationFamily,
@@ -741,15 +708,9 @@ def fit_log_asymptotics(gram: PeriodGram) -> LogAsymptoticFit:
     return LogAsymptoticFit(a=a, b=b, residual=worst)
 
 
-def det_growth_fit(t_grid, dets: np.ndarray | None = None) -> tuple[float, int, float]:
-    """Least-squares slope of log det against loglog(1/|t|).
-
-    Accepts either (t_grid, determinants) or a PeriodGram.  Returns
-    (slope, nearest integer, deviation from it).
-    """
-    if isinstance(t_grid, PeriodGram):
-        dets = t_grid.determinants()
-        t_grid = t_grid.t_grid
+def det_growth_fit(t_grid, dets: np.ndarray) -> tuple[float, int, float]:
+    """Least-squares slope of log det against loglog(1/|t|): (slope,
+    nearest integer, deviation from it)."""
     t_abs = np.abs(np.asarray(t_grid, dtype=complex))
     dets = np.asarray(dets, dtype=float)
     if len(t_abs) < 8 or (np.log10(t_abs.max() / t_abs.min())) < 4 - 1e-9:

@@ -21,13 +21,14 @@ from .laplace import SpectralProblem
 from .mesh import TriangleMesh
 
 
-def cutoff_epsilon(s: complex, nu: int = 1) -> float:
-    """eps(s) = 2|s|^(1/(8 nu)), clamped to 1/4 to stay inside the neck
-    chart.  The ramp supports of adjacent components must stay disjoint,
-    which needs eps^2 >= |s|."""
+def cutoff_epsilon(s: complex) -> float:
+    """eps(s) = 2|s|^(1/8), clamped to 1/4 to stay inside the neck chart
+    (the paper's 2|s|^(1/(8 nu)) on a reduced fiber, nu = 1).  The ramp
+    supports of adjacent components must stay disjoint, which needs
+    eps^2 >= |s|."""
     if s == 0:
         raise EpsilonOutOfRange("cut-offs need a smooth fiber (s != 0)")
-    eps = min(2.0 * abs(s) ** (1.0 / (8.0 * nu)), 0.25)
+    eps = min(2.0 * abs(s) ** 0.125, 0.25)
     if eps ** 2 < abs(s):
         raise EpsilonOutOfRange(
             f"eps^2 = {eps ** 2:.3g} < |s| = {abs(s):.3g}: ramp supports overlap"

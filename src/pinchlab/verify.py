@@ -5,11 +5,16 @@ guarantees (solver oracles, eigenvalue laws, torsion, periods, the
 eigenvalue-product identity, curvature) and reports them as rows with a
 PASS/FAIL verdict.  Expensive sweeps are memoized at module level so the
 command-line `verify` runner and the acceptance tests share work.
+
+Every sweep, here and in ``pinchlab sweep``, runs through
+``solve_fibers``: mesh, pencil and eigensolve per fiber, fiber i seeded
+with ``seed * 100003 + i``, in-process or in a process pool.
 """
 from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +26,10 @@ from .curvature import (
     min_curvature_sweep,
     nodal_defect,
 )
+from .errors import PinchlabError
 from .family import (
     FAMILY_PRESETS,
+    DegenerationFamily,
     MetricKind,
     neck_core_length,
     three_cycle_family,
@@ -32,6 +39,7 @@ from .fitting import SweepSeries, fit_power_of_log, product_law_check
 from .heat import partial_torsion_large_time, small_ev_extraction_check
 from .laplace import (
     SpectralProblem,
+    Spectrum,
     assemble,
     assemble_weighted,
     component_bundle_weight,
@@ -108,25 +116,73 @@ def _memo(key, fn):
     return _CACHE[key]
 
 
+@dataclass
+class FiberRecord:
+    """One fiber of a sweep: its spectra, or the error that stopped it."""
+
+    s: float
+    spectrum: Spectrum | None
+    weighted: Spectrum | None  # bundle-weighted pencil on the same mesh
+    seconds: float
+    error: str | None  # "Type: message"; strings cross a process pool
+
+
+def _solve_fiber(args) -> FiberRecord:
+    """Mesh, assemble and solve one fiber; the mesh and the pencils are
+    dropped on return."""
+    family, kind, s, k, params, seed, weighted = args
+    t0 = time.perf_counter()
+    try:
+        mesh = mesh_fiber(family, kind, s, params)
+        spectrum = solve_smallest(assemble(mesh), k, s=s, seed=seed)
+        bundle = None
+        if weighted:
+            pbw = assemble_weighted(mesh, component_bundle_weight(mesh))
+            bundle = solve_smallest(pbw, k, s=s, seed=seed)
+        return FiberRecord(s, spectrum, bundle, time.perf_counter() - t0, None)
+    except Exception as exc:  # recorded; the caller decides
+        return FiberRecord(s, None, None, time.perf_counter() - t0,
+                           f"{type(exc).__name__}: {exc}")
+
+
+def solve_fibers(family: DegenerationFamily, kind: MetricKind, grid, k: int,
+                 params: MeshParams = SWEEP_PARAMS, seed: int = 0,
+                 workers: int = 1, weighted: bool = False) -> list[FiberRecord]:
+    """The k smallest eigenvalues of every fiber of the grid, in grid order
+    (and of the bundle-weighted pencil if ``weighted``).
+
+    Fiber i's solver seed is ``seed * 100003 + i``, so the records depend
+    on neither the worker count nor the caller.  ``workers > 1`` runs the
+    fibers in a process pool."""
+    tasks = [(family, kind, float(s), k, params, seed * 100003 + i, weighted)
+             for i, s in enumerate(grid)]
+    if workers == 1:
+        return [_solve_fiber(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_solve_fiber, tasks))
+
+
 def eigen_sweep(name: str, kind: MetricKind, grid: np.ndarray, num_ev: int,
-                scale: float = 1.0, params: MeshParams = SWEEP_PARAMS):
-    """Smallest eigenvalues along a sweep, one seeded solve per fiber."""
-    key = ("eigen", name, kind.value, tuple(grid), num_ev, scale,
-           params.rings_per_decade, params.angular_count)
+                scale: float = 1.0, weighted: bool = False) -> list[FiberRecord]:
+    """``solve_fibers`` over a preset family at seed 0, memoized; raises
+    on a failed fiber."""
+    key = ("eigen", name, kind.value, tuple(grid), num_ev, scale, weighted)
 
     def run():
-        fam = FAMILY_PRESETS[name](scale)
-        specs = []
-        for i, s in enumerate(grid):
-            pb = assemble(mesh_fiber(fam, kind, s, params))
-            specs.append(solve_smallest(pb, num_ev, s=s, seed=i))
-        return specs
+        records = solve_fibers(FAMILY_PRESETS[name](scale), kind, grid, num_ev,
+                               weighted=weighted)
+        for i, rec in enumerate(records):
+            if rec.error is not None:
+                raise PinchlabError(
+                    f"verify: {name} {kind.value} sweep, k={num_ev}: fiber "
+                    f"s={rec.s:.6g} (seed {i}) failed: {rec.error}")
+        return records
 
     return _memo(key, run)
 
 
-def _lambda_series(specs, index: int) -> np.ndarray:
-    return np.array([sp.eigenvalues[index] for sp in specs])
+def _lambda_series(records, index: int) -> np.ndarray:
+    return np.array([rec.spectrum.eigenvalues[index] for rec in records])
 
 
 # ---------------------------------------------------------------------------
@@ -202,37 +258,26 @@ def suite_thm1() -> list[CriterionRow]:
 
 def _core_ring_length(mesh, s: complex) -> float:
     """Metric length of the vertex ring nearest |x| = sqrt|s| on the neck."""
-    root = math.sqrt(abs(s))
-    radii = np.unique(np.abs(np.concatenate(
-        [mesh.tri_coords[f] for f, ch in enumerate(mesh.tri_chart)
-         if ch[0] == "neck"]
-    )))
-    r0 = radii[np.abs(np.log(radii / root)).argmin()]
-    total, seen = 0.0, set()
-    for f, chart in enumerate(mesh.tri_chart):
-        if chart[0] != "neck":
-            continue
-        for j in range(3):
-            e = int(mesh.tri_edge[f, j])
-            if e in seen:
-                continue
-            p = mesh.tri_coords[f, (j + 1) % 3]
-            q = mesh.tri_coords[f, (j + 2) % 3]
-            if abs(abs(p) - r0) < 1e-9 * r0 and abs(abs(q) - r0) < 1e-9 * r0:
-                seen.add(e)
-                total += float(mesh.edge_lengths[e])
-    return total
+    charts, ids = mesh.chart_index()
+    neck = np.isin(ids, [c for c, chart in enumerate(charts) if chart[0] == "neck"])
+    radii = np.abs(mesh.tri_coords[neck])
+    ring = np.unique(radii)
+    r0 = ring[np.abs(np.log(ring / math.sqrt(abs(s)))).argmin()]
+    on = np.abs(radii - r0) < 1e-9 * r0
+    # edge j of a triangle joins its vertices j+1 and j+2
+    edges = np.unique(mesh.tri_edge[neck][on[:, [1, 2, 0]] & on[:, [2, 0, 1]]])
+    return float(mesh.edge_lengths[edges].sum())
 
 
 def suite_thm2() -> list[CriterionRow]:
     """Product law for the two degenerating eigenvalues of the 3-cycle."""
     grid = DEFAULT_GRID
-    specs = eigen_sweep("three-cycle", MetricKind.INDUCED, grid, 5)
-    lam = np.column_stack([_lambda_series(specs, 1), _lambda_series(specs, 2)])
+    records = eigen_sweep("three-cycle", MetricKind.INDUCED, grid, 5)
+    lam = np.column_stack([_lambda_series(records, 1), _lambda_series(records, 2)])
     res = product_law_check(grid, lam)
     rows = [_below("three-cycle compensated product max/min",
                    res.window["max_over_min"], 1.5)]
-    lam3 = _lambda_series(specs, 3)
+    lam3 = _lambda_series(records, 3)
     rows.append(_at_least("three-cycle lambda_3 persistence",
                           lam3.min() / lam3[0], 0.5))
     return rows
@@ -245,16 +290,16 @@ def suite_rayleigh() -> list[CriterionRow]:
     def violations():
         count = 0
         for name, grid, k in (
-            ("two-sphere", DEFAULT_GRID, 2),
+            ("two-sphere", DEFAULT_GRID, 3),  # thm1's sweep
             ("three-cycle", np.logspace(-4.0, -8.0, 3), 3),
         ):
             fam = FAMILY_PRESETS[name]()
-            for i, s in enumerate(grid):
+            records = eigen_sweep(name, MetricKind.INDUCED, grid, k)
+            small = slice(1, len(fam.components))
+            for s, rec in zip(grid, records):
                 mesh = mesh_fiber(fam, MetricKind.INDUCED, s, SWEEP_PARAMS)
-                pb = assemble(mesh)
-                bounds = rayleigh_upper_bound(pb, build_cutoffs(mesh, fam, s))
-                spec = solve_smallest(pb, k, s=s, seed=i)
-                count += int((bounds < spec.eigenvalues[1:k] - 1e-14).sum())
+                bounds = rayleigh_upper_bound(assemble(mesh), build_cutoffs(mesh, fam, s))
+                count += int((bounds < rec.spectrum.eigenvalues[small] - 1e-14).sum())
         return count
 
     rows.append(_within("upper-bound violations",
@@ -289,26 +334,16 @@ def suite_torsion() -> list[CriterionRow]:
 
     k = 60 pairs per fiber keep the certified torsion tail below 2e-3 on
     the deepest fiber; ``partial_torsion_large_time`` raises if not."""
-    grid = TORSION_GRID
-    scale, k = 4.0, 60
-
-    def data():
-        fam = two_sphere_family(scale)
-        specs, weighted = [], []
-        for i, s in enumerate(grid):
-            mesh = mesh_fiber(fam, MetricKind.INDUCED, s, SWEEP_PARAMS)
-            specs.append(solve_smallest(assemble(mesh), k, s=s, seed=i))
-            pbw = assemble_weighted(mesh, component_bundle_weight(mesh))
-            weighted.append(solve_smallest(pbw, k, s=s, seed=i))
-        return specs, weighted
-
-    specs, weighted = _memo(("torsion", tuple(grid), scale, k), data)
+    records = eigen_sweep("two-sphere", MetricKind.INDUCED, TORSION_GRID, 60,
+                          scale=4.0, weighted=True)
+    specs = [rec.spectrum for rec in records]
     torsions = np.array([partial_torsion_large_time(sp)[0] for sp in specs])
     chk = small_ev_extraction_check(torsions, specs, n_small=1)
     rows = [_below("compensated torsion variation (final half)",
                    chk.variation, 0.10)]
 
-    tw = np.array([partial_torsion_large_time(sp, h0=0)[0] for sp in weighted])
+    tw = np.array([partial_torsion_large_time(rec.weighted, h0=0)[0]
+                   for rec in records])
     var = float((tw.max() - tw.min()) / max(abs(tw.mean()), 1e-30))
     rows.append(_below("weighted-problem torsion variation", var, 0.10))
     return rows
@@ -320,12 +355,13 @@ def suite_identity() -> list[CriterionRow]:
     rows = []
     for name, num_ev, n_small in (("two-sphere", 3, 1), ("three-cycle", 5, 2)):
         fam = FAMILY_PRESETS[name]()
-        specs = eigen_sweep(name, MetricKind.INDUCED, grid, num_ev)
+        records = eigen_sweep(name, MetricKind.INDUCED, grid, num_ev)
         tg = _memo(("gram", name, "twisted", tuple(grid)),
                    lambda: plumbing_twisted_gram(fam, grid))
         ug = _memo(("gram", name, "untwisted", tuple(grid)),
                    lambda: plumbing_untwisted_gram(fam, grid))
-        chk = key_identity_check(specs, tg, ug, n_small)
+        chk = key_identity_check([rec.spectrum for rec in records], tg, ug,
+                                 n_small)
         rows.append(_below(f"{name} identity ratio max/min (final half)",
                            chk.max_over_min, 2.0))
         rows.append(_below(f"{name} identity trend per decade",

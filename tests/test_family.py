@@ -42,11 +42,11 @@ def neck_factor(fam, kind, r, s, branch=0):
 class TestGraphInvariants:
     def test_two_sphere_counts(self):
         fam = two_sphere_family()
-        assert (fam.N, fam.g, fam.nu) == (2, 0, 1)
+        assert (fam.N, fam.g) == (2, 0)
 
     def test_three_cycle_counts(self):
         fam = three_cycle_family()
-        assert (fam.N, fam.g, fam.nu) == (3, 1, 1)
+        assert (fam.N, fam.g) == (3, 1)
 
     def test_chain_of_four_genus_zero(self):
         comps = [

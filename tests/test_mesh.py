@@ -21,7 +21,6 @@ from pinchlab.mesh import (
     MeshParams,
     TriangleMesh,
     annulus_mesh,
-    dump_off,
     fiber_area_quadrature,
     flat_torus_mesh,
     mesh_fiber,
@@ -224,19 +223,3 @@ class TestReferenceMeshes:
         np.add.at(counts, an.tri_edge.ravel(), 1)
         assert set(counts.tolist()) == {1, 2}
         assert an.total_area == pytest.approx(math.pi * (1 - 0.01), rel=1e-2)
-
-
-class TestDump:
-    def test_off_dump_round_trip_counts(self, tmp_path):
-        m = mesh_fiber(two_sphere_family(), MetricKind.INDUCED, 1e-3)
-        path = str(tmp_path / "fiber.off")
-        dump_off(m, path)
-        lines = open(path).read().splitlines()
-        assert lines[0] == "OFF"
-        V, F, E = map(int, lines[1].split())
-        assert (V, F, E) == (m.V, m.F, m.E)
-        assert len(lines) == 2 + V + F
-        side = open(path + ".lengths").read().splitlines()
-        assert len(side) == m.E
-        u, v, length = side[0].split()
-        assert float(length) > 0

@@ -4,11 +4,15 @@ Every supported plumbing fiber (components carrying at most two nodes, so
 the dual graph is a path or a cycle) is globally a chain or cycle of
 annular charts capped by polar disks.  The mesher exploits this: it builds
 one structured stack of concentric rings, log-uniform in |x| on necks and
-latitude-uniform on caps, with rings shared at chart seams.  Edge lengths
-are intrinsic: chart chord length times the square root of the conformal
-factor at the chord's log-polar midpoint.  Edges are numbered and
-measured with array operations: the metric is called once per chart, on
-all the edges whose first incident triangle lies in that chart.
+latitude-uniform on caps, with rings shared at chart seams.  Neck rings
+are placed in runs, one metric call per run of full log steps, with a
+halving ladder only where the factor changes too fast (``_neck_radii``).
+The triangles of all bands between rings come from one array gather of
+ring starts and radii.  Edge lengths are intrinsic: chart chord length
+times the square root of the conformal factor at the chord's log-polar
+midpoint.  Edges are numbered and measured with array operations: the
+metric is called once per chart, on all the edges whose first incident
+triangle lies in that chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
 meshes used to pin down conventions, and an independent quadrature for
@@ -315,9 +319,11 @@ class _RingStack:
         self.ring_start: list[int] = []
         self.ring_radius: list[float] = []
         self.next_vertex = 0
-        self.tris: list[np.ndarray] = []  # (n or 2n, 3) blocks
+        self.tris: list[np.ndarray] = []  # (n or 2n per ring row, 3) blocks
         self.coords: list[np.ndarray] = []
         self.charts: list[tuple] = []
+        self._j = np.arange(n_theta)
+        self._unit = np.exp(1j * (2.0 * np.pi * np.arange(n_theta + 1) / n_theta))
 
     def add_ring(self, radius: float) -> int:
         self.ring_start.append(self.next_vertex)
@@ -325,34 +331,41 @@ class _RingStack:
         self.next_vertex += self.n
         return len(self.ring_start) - 1
 
-    def _ring(self, ring: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vertex ids and coordinates of positions j and j + 1 on a ring."""
-        j = np.arange(self.n)
-        start = self.ring_start[ring]
-        ang = 2.0 * np.pi * np.arange(self.n + 1) / self.n
-        p = self.ring_radius[ring] * np.exp(1j * ang)
-        return start + j, start + (j + 1) % self.n, p[:-1], p[1:]
+    def _rings(self, rings) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Vertex ids and coordinates of positions j and j + 1, one row per ring."""
+        rings = np.asarray(rings, dtype=np.int64)
+        start = np.asarray(self.ring_start, dtype=np.int64)[rings, None]
+        p = np.asarray(self.ring_radius, dtype=float)[rings, None] * self._unit
+        return start + self._j, start + (self._j + 1) % self.n, p[:, :-1], p[:, 1:]
 
-    def _add(self, chart: tuple, tris: list, coords: list) -> None:
-        # triangles of position j are consecutive: (j, first), (j, second), ...
+    def _add(self, charts: Sequence[tuple], tris: list, coords: list) -> None:
+        # one row per chart; in a row the triangles of position j are
+        # consecutive: (j, first), (j, second), ...
         self.tris.append(np.stack(tris, axis=-1).reshape(-1, 3))
         self.coords.append(np.stack(coords, axis=-1).reshape(-1, 3))
-        self.charts.extend([chart] * (self.n * len(tris) // 3))
+        per_row = self.n * len(tris) // 3
+        for chart in charts:
+            self.charts.extend([chart] * per_row)
 
-    def add_band(self, chart: tuple, lower: int, upper: int) -> None:
-        a, an, pa, pan = self._ring(lower)
-        b, bn, pb, pbn = self._ring(upper)
-        self._add(chart, [a, an, b, an, bn, b], [pa, pan, pb, pan, pbn, pb])
+    def add_bands(self, bands: Sequence[tuple[tuple, int, int]]) -> None:
+        """Two triangles per position between each (chart, lower, upper)
+        ring pair, in band order."""
+        if not bands:
+            return
+        charts, lower, upper = zip(*bands)
+        a, an, pa, pan = self._rings(lower)
+        b, bn, pb, pbn = self._rings(upper)
+        self._add(charts, [a, an, b, an, bn, b], [pa, pan, pb, pan, pbn, pb])
 
     def add_fan(self, chart: tuple, ring: int, bottom: bool) -> int:
         center = self.next_vertex
         self.next_vertex += 1
-        v, vn, p, pn = self._ring(ring)
-        c, zero = np.full(self.n, center), np.zeros(self.n, dtype=complex)
+        v, vn, p, pn = self._rings([ring])
+        c, zero = np.full_like(v, center), np.zeros(p.shape, dtype=complex)
         if bottom:
-            self._add(chart, [c, vn, v], [zero, pn, p])
+            self._add([chart], [c, vn, v], [zero, pn, p])
         else:
-            self._add(chart, [c, v, vn], [zero, p, pn])
+            self._add([chart], [c, v, vn], [zero, p, pn])
         return center
 
     def build(self, metric, closed: bool, genus: int | None) -> TriangleMesh:
@@ -391,9 +404,14 @@ def _neck_radii(
     Log-uniform at ``rings_per_decade``, locally refined so the conformal
     factor changes by at most a fixed log amount between adjacent rings
     (the blend zones are not self-similar and need denser rings than the
-    pure neck).  Each step tries du, du/2, ... in one metric call and
-    takes the first that keeps the change within ``max_dlnf``, or the
-    first one below 1e-4 of the full step.
+    pure neck).  The march goes in runs.  A run sums the full steps du
+    that fit before the core, one after another, calls the metric once
+    on all their rings and takes the leading steps that keep the change
+    within ``max_dlnf``.  At the first failed step, and at the core, one
+    step of the halving ladder follows: it tries du, du/2, ... in one
+    metric call and takes the first that keeps the change within
+    ``max_dlnf``, or the first one below 1e-4 of the full step.  The
+    radii are bit for bit those of a march of ladder steps alone.
     """
     u_end = 0.5 * math.log(1.0 / abs_s)
     du_max = math.log(10.0) / rpd
@@ -401,6 +419,19 @@ def _neck_radii(
     us = [0.0]
     u = 0.0
     while u < u_end - 1e-12:
+        # u and the full steps that fit before the core, summed in turn
+        run = np.full(int((u_end - u) / du_max) + 2, du_max)
+        run[0] = u
+        run = np.cumsum(run)
+        run = run[:np.count_nonzero(u_end - run >= du_max) + 1]
+        if run.size > 1:
+            f = metric(chart, np.exp(-run) + 0j)
+            ok = np.abs(np.log(f[1:] / f[:-1])) <= max_dlnf
+            taken = run.size - 1 if ok.all() else int(np.argmin(ok))
+            us.extend(run[1:taken + 1])
+            u = run[taken]
+            if taken == run.size - 1:
+                continue
         du = min(du_max, u_end - u) * halvings
         tried = du[du > 1e-4 * du_max]
         f = metric(chart, np.exp(-(u + np.concatenate([[0.0], tried]))) + 0j)
@@ -530,8 +561,7 @@ def mesh_fiber(
         cap_r = _cap_radii(last_comp, family.scale)
         extend(("cap", last_comp.id), list(cap_r[::-1]), reuse_first=True)
 
-    for chart, lo, hi in bands:
-        stack.add_band(chart, lo, hi)
+    stack.add_bands(bands)
     if not is_cycle:
         stack.add_fan(("cap", first_comp.id), rings[0], bottom=True)
         stack.add_fan(("cap", last_comp.id), rings[-1], bottom=False)
@@ -585,9 +615,8 @@ def unit_sphere_mesh(J: int = 10, n_theta: int = 24, radius: float = 1.0) -> Tri
     rings = [stack.add_ring(r) for r in radii]          # north cap, out to equator
     rings2 = [stack.add_ring(r) for r in radii[-2::-1]]  # south cap, equator inward
     seq = rings + rings2
-    for k in range(len(seq) - 1):
-        chart = ("capN",) if k < J - 1 else ("capS",)
-        stack.add_band(chart, seq[k], seq[k + 1])
+    stack.add_bands([(("capN",) if k < J - 1 else ("capS",), seq[k], seq[k + 1])
+                     for k in range(len(seq) - 1)])
     stack.add_fan(("capN",), rings[0], bottom=True)
     stack.add_fan(("capS",), seq[-1], bottom=False)
     return stack.build(RoundSphereFactor(radius), closed=True, genus=0)
@@ -608,8 +637,7 @@ def annulus_mesh(
     radii = np.exp(np.linspace(math.log(r_inner), math.log(r_outer), K + 1))
     stack = _RingStack(n_theta)
     rings = [stack.add_ring(r) for r in radii]
-    for k in range(len(rings) - 1):
-        stack.add_band(("plane",), rings[k], rings[k + 1])
+    stack.add_bands([(("plane",), rings[k], rings[k + 1]) for k in range(len(rings) - 1)])
     return stack.build(metric or ConstantFactor(1.0), closed=False, genus=None)
 
 

@@ -125,6 +125,8 @@ class FiberRecord:
     weighted: Spectrum | None  # bundle-weighted pencil on the same mesh
     seconds: float
     error: str | None  # "Type: message"; strings cross a process pool
+    mesh_seconds: float | None  # mesh_fiber's share of seconds
+    vertices: int | None  # None, as mesh_seconds, when mesh_fiber raised
 
 
 def _solve_fiber(args) -> FiberRecord:
@@ -132,17 +134,20 @@ def _solve_fiber(args) -> FiberRecord:
     dropped on return."""
     family, kind, s, k, params, seed, weighted = args
     t0 = time.perf_counter()
+    mesh_seconds = vertices = None
     try:
         mesh = mesh_fiber(family, kind, s, params)
+        mesh_seconds, vertices = time.perf_counter() - t0, mesh.V
         spectrum = solve_smallest(assemble(mesh), k, s=s, seed=seed)
         bundle = None
         if weighted:
             pbw = assemble_weighted(mesh, component_bundle_weight(mesh))
             bundle = solve_smallest(pbw, k, s=s, seed=seed)
-        return FiberRecord(s, spectrum, bundle, time.perf_counter() - t0, None)
+        return FiberRecord(s, spectrum, bundle, time.perf_counter() - t0, None,
+                           mesh_seconds, vertices)
     except Exception as exc:  # recorded; the caller decides
         return FiberRecord(s, None, None, time.perf_counter() - t0,
-                           f"{type(exc).__name__}: {exc}")
+                           f"{type(exc).__name__}: {exc}", mesh_seconds, vertices)
 
 
 def solve_fibers(family: DegenerationFamily, kind: MetricKind, grid, k: int,

@@ -8,7 +8,13 @@ from pinchlab.cli import SweepPlan, cmd_sweep, read_sweep_csv
 from pinchlab.errors import PinchlabError
 from pinchlab.family import MetricKind, three_cycle_family, two_sphere_family
 from pinchlab.mesh import mesh_fiber
-from pinchlab.verify import DEFAULT_GRID, SWEEP_PARAMS, _core_ring_length, eigen_sweep
+from pinchlab.verify import (
+    DEFAULT_GRID,
+    SWEEP_PARAMS,
+    _core_ring_length,
+    eigen_sweep,
+    solve_fibers,
+)
 
 
 def test_cli_sweep_is_thm1_induced_sweep(tmp_path):
@@ -37,6 +43,17 @@ def test_failed_fiber_names_suite_family_s_seed_and_cause():
     for part in ("verify", "two-sphere", "induced", "k=2", "s=0.3", "seed 1",
                  "PointOffFiber"):
         assert part in msg
+
+
+def test_fiber_record_times_the_mesh_and_counts_vertices():
+    fam = two_sphere_family()
+    ok, failed = solve_fibers(fam, MetricKind.INDUCED, [1e-3, 0.3], 2)
+    assert ok.error is None
+    assert ok.vertices == mesh_fiber(fam, MetricKind.INDUCED, 1e-3, SWEEP_PARAMS).V
+    assert ok.vertices == ok.spectrum.dimension
+    assert 0.0 < ok.mesh_seconds < ok.seconds
+    assert failed.error.startswith("PointOffFiber")
+    assert failed.mesh_seconds is None and failed.vertices is None
 
 
 def _core_ring_length_loop(mesh, s):

@@ -143,9 +143,8 @@ def component_bundle_weight(mesh: TriangleMesh) -> WeightField:
     """
     cent = mesh.tri_coords.mean(axis=1)
     rho = np.abs(cent)
-    is_cap = np.fromiter(
-        (ch[0] == "cap" for ch in mesh.tri_chart), dtype=bool, count=mesh.F
-    )
+    charts, ids = mesh.chart_index()
+    is_cap = np.array([ch[0] == "cap" for ch in charts], dtype=bool)[ids]
     interior = is_cap | (rho >= 0.5)
     phi = np.where(interior, np.log((1.0 + rho ** 2) / 1.25), 0.0)
     density = np.where(interior, 1.0 / (1.0 + rho ** 2) ** 2, 0.0)

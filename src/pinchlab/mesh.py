@@ -15,8 +15,7 @@ metric is called once per chart, on all the edges whose first incident
 triangle lies in that chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
-meshes used to pin down conventions, and an independent quadrature for
-fiber areas.
+meshes used to pin down conventions.
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ChartOverlapConflict, DegenerateTriangle, PointOffFiber
 from .family import (
@@ -143,6 +141,7 @@ class TriangleMesh:
         self.F = self.triangles.shape[0]
         if self.tri_coords.shape != (self.F, 3):
             raise ValueError("tri_coords must have shape (F, 3)")
+        self._index_charts()
         self._build_edges()
         self._compute_lengths()
         self._validate()
@@ -165,13 +164,17 @@ class TriangleMesh:
         self._edge_first = first[order]  # flat (f, j) index f * 3 + j
         self.edges = np.stack([lo[self._edge_first], hi[self._edge_first]], axis=1)
 
+    def _index_charts(self) -> None:
+        self._charts = tuple(dict.fromkeys(self.tri_chart))
+        index = {c: i for i, c in enumerate(self._charts)}
+        self._chart_ids = np.fromiter(map(index.__getitem__, self.tri_chart),
+                                      dtype=np.int64, count=self.F)
+        self._chart_ids.flags.writeable = False
+
     def chart_index(self) -> tuple[list[tuple], np.ndarray]:
-        """Distinct charts in order of first use, and each triangle's index."""
-        charts = list(dict.fromkeys(self.tri_chart))
-        index = {c: i for i, c in enumerate(charts)}
-        ids = np.fromiter(map(index.__getitem__, self.tri_chart), dtype=np.int64,
-                          count=self.F)
-        return charts, ids
+        """Distinct charts in order of first use, and each triangle's index
+        (read-only, computed once at construction)."""
+        return list(self._charts), self._chart_ids
 
     def _compute_lengths(self) -> None:
         midpoint = getattr(self.metric, "edge_midpoint", None)
@@ -675,43 +678,3 @@ def disjoint_union(meshes: Sequence[TriangleMesh]) -> TriangleMesh:
         closed=all(m.closed for m in meshes),
         genus=None,
     )
-
-
-# ---------------------------------------------------------------------------
-# independent area quadrature
-# ---------------------------------------------------------------------------
-
-def fiber_area_quadrature(
-    family: DegenerationFamily, kind: MetricKind, s: complex
-) -> float:
-    """Fiber area by 1-D radial quadrature, independent of any mesh.
-
-    All supported factors are rotation invariant, so the area of each
-    chart region is 2*pi * integral of factor(r) * r dr; regions are the
-    per-branch neck half-annuli sqrt|s| <= |x| <= 1 and the caps.
-    """
-    total = 0.0
-    abs_s = abs(s)
-    root = math.sqrt(abs_s)
-
-    for node in family.nodes:
-        for branch in (0, 1):
-            def f(r: float, b=branch, nid=node.node_id) -> float:
-                pt = ChartPoint(("neck", nid, b), complex(r, 0.0))
-                return conformal_factor(family, kind, pt, s) * r
-
-            lo = math.log(root)
-            # integrate in log r for graded accuracy
-            val, _ = quad(lambda u, g=f: g(math.exp(u)) * math.exp(u),
-                          lo, 0.0, limit=200)
-            total += 2.0 * math.pi * val
-
-    for comp in family.components:
-        if family.node_degree(comp.id) == 1:
-            def f(r: float, cid=comp.id) -> float:
-                pt = ChartPoint(("cap", cid), complex(r, 0.0))
-                return conformal_factor(family, kind, pt, s) * r
-
-            val, _ = quad(f, 0.0, 1.0, limit=200)
-            total += 2.0 * math.pi * val
-    return total

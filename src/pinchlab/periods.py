@@ -11,8 +11,9 @@ The node annuli are paired in closed form (plumbing_gram).  The
 component interiors are one Hermitian block per component
 (component_pairing): the pairs that share a puncture set share one set
 of doubling polar quadratures, integrands with a leading axis that
-_polar_quad evaluates in chunks of radii.  The annulus quadrature
-annulus_log_integral is kept as the closed form's test oracle.
+_polar_quad evaluates in chunks of radii, each radial piece up to its own
+level.  The annulus quadrature annulus_log_integral is kept as the
+closed form's test oracle.
 """
 from __future__ import annotations
 
@@ -412,44 +413,55 @@ def _polar_quad(fn, center: complex, breaks: list[float], rel_tol: float,
 
     fn maps an (radii, angles) array of points to values of that shape,
     or of that shape behind leading axes, one entry per integrand; the
-    result is a complex, or an array of the leading shape.  Each entry is
-    frozen at the first level whose change from the level before is
-    within rel_tol of the entry's L1 mass, exactly as if it were
-    integrated alone.
+    result is a complex, or an array of the leading shape.  Each entry of
+    each radial piece [a, b] is frozen at the first level whose change
+    from the level before is within rel_tol of that piece's L1 mass of
+    the entry, and a piece whose entries are all frozen is not evaluated
+    again.  The pieces' bounds add up to rel_tol times the entry's L1
+    mass over the whole region, so the frozen sum meets that bound.
     """
-    prev, result, done = np.inf, 0j, np.False_
+    pieces = list(zip(breaks, breaks[1:]))
+    n = len(pieces)
+    prev, value, done = [np.inf] * n, [0j] * n, [np.False_] * n
+    diff, bound = [0.0] * n, [0.0] * n  # last change and rel_tol * L1 mass
     n_theta = n_theta0
     split = 1
     for _ in range(max_iter):
         phase = np.exp(1j * (2.0 * math.pi * np.arange(n_theta) / n_theta))
         dtheta = 2.0 * math.pi / n_theta
         rows = max(1, _CHUNK_NODES // n_theta)
-        total = 0.0 + 0.0j
-        total_abs = 0.0  # L1 mass: tolerance scale robust to cancellation
-        for a, b in zip(breaks, breaks[1:]):
+        for k, (a, b) in enumerate(pieces):
+            if done[k].all():
+                continue
             r, wr = _gl_panels(a, b, 2 * split)
             points = (center + r[lo:lo + rows, None] * phase for lo in range(0, len(r), rows))
             sums = [(v.sum(axis=-1), np.abs(v).sum(axis=-1)) for v in map(fn, points)]
             row_sum, row_abs = (np.concatenate(s, axis=-1) * dtheta * (wr * r) for s in zip(*sums))
-            total = total + row_sum.sum(axis=-1)
-            total_abs = total_abs + row_abs.sum(axis=-1)
-        bound = rel_tol * np.maximum(total_abs, 1e-12)
-        diff = np.abs(total - prev)
-        ok = diff <= bound
-        result = np.where(ok & ~done, total, result)
-        done = done | ok
-        if done.all():
+            total = row_sum.sum(axis=-1)
+            bound[k] = rel_tol * row_abs.sum(axis=-1)  # robust to cancellation
+            diff[k] = np.abs(total - prev[k])
+            ok = diff[k] <= bound[k]
+            value[k] = np.where(ok & ~done[k], total, value[k])
+            done[k] = done[k] | ok
+            prev[k] = total
+        if all(d.all() for d in done):
+            result = sum(value)
             return result if result.ndim else complex(result)
-        prev = total
         n_theta *= 2
         split *= 2
-    worst = np.unravel_index(np.argmax(np.where(done, -np.inf, diff / bound)), diff.shape)
-    entry = f" of entry {tuple(map(int, worst))}" if diff.ndim else ""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = np.stack([np.where(d, -np.inf, c / b)
+                           for d, c, b in zip(done, diff, bound)])
+    k, *worst = np.unravel_index(np.argmax(excess), excess.shape)
+    worst = tuple(map(int, worst))
+    a, b = pieces[k]
+    entry = f" of entry {worst}" if worst else ""
     raise QuadratureNotConverged(
         f"polar quadrature around {complex(center):.6g} on radial breaks "
-        f"[{', '.join(f'{float(b):.6g}' for b in breaks)}] did not stabilize "
-        f"in {max_iter} levels (n_theta {n_theta0} to {n_theta // 2}): the last "
-        f"change{entry} was {diff[worst]:.3e} against rel_tol*L1 = {bound[worst]:.3e}"
+        f"[{', '.join(f'{float(x):.6g}' for x in breaks)}] did not stabilize "
+        f"in {max_iter} levels (n_theta {n_theta0} to {n_theta // 2}): on the "
+        f"radial piece [{float(a):.6g}, {float(b):.6g}] the last change{entry} was "
+        f"{diff[k][worst]:.3e} against rel_tol*L1 = {bound[k][worst]:.3e}"
     )
 
 
@@ -505,9 +517,9 @@ def component_pairing(
     The pairs i <= j are grouped by their puncture set on cid, which fixes
     the weight and the partition.  Each group runs one set of patch and
     remainder quadratures with one entry per pair, evaluating every
-    distinct form once per node; each entry stops at the level where it
-    would alone.  Forms absent on cid give zero rows, and the diagonal
-    keeps the real part.
+    distinct form once per node; each entry of each radial piece stops at
+    the level where it would alone.  Forms absent on cid give zero rows,
+    and the diagonal keeps the real part.
     """
     n = len(diffs)
     forms = [d.form(cid) for d in diffs]

@@ -309,6 +309,18 @@ class TestWeighted:
         assert np.array_equal(wf.weights[neck], np.ones(int(neck.sum())))
         assert np.array_equal(wf.curvature_density[neck], np.zeros(int(neck.sum())))
 
+    def test_cap_charts_from_chart_index(self):
+        # the weight reads cap triangles from the mesh's chart ids; the
+        # same fields come from the per-triangle chart tuples
+        m = mesh_fiber(two_sphere_family(), MetricKind.INDUCED, 1e-3)
+        wf = component_bundle_weight(m)
+        rho = np.abs(m.tri_coords.mean(axis=1))
+        interior = np.array([ch[0] == "cap" for ch in m.tri_chart]) | (rho >= 0.5)
+        phi = np.where(interior, np.log((1.0 + rho ** 2) / 1.25), 0.0)
+        assert np.array_equal(wf.weights, np.exp(-phi))
+        assert np.array_equal(wf.curvature_density,
+                              np.where(interior, 1.0 / (1.0 + rho ** 2) ** 2, 0.0))
+
     def test_no_zero_mode(self, fiber_mesh):
         pbw = assemble_weighted(fiber_mesh, component_bundle_weight(fiber_mesh))
         spec = solve_smallest(pbw, 3, s=1e-4)

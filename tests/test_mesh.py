@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from pinchlab import mesh as mesh_module
 from pinchlab.errors import ChartOverlapConflict, DegenerateTriangle, PointOffFiber
@@ -22,7 +23,6 @@ from pinchlab.mesh import (
     MeshParams,
     TriangleMesh,
     annulus_mesh,
-    fiber_area_quadrature,
     flat_torus_mesh,
     mesh_fiber,
     unit_sphere_mesh,
@@ -164,6 +164,38 @@ class TestEdges:
                                                          rel=1e-14)
 
 
+def fiber_area_quadrature(family, kind, s) -> float:
+    """Fiber area by 1-D radial quadrature, independent of any mesh.
+
+    All supported factors are rotation invariant, so the area of each
+    chart region is 2*pi * integral of factor(r) * r dr; regions are the
+    per-branch neck half-annuli sqrt|s| <= |x| <= 1 and the caps.
+    """
+    total = 0.0
+    root = math.sqrt(abs(s))
+
+    for node in family.nodes:
+        for branch in (0, 1):
+            def f(r: float, b=branch, nid=node.node_id) -> float:
+                pt = ChartPoint(("neck", nid, b), complex(r, 0.0))
+                return conformal_factor(family, kind, pt, s) * r
+
+            # integrate in log r for graded accuracy
+            val, _ = quad(lambda u, g=f: g(math.exp(u)) * math.exp(u),
+                          math.log(root), 0.0, limit=200)
+            total += 2.0 * math.pi * val
+
+    for comp in family.components:
+        if family.node_degree(comp.id) == 1:
+            def f(r: float, cid=comp.id) -> float:
+                pt = ChartPoint(("cap", cid), complex(r, 0.0))
+                return conformal_factor(family, kind, pt, s) * r
+
+            val, _ = quad(f, 0.0, 1.0, limit=200)
+            total += 2.0 * math.pi * val
+    return total
+
+
 class TestAreaAgainstQuadrature:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("s", [1e-2, 1e-4])
@@ -199,6 +231,16 @@ class TestRefine:
         assert m2.V == m.V + m.E
         assert m2.F == 4 * m.F
         assert m2.V - m2.E + m2.F == m.V - m.E + m.F
+
+    def test_chart_index_fixed_at_construction(self):
+        m = mesh_fiber(three_cycle_family(), MetricKind.INDUCED, 1e-3)
+        charts, ids = m.chart_index()
+        assert charts == list(dict.fromkeys(m.tri_chart))
+        assert [charts[i] for i in ids] == list(m.tri_chart)
+        # one read-only array, not recomputed per call
+        assert m.chart_index()[1] is ids and not ids.flags.writeable
+        charts2, ids2 = m.refine().chart_index()
+        assert charts2 == charts and np.array_equal(ids2, np.repeat(ids, 4))
 
     def test_lengths_reevaluated_not_interpolated(self):
         # on the round sphere a subdivided edge is strictly shorter than

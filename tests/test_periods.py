@@ -26,6 +26,7 @@ from pinchlab.periods import (
     PeriodGram,
     PlumbingDifferential,
     RationalForm,
+    _gl_panels,
     _polar_quad,
     annulus_log_integral,
     canonical_basis,
@@ -367,6 +368,140 @@ class TestPolarQuad:
         assert "did not stabilize in 2 levels (n_theta 32 to 64)" in msg
         found = re.search(r"change of entry \(1,\) was (\S+) against rel_tol\*L1 = (\S+)$", msg)
         assert found and float(found[1]) > float(found[2]) > 0
+
+
+    def test_failure_names_the_unconverged_piece(self):
+        # the jump at |z - 0.1| = 0.3 lies in the piece [0.2, 0.5]; the
+        # smooth piece [0, 0.2] freezes, and the bound quoted is the open
+        # piece's own: rel_tol times its L1 mass, the annulus 0.2 < r < 0.3
+        def step(z):
+            return (np.abs(z - 0.1) < 0.3).astype(float)
+
+        with pytest.raises(QuadratureNotConverged) as err:
+            _polar_quad(step, 0.1 + 0j, [0.0, 0.2, 0.5], 1e-12, max_iter=3)
+        msg = str(err.value)
+        assert "did not stabilize in 3 levels (n_theta 32 to 128)" in msg
+        found = re.search(r"on the radial piece \[0\.2, 0\.5\] the last change was "
+                          r"(\S+) against rel_tol\*L1 = (\S+)$", msg)
+        assert found and float(found[1]) > float(found[2])
+        assert float(found[2]) == pytest.approx(1e-12 * 0.05 * math.pi, rel=0.02)
+
+
+def composite_polar_quad(fn, center, breaks, rel_tol, n_theta0=32, max_iter=7):
+    """Oracle for _polar_quad: the doubling tensor quadrature that freezes
+    each entry on its sum over all radial pieces, so every piece runs to
+    the level the hardest piece needs.  Returns the value, the L1 mass at
+    that level and the number of nodes evaluated."""
+    prev, result, done, nodes = np.inf, 0j, np.False_, 0
+    n_theta, split = n_theta0, 1
+    for _ in range(max_iter):
+        phase = np.exp(2j * math.pi * np.arange(n_theta) / n_theta)
+        total, total_abs = 0j, 0.0
+        for a, b in zip(breaks, breaks[1:]):
+            r, wr = _gl_panels(a, b, 2 * split)
+            v = fn(center + r[:, None] * phase)
+            nodes += r.size * n_theta
+            w = (2.0 * math.pi / n_theta) * wr * r
+            total = total + (v.sum(axis=-1) * w).sum(axis=-1)
+            total_abs = total_abs + (np.abs(v).sum(axis=-1) * w).sum(axis=-1)
+        ok = np.abs(total - prev) <= rel_tol * np.maximum(total_abs, 1e-12)
+        result = np.where(ok & ~done, total, result)
+        done = done | ok
+        if done.all():
+            return result, total_abs, nodes
+        prev = total
+        n_theta, split = 2 * n_theta, 2 * split
+    raise AssertionError("composite quadrature did not stabilize")
+
+
+def counted(fn, log):
+    """fn, appending (smallest radius from 0, angles, nodes) of each call."""
+    def wrapped(z):
+        log.append((float(np.abs(z).min()), z.shape[-1], z.size))
+        return fn(z)
+    return wrapped
+
+
+def recorded_quads(monkeypatch, module):
+    """Record the arguments of every _polar_quad call made via module."""
+    calls = []
+
+    def record(fn, center, breaks, rel_tol, **kw):
+        calls.append((fn, center, breaks, rel_tol, kw))
+        return _polar_quad(fn, center, breaks, rel_tol, **kw)
+
+    monkeypatch.setattr(module, "_polar_quad", record)
+    return calls
+
+
+class TestFrozenPieces:
+    """_polar_quad against the composite-level oracle: each radial piece
+    stops at its own level, within rel_tol of the integrand's L1 mass."""
+
+    @staticmethod
+    def agree(fn, center, breaks, rel_tol, **kw):
+        log = []
+        got = _polar_quad(counted(fn, log), center, breaks, rel_tol, **kw)
+        want, l1, oracle_nodes = composite_polar_quad(fn, center, breaks, rel_tol, **kw)
+        assert np.all(np.abs(got - want) <= rel_tol * l1)
+        return sum(n for *_, n in log), oracle_nodes
+
+    def test_fermat_quartic_chart1(self, monkeypatch):
+        from pinchlab import curvature as cv
+
+        calls = recorded_quads(monkeypatch, cv)
+        cv.fermat_gauss_bonnet(4, 0.1)
+        fn, center, breaks, rel_tol, kw = calls[0]  # chart 1: five pieces
+        assert len(breaks) == 6
+        # only the branch-bump annulus [rb - R1, rb + R1] needs level 3
+        assert self.agree(fn, center, breaks, rel_tol, **kw) == (215_040, 870_400)
+
+    @pytest.mark.parametrize("cid", [0, 1, 2])
+    def test_three_cycle_twisted_remainder(self, monkeypatch, cid):
+        import pinchlab.periods as pm
+
+        fam = three_cycle_family()
+        tw, _ = canonical_basis(fam)
+        calls = recorded_quads(monkeypatch, pm)
+        component_pairing(fam, tw, cid)
+        # the plain remainder, the puncture patch, then the remainder of
+        # the pairs with that puncture: the heavy one
+        assert [c[2] for c in calls] == [[RHO, 1.0, 1.0 / RHO], [0.0, RHO_0, RHO],
+                                         [RHO, 1.0, 1.0 / RHO]]
+        fn, center, breaks, rel_tol, kw = calls[-1]
+        # [1, 2] passes at level 3, [0.5, 1] needs level 4
+        assert self.agree(fn, center, breaks, rel_tol, **kw) == (436_224, 698_368)
+
+    @staticmethod
+    def smooth_and_oscillatory(z):
+        # radial and smooth on |z| < 0.5, a plane wave exp(80i Re z) beyond
+        return np.where(np.abs(z) < 0.5, np.exp(-np.abs(z) ** 2), np.exp(80j * z.real))
+
+    def test_two_piece_integrand(self):
+        self.agree(self.smooth_and_oscillatory, 0j, [0.0, 0.5, 1.0], 1e-9)
+
+    def test_frozen_piece_is_not_evaluated_again(self):
+        log = []
+        _polar_quad(counted(self.smooth_and_oscillatory, log), 0j, [0.0, 0.5, 1.0], 1e-9)
+        inner = [angles for r_min, angles, _ in log if r_min < 0.5]
+        outer = [angles for r_min, angles, _ in log if r_min >= 0.5]
+        # the smooth piece freezes at level 1; the outer one runs on
+        assert inner == [32, 64]
+        assert max(outer) >= 4 * max(inner)
+
+    def test_zero_piece_freezes_at_level_1(self):
+        log = []
+
+        def fn(z):
+            r = np.abs(z)
+            return np.stack([np.where(r < 0.5, 0.0, np.exp(80j * z.real)),
+                             np.where(r < 0.5, 0.0, np.exp(40j * z.imag))])
+
+        got = _polar_quad(counted(fn, log), 0j, [0.0, 0.5, 1.0], 1e-9)
+        assert [angles for r_min, angles, _ in log if r_min < 0.5] == [32, 64]
+        assert max(angles for *_, angles, _ in log) > 64
+        want, l1, _ = composite_polar_quad(fn, 0j, [0.0, 0.5, 1.0], 1e-9)
+        assert np.all(np.abs(got - want) <= 1e-9 * l1)
 
 
 class TestComponentPairing:

@@ -155,11 +155,10 @@ def min_curvature_sweep(
     against log(1/s)) and reported without being asserted.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    charts = [("neck", node.node_id, branch)
-              for node in family.nodes for branch in (0, 1)]
-    # no cap chart on two-node components
+    charts = [("neck", node.node_id, branch) for node, branch, *_ in family.branches()]
+    # a cap chart on one-node components only
     charts += [("cap", comp.id) for comp in family.components
-               if len(comp.marked_points) <= 1]
+               if family.node_degree(comp.id) == 1]
     cap_radii = np.linspace(0.0, 0.95, 40) + 0j
     mins, argmins, comp_max = [], [], []
     for s in s_grid:
@@ -369,22 +368,15 @@ def nodal_defect(
     for eps in eps_grid:
         total = 0.0
         for comp in family.components:
-            degree = family.node_degree(comp.id)
-            if degree == 0:
-                # smooth sphere: two stereographic hemispheres
-                total += 2.0 * _radial_total(
-                    family, kind, ("cap", comp.id), 0.0, 1.0
-                )
-                continue
-            if degree == 1:
-                total += _radial_total(family, kind, ("cap", comp.id), 0.0, 1.0)
-            for node in family.nodes:
-                for branch, (cid, _) in enumerate((node.left, node.right)):
-                    if cid == comp.id:
-                        total += _radial_total(
-                            family, kind, ("neck", node.node_id, branch),
-                            eps, 1.0,
-                        )
+            branches = family.branches(comp.id)
+            if len(branches) < 2:
+                # one stereographic cap per hemisphere free of nodes (two
+                # on a smooth sphere); none on a two-node component
+                total += (2 - len(branches)) * _radial_total(
+                    family, kind, ("cap", comp.id), 0.0, 1.0)
+            for node, branch, *_ in branches:
+                total += _radial_total(family, kind, ("neck", node.node_id, branch),
+                                       eps, 1.0)
         values.append(total)
     values = np.array(values)
     if abs(values[-1] - values[-2]) > 5e-3 * max(abs(values[-1]), 1e-12):

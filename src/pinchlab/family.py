@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ChartOverlapConflict,
     DisconnectedGraph,
     OverlappingMarkedPoints,
     PointOffFiber,
@@ -60,13 +61,10 @@ class ComponentSurface:
     id: int
     marked_points: tuple[complex, ...]
     radius: float = 0.5
-    chart_radius: float = 1.0
 
     def __post_init__(self) -> None:
         if self.radius <= 0:
             raise ValueError("component radius must be positive")
-        if not 0 < self.chart_radius <= 1:
-            raise ValueError("chart_radius must lie in (0, 1]")
         self._check_separation()
 
     def _check_separation(self) -> None:
@@ -80,10 +78,10 @@ class ComponentSurface:
                     )
                 if is_inf_point(p) or is_inf_point(q):
                     continue  # separated from any finite point
-                if abs(p - q) < 3.0 * self.chart_radius:
+                if abs(p - q) < 3.0:
                     raise OverlappingMarkedPoints(
                         f"component {self.id}: marked points {p} and {q} "
-                        f"closer than 3 x chart radius"
+                        f"closer than 3"
                     )
 
 
@@ -99,11 +97,8 @@ class NodeSpec:
     node_id: int
     left: tuple[int, int]
     right: tuple[int, int]
-    chart_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.chart_scale <= 0:
-            raise ValueError("chart_scale must be positive")
         if self.left == self.right:
             raise ValueError("node cannot attach a marked point to itself")
 
@@ -137,10 +132,51 @@ class DegenerationFamily:
                 return n
         raise KeyError(f"no node with id {nid}")
 
+    def branches(self, cid: int | None = None
+                 ) -> list[tuple[NodeSpec, int, int, complex]]:
+        """(node, branch, component id, marked point) of every node branch
+        on component cid, or on all components, in node order with branch
+        0 (the left side) first."""
+        return [(node, branch, c, self.component(c).marked_points[mp])
+                for node in self.nodes
+                for branch, (c, mp) in enumerate((node.left, node.right))
+                if cid is None or c == cid]
+
     def node_degree(self, cid: int) -> int:
-        return sum(
-            (n.left[0] == cid) + (n.right[0] == cid) for n in self.nodes
-        )
+        return len(self.branches(cid))
+
+    def walk(self) -> tuple[list[int], list[tuple[NodeSpec, int]], bool]:
+        """The dual graph as a path or a cycle: (component ids in walk
+        order, [(node, branch on the component the walk leaves)], whether
+        it is a cycle).  A path starts at its lowest-id end, a cycle at the
+        first component.
+
+        Raises ChartOverlapConflict unless the nodes of every component sit
+        at distinct marked points among 0 and infinity (so at most two).
+        """
+        adj: dict[int, list[tuple]] = {}
+        for comp in self.components:
+            branches = self.branches(comp.id)
+            pts = [p for *_, p in branches]
+            at_zero, at_inf = sum(p == 0 for p in pts), sum(map(is_inf_point, pts))
+            if max(at_zero, at_inf) > 1 or at_zero + at_inf < len(pts):
+                raise ChartOverlapConflict(
+                    f"component {comp.id} has nodes at marked points {pts}; the "
+                    f"walk needs at most two, at distinct points among 0 and infinity"
+                )
+            adj[comp.id] = [(node, b, (node.right, node.left)[b][0])
+                            for node, b, *_ in branches]
+        ends = [cid for cid, items in adj.items() if len(items) == 1]
+        start = min(ends) if ends else self.components[0].id
+        comp_order, order = [start], []
+        cid, prev = start, None
+        while nxt := [item for item in adj[cid] if item[0] is not prev]:
+            prev, branch, cid = nxt[0]
+            order.append((prev, branch))
+            if cid == start and not ends:
+                break
+            comp_order.append(cid)
+        return comp_order, order, not ends
 
     def with_scale(self, scale: float) -> "DegenerationFamily":
         return DegenerationFamily(
@@ -510,7 +546,7 @@ def fermat_fiber_charts(d: int, s: complex) -> FermatAtlas:
     return FermatAtlas(d=d, s=s)
 
 
-def fermat_family(d: int, s_dummy: float = 0.0) -> DegenerationFamily:
+def fermat_family(d: int) -> DegenerationFamily:
     """Family wrapper for the Fermat curve (N and g of the fibers).
 
     The s = 0 fiber is a union of d lines meeting pairwise, so its dual

@@ -33,9 +33,6 @@ class SweepSeries:
 
     s: np.ndarray
     values: np.ndarray
-    family: str = ""
-    metric: str = ""
-    index: int = 0
 
     def __post_init__(self) -> None:
         s = np.asarray(self.s, dtype=float)

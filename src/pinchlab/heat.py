@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import InsufficientSpectrum
 from .laplace import Spectrum
@@ -65,7 +64,9 @@ def partial_torsion_large_time(
             f"{where}: eigenvalue {h0 + 1} is {positive[0]!r}, "
             "so h0 does not match the kernel"
         )
-    value = float(scipy.special.exp1(positive).sum())
+    from scipy.special import exp1  # on first use: nothing else needs it
+
+    value = float(exp1(positive).sum())
     if V == k:
         tail = 0.0
     else:

@@ -1,18 +1,18 @@
 """Intrinsic triangulations of fibers with log-graded neck refinement.
 
-Every supported plumbing fiber (components carrying at most two nodes, so
-the dual graph is a path or a cycle) is globally a chain or cycle of
-annular charts capped by polar disks.  The mesher exploits this: it builds
-one structured stack of concentric rings, log-uniform in |x| on necks and
-latitude-uniform on caps, with rings shared at chart seams.  Neck rings
-are placed in runs, one metric call per run of full log steps, with a
-halving ladder only where the factor changes too fast (``_neck_radii``).
-The triangles of all bands between rings come from one array gather of
-ring starts and radii.  Edge lengths are intrinsic: chart chord length
-times the square root of the conformal factor at the chord's log-polar
-midpoint.  Edges are numbered and measured with array operations: the
-metric is called once per chart, on all the edges whose first incident
-triangle lies in that chart.
+The dual graph of every supported plumbing fiber is a path or a cycle,
+and the family orders it (``DegenerationFamily.walk``), so the fiber is
+globally a chain or cycle of annular charts capped by polar disks.  The
+mesher follows that walk with one structured stack of concentric rings,
+log-uniform in |x| on necks and latitude-uniform on caps, with rings
+shared at chart seams.  Neck rings are placed in runs, one metric call
+per run of full log steps, with a halving ladder only where the factor
+changes too fast (``_neck_radii``).  The triangles of all bands between
+rings come from one array gather of ring starts and radii.  Edge lengths
+are intrinsic: chart chord length times the square root of the conformal
+factor at the chord's log-polar midpoint.  Edges are numbered and
+measured with array operations: the metric is called once per chart, on
+all the edges whose first incident triangle lies in that chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
 meshes used to pin down conventions.
@@ -25,14 +25,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ChartOverlapConflict, DegenerateTriangle, PointOffFiber
+from .errors import DegenerateTriangle, PointOffFiber
 from .family import (
     ChartPoint,
     ComponentSurface,
     DegenerationFamily,
     MetricKind,
     conformal_factor,
-    is_inf_point,
 )
 
 
@@ -395,12 +394,15 @@ def _cap_radii(comp: ComponentSurface, scale: float) -> np.ndarray:
     return np.tan(0.5 * lat)
 
 
+#: Largest change of the log conformal factor between adjacent neck rings.
+MAX_DLNF = 0.8
+
+
 def _neck_radii(
     metric: Callable[[tuple, np.ndarray], np.ndarray],
     chart: tuple,
     abs_s: float,
     rpd: int,
-    max_dlnf: float = 0.8,
 ) -> np.ndarray:
     """Radii from the seam |x| = 1 down to the core sqrt|s|.
 
@@ -410,10 +412,10 @@ def _neck_radii(
     pure neck).  The march goes in runs.  A run sums the full steps du
     that fit before the core, one after another, calls the metric once
     on all their rings and takes the leading steps that keep the change
-    within ``max_dlnf``.  At the first failed step, and at the core, one
+    within ``MAX_DLNF``.  At the first failed step, and at the core, one
     step of the halving ladder follows: it tries du, du/2, ... in one
     metric call and takes the first that keeps the change within
-    ``max_dlnf``, or the first one below 1e-4 of the full step.  The
+    ``MAX_DLNF``, or the first one below 1e-4 of the full step.  The
     radii are bit for bit those of a march of ladder steps alone.
     """
     u_end = 0.5 * math.log(1.0 / abs_s)
@@ -429,7 +431,7 @@ def _neck_radii(
         run = run[:np.count_nonzero(u_end - run >= du_max) + 1]
         if run.size > 1:
             f = metric(chart, np.exp(-run) + 0j)
-            ok = np.abs(np.log(f[1:] / f[:-1])) <= max_dlnf
+            ok = np.abs(np.log(f[1:] / f[:-1])) <= MAX_DLNF
             taken = run.size - 1 if ok.all() else int(np.argmin(ok))
             us.extend(run[1:taken + 1])
             u = run[taken]
@@ -438,68 +440,13 @@ def _neck_radii(
         du = min(du_max, u_end - u) * halvings
         tried = du[du > 1e-4 * du_max]
         f = metric(chart, np.exp(-(u + np.concatenate([[0.0], tried]))) + 0j)
-        ok = np.abs(np.log(f[1:] / f[0])) <= max_dlnf
+        ok = np.abs(np.log(f[1:] / f[0])) <= MAX_DLNF
         u += tried[np.argmax(ok)] if ok.any() else du[tried.size]
         us.append(u)
     us[-1] = u_end
     if len(us) < 5:
         us = list(np.linspace(0.0, u_end, 5))
     return np.exp(-np.asarray(us))
-
-
-def _walk_dual_graph(family: DegenerationFamily):
-    """Order components and nodes along the path or cycle dual graph."""
-    adj: dict[int, list[tuple]] = {c.id: [] for c in family.components}
-    for node in family.nodes:
-        (lc, _), (rc, _) = node.left, node.right
-        adj[lc].append((node, 0, rc))
-        adj[rc].append((node, 1, lc))
-    degrees = {cid: len(items) for cid, items in adj.items()}
-    if any(d > 2 for d in degrees.values()):
-        raise ChartOverlapConflict(
-            "structured mesher supports components with at most two nodes"
-        )
-    ends = [cid for cid, d in degrees.items() if d == 1]
-    is_cycle = not ends
-    start = min(ends) if ends else family.components[0].id
-    order: list[tuple] = []  # (node, branch facing the current component)
-    comp_order = [start]
-    cid = start
-    prev_node = None
-    while True:
-        nxt = [item for item in adj[cid] if item[0] is not prev_node]
-        if not nxt:
-            break
-        node, branch, other = nxt[0]
-        order.append((node, branch))
-        if other == comp_order[0] and is_cycle:
-            break
-        comp_order.append(other)
-        cid = other
-        prev_node = node
-    return comp_order, order, is_cycle
-
-
-def _check_marked_points(family: DegenerationFamily) -> None:
-    for comp in family.components:
-        node_mps = []
-        for node in family.nodes:
-            for cid, mp in (node.left, node.right):
-                if cid == comp.id:
-                    node_mps.append(comp.marked_points[mp])
-        for p in node_mps:
-            if not (p == 0 or is_inf_point(p)):
-                raise ChartOverlapConflict(
-                    f"component {comp.id}: node marked points must be 0 or "
-                    f"infinity for the structured mesher"
-                )
-        if len(node_mps) == 2 and not (
-            (node_mps[0] == 0) ^ (node_mps[1] == 0)
-        ):
-            raise ChartOverlapConflict(
-                f"component {comp.id}: two-node components need marked "
-                f"points at both 0 and infinity"
-            )
 
 
 def mesh_fiber(
@@ -518,8 +465,7 @@ def mesh_fiber(
         raise PointOffFiber("mesh_fiber requires s != 0; fibers at s = 0 are nodal")
     if abs(s) >= 0.25:
         raise PointOffFiber("plumbing fibers are meshed for |s| < 1/4")
-    _check_marked_points(family)
-    comp_order, node_order, is_cycle = _walk_dual_graph(family)
+    comp_order, node_order, is_cycle = family.walk()
 
     abs_s = abs(s)
     stack = _RingStack(params.angular_count)

@@ -239,11 +239,11 @@ def annulus_log_integral(
 # elliptic (Legendre) oracle family
 # ---------------------------------------------------------------------------
 
-def _agm(a: complex, b: complex, tol: float = 1e-15) -> complex:
+def _agm(a: complex, b: complex) -> complex:
     """Arithmetic-geometric mean with the principal (right half plane)
     square-root branch choice."""
     for _ in range(80):
-        if abs(a - b) <= tol * abs(a):
+        if abs(a - b) <= 1e-15 * abs(a):
             return 0.5 * (a + b)
         a, b = 0.5 * (a + b), cmath.sqrt(a * b)
         if (b / a).real < 0:
@@ -275,19 +275,10 @@ def elliptic_period_gram(t: complex) -> float:
 def _component_puncture(family: DegenerationFamily, cid: int) -> complex:
     """A puncture location away from all node charts: the cap center for
     one-node components, z = -1 on the seam circle for two-node ones."""
-    if family.node_degree(cid) == 1:
-        node_pts = _node_points(family, cid)
-        return INF_POINT if 0 in node_pts else 0.0 + 0j
+    pts = [p for *_, p in family.branches(cid)]
+    if len(pts) == 1:
+        return INF_POINT if pts[0] == 0 else 0.0 + 0j
     return -1.0 + 0j
-
-
-def _node_points(family: DegenerationFamily, cid: int) -> list[complex]:
-    pts = []
-    for node in family.nodes:
-        for cid2, mp in (node.left, node.right):
-            if cid2 == cid:
-                pts.append(family.component(cid2).marked_points[mp])
-    return pts
 
 
 def _form_with_residues(assignments: list[tuple[complex, complex]]) -> RationalForm:
@@ -313,10 +304,11 @@ def canonical_basis(family: DegenerationFamily) -> tuple[
     differential per component i >= 1 with simple poles at punctures on
     component 0 and component i, routed along a spanning tree.
     """
-    from .mesh import _walk_dual_graph  # ordering of the path/cycle
-
-    comp_order, walk, is_cycle = _walk_dual_graph(family)
-    node_order = [node for node, _branch in walk]
+    comp_order, walk, is_cycle = family.walk()
+    # the marked points where the walk leaves comp_order[k] and enters
+    # comp_order[k + 1]
+    leave = [_node_marked_point(family, node, b)[1] for node, b in walk]
+    enter = [_node_marked_point(family, node, 1 - b)[1] for node, b in walk]
     untwisted: list[PlumbingDifferential] = []
     if is_cycle:
         forms = {}
@@ -330,25 +322,19 @@ def canonical_basis(family: DegenerationFamily) -> tuple[
     twisted: list[PlumbingDifferential] = list(untwisted)
     c0 = comp_order[0]
     p0 = _component_puncture(family, c0)
-    # spanning tree = the walk minus (for cycles) the closing node
-    tree = node_order[:-1] if is_cycle else node_order
+    # spanning tree = the walk's first N - 1 nodes (a cycle's last closes it)
     for i in range(1, len(comp_order)):
         ci = comp_order[i]
         pi = _component_puncture(family, ci)
         forms: dict[int, RationalForm] = {}
         # component 0: puncture pole +1, exit-node pole -1
-        path_nodes = tree[:i]
-        exit_pt = _entry_exit_point(family, c0, path_nodes[0])
-        forms[c0] = _form_with_residues([(p0, 1.0 + 0j), (exit_pt, -1.0 + 0j)])
+        forms[c0] = _form_with_residues([(p0, 1.0 + 0j), (leave[0], -1.0 + 0j)])
         # intermediate components: enter +1, exit -1
         for j in range(1, i):
-            cj = comp_order[j]
-            enter = _entry_exit_point(family, cj, path_nodes[j - 1])
-            leave = _entry_exit_point(family, cj, path_nodes[j])
-            forms[cj] = _form_with_residues([(enter, 1.0 + 0j), (leave, -1.0 + 0j)])
+            forms[comp_order[j]] = _form_with_residues(
+                [(enter[j - 1], 1.0 + 0j), (leave[j], -1.0 + 0j)])
         # final component: enter +1, puncture pole -1
-        enter = _entry_exit_point(family, ci, path_nodes[i - 1])
-        forms[ci] = _form_with_residues([(enter, 1.0 + 0j), (pi, -1.0 + 0j)])
+        forms[ci] = _form_with_residues([(enter[i - 1], 1.0 + 0j), (pi, -1.0 + 0j)])
         diff = PlumbingDifferential(
             forms=forms,
             punctures=((c0, p0), (ci, pi)),
@@ -359,22 +345,14 @@ def canonical_basis(family: DegenerationFamily) -> tuple[
     return twisted, untwisted
 
 
-def _entry_exit_point(family: DegenerationFamily, cid: int, node) -> complex:
-    for cid2, mp in (node.left, node.right):
-        if cid2 == cid:
-            return family.component(cid2).marked_points[mp]
-    raise ValueError(f"node {node.node_id} does not touch component {cid}")
-
-
 def residue_free_differential(family: DegenerationFamily) -> PlumbingDifferential:
     """A twisted differential with zero residue at every node: two
     opposite-residue poles at punctures on the same component (the first
     component of the family)."""
     cid = family.components[0].id
-    pts = _node_points(family, cid)
     if family.node_degree(cid) == 1:
         # away from the node chart (|z| <= 1/2 resp. |z| >= 2) on both sides
-        locs = (1.2j, -1.2j) if 0 in pts else (1.2j, -1.2j)
+        locs = (1.2j, -1.2j)
     else:
         locs = (-1.0 + 0j, 1.0 + 0j)
     form = _form_with_residues([(locs[0], 1.0 + 0j), (locs[1], -1.0 + 0j)])
@@ -546,7 +524,7 @@ def _group_pairing(family: DegenerationFamily, cid: int, left: list[RationalForm
     uniq = list(dict.fromkeys(left + right))
     fi = [uniq.index(f) for f in left]
     fj = [uniq.index(f) for f in right]
-    node_pts = _node_points(family, cid)
+    node_pts = [p for *_, p in family.branches(cid)]
 
     def density(z: np.ndarray) -> np.ndarray:
         f = np.stack([form.eval(z) for form in uniq])
@@ -586,9 +564,9 @@ def _group_pairing(family: DegenerationFamily, cid: int, left: list[RationalForm
             total = total + _polar_quad(lambda z, k=k: piece(z, k), p, breaks, rel_tol)
 
     k_rem = len(puncs)
-    if family.node_degree(cid) != 1:
+    if len(node_pts) != 1:
         remainder, breaks = (lambda z: piece(z, k_rem)), [RHO, 1.0, 1.0 / RHO]
-    elif 0 in node_pts:
+    elif node_pts[0] == 0:
         # region |z| >= RHO: integrate in the xi = 1/z chart
         remainder, breaks = in_xi(k_rem), [0.0, 1.0, 1.0 / RHO]
     else:

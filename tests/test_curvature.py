@@ -22,12 +22,15 @@ from pinchlab.curvature import (
 )
 from pinchlab.errors import NotConverged, StencilOutOfChart
 from pinchlab.family import (
+    INF_POINT,
     ChartPoint,
     ComponentSurface,
     DegenerationFamily,
     FermatAtlas,
     MetricKind,
+    NodeSpec,
     _fs_density,
+    build_plumbing,
     three_cycle_family,
     two_sphere_family,
 )
@@ -140,6 +143,17 @@ class TestMinCurvatureSweep:
 
     def test_exponent_reported(self, report):
         assert math.isfinite(report.fitted_exponent)
+
+    def test_caps_sampled_on_one_node_components(self):
+        # the chain's ends carry a second, unused marked point; one node
+        # each still leaves them a cap chart (as in mesh_fiber)
+        comps = [ComponentSurface(id=i, marked_points=(0.0 + 0j, INF_POINT))
+                 for i in range(3)]
+        nodes = [NodeSpec(node_id=i, left=(i, 1), right=(i + 1, 0)) for i in range(2)]
+        rep = min_curvature_sweep(build_plumbing(comps, nodes), MetricKind.INDUCED,
+                                  [1e-3, 1e-4])
+        assert np.isfinite(rep.component_max).all()
+        assert rep.component_max.max() <= 4.0 + 1e-6
 
     def test_hyperbolic_floor_constant(self):
         fam = two_sphere_family()

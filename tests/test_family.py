@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchlab.errors import (
+    ChartOverlapConflict,
     DisconnectedGraph,
     OverlappingMarkedPoints,
     PointOffFiber,
@@ -16,11 +17,13 @@ from pinchlab.family import (
     INF_POINT,
     ChartPoint,
     ComponentSurface,
+    DegenerationFamily,
     MetricKind,
     NodeSpec,
     build_plumbing,
     conformal_factor,
     fermat_fiber_charts,
+    is_inf_point,
     neck_core_length,
     read_family_config,
     three_cycle_family,
@@ -85,6 +88,147 @@ class TestGraphInvariants:
         ]
         with pytest.raises(OverlappingMarkedPoints):
             build_plumbing(comps, nodes)
+
+
+def _reference_walk(family):
+    """The mesher's walk before the family owned it: the marked-point
+    check, then the path or cycle order (kept verbatim as the oracle)."""
+    for comp in family.components:
+        node_mps = []
+        for node in family.nodes:
+            for cid, mp in (node.left, node.right):
+                if cid == comp.id:
+                    node_mps.append(comp.marked_points[mp])
+        for p in node_mps:
+            if not (p == 0 or is_inf_point(p)):
+                raise ChartOverlapConflict("node marked points must be 0 or infinity")
+        if len(node_mps) == 2 and not ((node_mps[0] == 0) ^ (node_mps[1] == 0)):
+            raise ChartOverlapConflict("two-node components need 0 and infinity")
+    adj = {c.id: [] for c in family.components}
+    for node in family.nodes:
+        (lc, _), (rc, _) = node.left, node.right
+        adj[lc].append((node, 0, rc))
+        adj[rc].append((node, 1, lc))
+    degrees = {cid: len(items) for cid, items in adj.items()}
+    if any(d > 2 for d in degrees.values()):
+        raise ChartOverlapConflict("at most two nodes per component")
+    ends = [cid for cid, d in degrees.items() if d == 1]
+    is_cycle = not ends
+    start = min(ends) if ends else family.components[0].id
+    order = []
+    comp_order = [start]
+    cid = start
+    prev_node = None
+    while True:
+        nxt = [item for item in adj[cid] if item[0] is not prev_node]
+        if not nxt:
+            break
+        node, branch, other = nxt[0]
+        order.append((node, branch))
+        if other == comp_order[0] and is_cycle:
+            break
+        comp_order.append(other)
+        cid = other
+        prev_node = node
+    return comp_order, order, is_cycle
+
+
+def _chain_of_three():
+    comps = [
+        ComponentSurface(id=0, marked_points=(0.0 + 0j,)),
+        ComponentSurface(id=1, marked_points=(0.0 + 0j, INF_POINT)),
+        ComponentSurface(id=2, marked_points=(0.0 + 0j,)),
+    ]
+    nodes = [
+        NodeSpec(node_id=0, left=(0, 0), right=(1, 0)),
+        NodeSpec(node_id=1, left=(1, 1), right=(2, 0)),
+    ]
+    return build_plumbing(comps, nodes)
+
+
+def _reversed(family):
+    return build_plumbing(family.components, family.nodes[::-1])
+
+
+INF = INF_POINT
+#: (node id, branch, component id, marked point) of every branch
+DUAL_GRAPHS = {
+    "two-sphere": (two_sphere_family, [(0, 0, 0, 0j), (0, 1, 1, 0j)]),
+    "three-cycle": (three_cycle_family, [(0, 0, 0, INF), (0, 1, 1, 0j), (1, 0, 1, INF),
+                                         (1, 1, 2, 0j), (2, 0, 2, INF), (2, 1, 0, 0j)]),
+    "chain-of-three": (_chain_of_three, [(0, 0, 0, 0j), (0, 1, 1, 0j),
+                                         (1, 0, 1, INF), (1, 1, 2, 0j)]),
+}
+
+
+class TestDualGraph:
+    @pytest.mark.parametrize("reverse", [False, True], ids=["node-order", "reversed"])
+    @pytest.mark.parametrize("name", list(DUAL_GRAPHS))
+    def test_walk_matches_reference(self, name, reverse):
+        fam = DUAL_GRAPHS[name][0]()
+        if reverse:
+            fam = _reversed(fam)
+        comp_order, order, is_cycle = fam.walk()
+        ref_comps, ref_order, ref_cycle = _reference_walk(fam)
+        assert (comp_order, is_cycle) == (ref_comps, ref_cycle)
+        assert [(n.node_id, b) for n, b in order] == [(n.node_id, b) for n, b in ref_order]
+        assert all(n is m for (n, _), (m, _) in zip(order, ref_order))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["node-order", "reversed"])
+    @pytest.mark.parametrize("name", list(DUAL_GRAPHS))
+    def test_branches(self, name, reverse):
+        make, expected = DUAL_GRAPHS[name]
+        fam = make()
+        if reverse:
+            fam = _reversed(fam)
+            expected = sorted(expected, key=lambda e: -e[0])  # stable: branch 0 first
+        got = [(n.node_id, b, c, p) for n, b, c, p in fam.branches()]
+        assert got == expected
+        for comp in fam.components:
+            mine = [(n.node_id, b, c, p) for n, b, c, p in fam.branches(comp.id)]
+            assert mine == [e for e in expected if e[2] == comp.id]
+            assert fam.node_degree(comp.id) == len(fam.branches(comp.id))
+
+    def test_three_node_component_rejected(self):
+        comps = [
+            ComponentSurface(id=0, marked_points=(0.0 + 0j, INF_POINT, 4.0 + 0j)),
+            ComponentSurface(id=1, marked_points=(0.0 + 0j,)),
+            ComponentSurface(id=2, marked_points=(0.0 + 0j,)),
+            ComponentSurface(id=3, marked_points=(0.0 + 0j,)),
+        ]
+        nodes = [
+            NodeSpec(node_id=j, left=(0, j), right=(j + 1, 0)) for j in range(3)
+        ]
+        fam = build_plumbing(comps, nodes)
+        with pytest.raises(ChartOverlapConflict):
+            _reference_walk(fam)
+        with pytest.raises(ChartOverlapConflict, match="component 0"):
+            fam.walk()
+
+    def test_node_at_marked_point_one_rejected(self):
+        comps = [
+            ComponentSurface(id=0, marked_points=(1.0 + 0j,)),
+            ComponentSurface(id=1, marked_points=(0.0 + 0j,)),
+        ]
+        fam = build_plumbing(comps, [NodeSpec(node_id=0, left=(0, 0), right=(1, 0))])
+        with pytest.raises(ChartOverlapConflict):
+            _reference_walk(fam)
+        with pytest.raises(ChartOverlapConflict, match=r"component 0 .*\(1\+0j\)"):
+            fam.walk()
+
+    def test_two_nodes_at_one_marked_point_rejected(self):
+        # only a family built without build_plumbing can share a marked point
+        comps = (
+            ComponentSurface(id=0, marked_points=(0.0 + 0j,)),
+            ComponentSurface(id=1, marked_points=(0.0 + 0j, INF_POINT)),
+        )
+        nodes = (NodeSpec(node_id=0, left=(0, 0), right=(1, 0)),
+                 NodeSpec(node_id=1, left=(0, 0), right=(1, 1)))
+        fam = DegenerationFamily(components=comps, nodes=nodes, N=2, g=1)
+        with pytest.raises(ChartOverlapConflict):
+            _reference_walk(fam)
+        with pytest.raises(ChartOverlapConflict, match="component 0"):
+            fam.walk()
 
 
 class TestConformalFactor:

@@ -58,6 +58,9 @@ def factor_curvature(factor_fn, z, h):
 #: Finite-difference step relative to |x| (to max(|x|, 0.1) on caps).
 STEP_SCALE = 2e-3
 
+#: Relative tolerance of the chart quadratures in fermat_gauss_bonnet.
+FERMAT_REL_TOL = 1e-4
+
 
 def _chart_step(point: ChartPoint, s: complex) -> np.ndarray:
     """Largest admissible FD step at each point, scaled to |x|."""
@@ -220,7 +223,7 @@ def gauss_bonnet(mesh: TriangleMesh, field: CurvatureField) -> GaussBonnetReport
 # Gauss-Bonnet for Fermat fibers (chart quadrature)
 # ---------------------------------------------------------------------------
 
-def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonnetReport:
+def fermat_gauss_bonnet(d: int, s: complex) -> GaussBonnetReport:
     """Total curvature of the Fubini-Study metric on the Fermat fiber.
 
     Integrates K dv = -(1/2) Lap(log factor) dA, summed over sheets,
@@ -285,7 +288,7 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
     total = _polar_quad(
         f1, 0.0 + 0.0j,
         [0.0, 0.5 * (rb - R1), rb - R1, rb + R1, SPLIT0, SPLIT1],
-        rel_tol, n_theta0=64,
+        FERMAT_REL_TOL, n_theta0=64,
     ).real
 
     # chart 2: the transition weight in the coordinate at infinity
@@ -297,7 +300,7 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
 
     total += _polar_quad(
         f2, 0.0 + 0.0j, [0.0, 0.6, 1.0 / SPLIT1, 1.0 / SPLIT0],
-        rel_tol, n_theta0=64,
+        FERMAT_REL_TOL, n_theta0=64,
     ).real
 
     # branch patches in the sheet coordinate y (single-valued there)
@@ -312,7 +315,7 @@ def fermat_gauss_bonnet(d: int, s: complex, rel_tol: float = 1e-4) -> GaussBonne
         rho = (1.25 * R1 * d * abs(xb) ** (d - 1)) ** (1.0 / d)
         rho0 = (0.5 * R0 * d * abs(xb) ** (d - 1)) ** (1.0 / d)
         total += _polar_quad(
-            fb, 0.0 + 0.0j, [0.0, rho0, rho], rel_tol, n_theta0=64
+            fb, 0.0 + 0.0j, [0.0, rho0, rho], FERMAT_REL_TOL, n_theta0=64
         ).real
 
     return GaussBonnetReport.against_genus(total, atlas.genus())

@@ -1,22 +1,19 @@
 """Degenerating families of Riemann surfaces and their fiber metrics.
 
-Two constructions are supported:
-
-* plumbing families: round-sphere components joined at nodes through the
-  local model ``x*y = s``, with the gluing annulus normalized to
-  ``{|s| <= |x| <= 1}`` on each branch;
-* Fermat plane curves ``x^d + y^d + s*z^d = 0`` with the induced
-  Fubini-Study metric, exposed as a chart atlas.
-
-The module evaluates the conformal factor (the coefficient of ``|dx|^2``)
-of every supported metric kind on every fiber chart, and serializes family
-descriptions to a plain-text config file.
+A family (`DegenerationFamily`) is the dual graph of its singular fiber:
+round-sphere components joined at nodes through the local model
+``x*y = s``, with the gluing annulus normalized to ``{|s| <= |x| <= 1}``
+on each branch; N and the genus g are derived from it.  The module
+evaluates the conformal factor (the coefficient of ``|dx|^2``) of every
+plumbing metric kind on every fiber chart, and serializes families to a
+plain-text config file.  Fermat plane curves ``x^d + y^d + s*z^d = 0``
+with the induced Fubini-Study metric are a chart atlas (`FermatAtlas`).
 """
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -27,6 +24,7 @@ from .errors import (
     DisconnectedGraph,
     OverlappingMarkedPoints,
     PointOffFiber,
+    SchemaError,
     UnresolvedChartOverlap,
     ZeroRadiusAtNode,
 )
@@ -105,20 +103,26 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class DegenerationFamily:
-    """A degenerating family over the parameter disk.
+    """A degenerating family over the parameter disk: the dual graph of
+    its singular fiber, sphere components joined at nodes.
 
-    ``kind`` is ``"plumbing"`` or ``"fermat"``; Fermat families carry the
-    degree ``d``.  ``scale`` multiplies the conformal factor of every
-    metric kind (global metric scale, default 1).
+    ``scale`` multiplies the conformal factor of every metric kind (global
+    metric scale, default 1).
     """
 
     components: tuple[ComponentSurface, ...]
     nodes: tuple[NodeSpec, ...]
-    N: int
-    g: int
-    kind: str = "plumbing"
-    d: int = 0
     scale: float = 1.0
+
+    @property
+    def N(self) -> int:
+        """Number of components of the singular fiber."""
+        return len(self.components)
+
+    @property
+    def g(self) -> int:
+        """Arithmetic genus: the dual graph's first Betti number (spheres add 0)."""
+        return len(self.nodes) - len(self.components) + 1
 
     def component(self, cid: int) -> ComponentSurface:
         for c in self.components:
@@ -132,15 +136,19 @@ class DegenerationFamily:
                 return n
         raise KeyError(f"no node with id {nid}")
 
+    def branch(self, nid: int, b: int) -> tuple[int, complex]:
+        """(component id, marked point) of branch b (0 = left) of node nid."""
+        node = self.node(nid)
+        cid, mp = node.right if b else node.left
+        return cid, self.component(cid).marked_points[mp]
+
     def branches(self, cid: int | None = None
                  ) -> list[tuple[NodeSpec, int, int, complex]]:
         """(node, branch, component id, marked point) of every node branch
         on component cid, or on all components, in node order with branch
         0 (the left side) first."""
-        return [(node, branch, c, self.component(c).marked_points[mp])
-                for node in self.nodes
-                for branch, (c, mp) in enumerate((node.left, node.right))
-                if cid is None or c == cid]
+        return [(node, b, c, p) for node in self.nodes for b in (0, 1)
+                for c, p in [self.branch(node.node_id, b)] if cid is None or c == cid]
 
     def node_degree(self, cid: int) -> int:
         return len(self.branches(cid))
@@ -164,7 +172,7 @@ class DegenerationFamily:
                     f"component {comp.id} has nodes at marked points {pts}; the "
                     f"walk needs at most two, at distinct points among 0 and infinity"
                 )
-            adj[comp.id] = [(node, b, (node.right, node.left)[b][0])
+            adj[comp.id] = [(node, b, self.branch(node.node_id, 1 - b)[0])
                             for node, b, *_ in branches]
         ends = [cid for cid, items in adj.items() if len(items) == 1]
         start = min(ends) if ends else self.components[0].id
@@ -178,28 +186,14 @@ class DegenerationFamily:
             comp_order.append(cid)
         return comp_order, order, not ends
 
-    def with_scale(self, scale: float) -> "DegenerationFamily":
-        return DegenerationFamily(
-            components=self.components,
-            nodes=self.nodes,
-            N=self.N,
-            g=self.g,
-            kind=self.kind,
-            d=self.d,
-            scale=scale,
-        )
-
 
 def build_plumbing(
     components: Sequence[ComponentSurface],
     nodes: Sequence[NodeSpec],
     scale: float = 1.0,
 ) -> DegenerationFamily:
-    """Validate the dual graph and compute N and the arithmetic genus.
-
-    Sphere components contribute genus 0, so g equals the first Betti
-    number of the dual graph (edges - vertices + 1 for a connected graph).
-    """
+    """Validate the dual graph: unique component ids, node references to
+    existing and unshared marked points, connectivity."""
     comps = tuple(components)
     nds = tuple(nodes)
     ids = [c.id for c in comps]
@@ -207,6 +201,8 @@ def build_plumbing(
         raise ValueError("duplicate component ids")
     if len(comps) < 2:
         raise ValueError("plumbing families need at least two components")
+    if len({n.node_id for n in nds}) != len(nds):
+        raise ValueError("duplicate node ids")
 
     used: set[tuple[int, int]] = set()
     for n in nds:
@@ -222,28 +218,20 @@ def build_plumbing(
                 )
             used.add((cid, mp))
 
-    # connectivity of the dual graph
-    adj: dict[int, set[int]] = {c.id: set() for c in comps}
-    for n in nds:
-        adj[n.left[0]].add(n.right[0])
-        adj[n.right[0]].add(n.left[0])
+    family = DegenerationFamily(components=comps, nodes=nds, scale=scale)
     seen = {comps[0].id}
     stack = [comps[0].id]
     while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
+        for node, b, *_ in family.branches(stack.pop()):
+            other = family.branch(node.node_id, 1 - b)[0]
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
     if len(seen) != len(comps):
         raise DisconnectedGraph(
             f"dual graph not connected: reached {len(seen)} of {len(comps)} components"
         )
-
-    b1 = len(nds) - len(comps) + 1
-    return DegenerationFamily(
-        components=comps, nodes=nds, N=len(comps), g=b1, kind="plumbing",
-        scale=scale,
-    )
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +296,16 @@ def conformal_factor(
     point: ChartPoint,
     s: complex,
 ) -> float | np.ndarray:
-    """Coefficient of |dx|^2 at the chart point(s) on the fiber X_s.
+    """Coefficient of |dx|^2 at the chart point(s) on the fiber X_s of a
+    plumbing family (induced, hyperbolic-model and cylinder kinds).
 
     Every plumbing factor depends on |x| only within a chart, so an array
     of coordinates is evaluated region by region (cap, near blend, pure
     neck, far blend), each formula on its own points only.  A scalar
     coordinate gives a float, an array one an array of its shape.
     """
-    if family.kind == "fermat":
-        raise ValueError("use FermatAtlas for Fermat families")
     if kind is MetricKind.FUBINI_STUDY_INDUCED:
-        raise ValueError("Fubini-Study factor applies to Fermat families only")
+        raise ValueError("Fubini-Study factor is not defined on plumbing charts")
     abs_s = abs(s)
     r = np.abs(np.asarray(point.coord, dtype=complex))
     tag = point.chart[0]
@@ -339,7 +326,6 @@ def _neck_chart_factor(family: DegenerationFamily, kind: MetricKind,
                        chart: tuple, r: np.ndarray, abs_s: float) -> np.ndarray:
     """Factor at radii r of a neck chart: near blend, pure neck, far blend."""
     _, nid, branch = chart
-    node = family.node(nid)
     if (r == 0.0).any():
         raise ZeroRadiusAtNode(f"node {nid}: factor requested at |x| = 0")
     bad = r > 1.0 + 1e-12
@@ -349,8 +335,8 @@ def _neck_chart_factor(family: DegenerationFamily, kind: MetricKind,
     if abs_s > 0.0 and bad.any():
         raise PointOffFiber(f"neck coordinate |x| = {r[bad].flat[0]} < |s| = {abs_s}")
 
-    near_cid = (node.left if branch == 0 else node.right)[0]
-    far_cid = (node.right if branch == 0 else node.left)[0]
+    near_cid = family.branch(nid, branch)[0]
+    far_cid = family.branch(nid, 1 - branch)[0]
     ry = abs_s / r
     near = r >= 0.5
     far = ~near & (ry >= 0.5)
@@ -541,28 +527,6 @@ class FermatAtlas:
         return x_of_y, factor
 
 
-def fermat_fiber_charts(d: int, s: complex) -> FermatAtlas:
-    """Chart atlas of the Fermat fiber x^d + y^d + s z^d = 0."""
-    return FermatAtlas(d=d, s=s)
-
-
-def fermat_family(d: int) -> DegenerationFamily:
-    """Family wrapper for the Fermat curve (N and g of the fibers).
-
-    The s = 0 fiber is a union of d lines meeting pairwise, so its dual
-    graph is the complete graph K_d; the smooth-fiber genus is
-    (d-1)(d-2)/2 which equals the first Betti number of K_d.
-    """
-    comps = tuple(
-        ComponentSurface(id=i, marked_points=(0.0 + 0j, INF_POINT))
-        for i in range(d)
-    )
-    g = (d - 1) * (d - 2) // 2
-    return DegenerationFamily(
-        components=comps, nodes=(), N=d, g=g, kind="fermat", d=d,
-    )
-
-
 # ---------------------------------------------------------------------------
 # presets and plain-text config
 # ---------------------------------------------------------------------------
@@ -618,46 +582,43 @@ def write_family_config(family: DegenerationFamily, path: str,
     comp_lines = []
     for c in family.components:
         pts = "|".join(_format_point(p) for p in c.marked_points)
-        comp_lines.append(f"{c.id}:{pts}")
+        comp_lines.append(f"{c.id}:{pts}:{c.radius!r}")
     node_lines = [
         f"{n.node_id}:{n.left[0]}.{n.left[1]}-{n.right[0]}.{n.right[1]}"
         for n in family.nodes
     ]
     cp["family"] = {
         "schema": CONFIG_SCHEMA,
-        "kind": family.kind,
         "components": " ; ".join(comp_lines),
         "nodes": " ; ".join(node_lines),
         "metric": (metric or MetricKind.INDUCED).value,
         "scale": repr(family.scale),
-        "d": str(family.d),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         cp.write(fh)
 
 
 def read_family_config(path: str) -> tuple[DegenerationFamily, MetricKind]:
-    """Read a family (and its default metric) from a config file."""
+    """Read a plumbing family (and its default metric) from a config file; a
+    component is ``id:points`` or ``id:points:radius`` (radius 0.5 if absent)."""
     cp = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
     sec = cp["family"]
     kind = sec.get("kind", "plumbing")
+    if kind != "plumbing":
+        raise SchemaError(f"{path}: family kind {kind!r} is not supported; "
+                          f"only plumbing families can be read")
     scale = float(sec.get("scale", "1.0"))
     metric = MetricKind(sec.get("metric", "induced"))
-    if kind == "fermat":
-        fam = fermat_family(int(sec["d"]))
-        if scale != 1.0:
-            fam = fam.with_scale(scale)
-        return fam, metric
     comps = []
     for chunk in sec["components"].split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        cid, pts = chunk.split(":")
+        cid, pts, *radius = chunk.split(":")
         points = tuple(_parse_point(p) for p in pts.split("|"))
-        comps.append(ComponentSurface(id=int(cid), marked_points=points))
+        comps.append(ComponentSurface(int(cid), points, *map(float, radius)))
     nodes = []
     for chunk in sec.get("nodes", "").split(";"):
         chunk = chunk.strip()
@@ -680,5 +641,5 @@ def resolve_family(name_or_path: str, scale: float = 1.0
         return FAMILY_PRESETS[name_or_path](scale=scale), None
     fam, metric = read_family_config(name_or_path)
     if scale != 1.0:
-        fam = fam.with_scale(scale)
+        fam = replace(fam, scale=scale)
     return fam, metric

@@ -44,6 +44,11 @@ RHO = 0.5
 #: Quadratic-vanishing radius of the puncture weight.
 RHO_0 = 0.25
 
+#: Component-interior quadratures double until stable to this relative
+#: tolerance, and node Taylor data run to this degree in the Gram.
+GRAM_REL_TOL = 1e-6
+GRAM_DEGREE = 24
+
 
 # ---------------------------------------------------------------------------
 # rational one-forms on genus-0 components
@@ -115,23 +120,18 @@ class PlumbingDifferential:
         return self.forms.get(cid, ZERO_FORM)
 
 
-def _node_marked_point(family: DegenerationFamily, node, branch: int) -> tuple[int, complex]:
-    cid, mp = node.left if branch == 0 else node.right
-    return cid, family.component(cid).marked_points[mp]
-
-
 def node_residue(family: DegenerationFamily, diff: PlumbingDifferential,
                  node, branch: int) -> complex:
     """Residue of the differential at the given node branch, in the branch
     coordinate (which vanishes at the node)."""
-    cid, p = _node_marked_point(family, node, branch)
+    cid, p = family.branch(node.node_id, branch)
     return diff.form(cid).residue_at(p)
 
 
 def node_taylor(family: DegenerationFamily, diff: PlumbingDifferential,
                 node, branch: int, degree: int = 12) -> np.ndarray:
     """Taylor coefficients of alpha = x * f(x) in the branch coordinate."""
-    cid, p = _node_marked_point(family, node, branch)
+    cid, p = family.branch(node.node_id, branch)
     form = diff.form(cid)
     if is_inf_point(p):
         return form.taylor_alpha_at_infinity(degree)
@@ -307,8 +307,8 @@ def canonical_basis(family: DegenerationFamily) -> tuple[
     comp_order, walk, is_cycle = family.walk()
     # the marked points where the walk leaves comp_order[k] and enters
     # comp_order[k + 1]
-    leave = [_node_marked_point(family, node, b)[1] for node, b in walk]
-    enter = [_node_marked_point(family, node, 1 - b)[1] for node, b in walk]
+    leave = [family.branch(node.node_id, b)[1] for node, b in walk]
+    enter = [family.branch(node.node_id, 1 - b)[1] for node, b in walk]
     untwisted: list[PlumbingDifferential] = []
     if is_cycle:
         forms = {}
@@ -480,7 +480,6 @@ def component_pairing(
     family: DegenerationFamily,
     diffs: list[PlumbingDifferential],
     cid: int,
-    rel_tol: float = 1e-6,
 ) -> np.ndarray:
     """Hermitian (n, n) block of sqrt(-1) Int_{component region}
     omega_i ^ conj(omega_j) * weight over the n differentials.
@@ -490,7 +489,7 @@ def component_pairing(
     (flat bundle metric away from them, exactly 1 near all nodes).  Each
     puncture gets a polar quadrature patch in its own local coordinate; a
     smooth partition of unity splits the region so every piece is
-    resolved by doubling tensor quadrature.
+    resolved by doubling tensor quadrature (to GRAM_REL_TOL).
 
     The pairs i <= j are grouped by their puncture set on cid, which fixes
     the weight and the partition.  Each group runs one set of patch and
@@ -511,14 +510,13 @@ def component_pairing(
     for puncs, pairs in groups.items():
         rows, cols = np.array(pairs).T
         block[rows, cols] = _group_pairing(family, cid, [forms[i] for i in rows],
-                                           [forms[j] for j in cols], puncs, rel_tol)
+                                           [forms[j] for j in cols], puncs)
     upper = np.triu(block, 1)
     return upper + upper.conj().T + np.diag(block.diagonal().real)
 
 
 def _group_pairing(family: DegenerationFamily, cid: int, left: list[RationalForm],
-                   right: list[RationalForm], puncs: tuple[complex, ...],
-                   rel_tol: float) -> np.ndarray:
+                   right: list[RationalForm], puncs: tuple[complex, ...]) -> np.ndarray:
     """component_pairing of the pairs (left[k], right[k]), which share the
     punctures puncs on component cid."""
     uniq = list(dict.fromkeys(left + right))
@@ -559,9 +557,9 @@ def _group_pairing(family: DegenerationFamily, cid: int, left: list[RationalForm
     for k, p in enumerate(puncs):
         breaks = [0.0, RHO_0, bump_r[p]]
         if is_inf_point(p):
-            total = total + _polar_quad(in_xi(k), 0.0 + 0j, breaks, rel_tol)
+            total = total + _polar_quad(in_xi(k), 0.0 + 0j, breaks, GRAM_REL_TOL)
         else:
-            total = total + _polar_quad(lambda z, k=k: piece(z, k), p, breaks, rel_tol)
+            total = total + _polar_quad(lambda z, k=k: piece(z, k), p, breaks, GRAM_REL_TOL)
 
     k_rem = len(puncs)
     if len(node_pts) != 1:
@@ -572,7 +570,7 @@ def _group_pairing(family: DegenerationFamily, cid: int, left: list[RationalForm
     else:
         # node at infinity: region is the disk |z| <= 1/RHO
         remainder, breaks = (lambda z: piece(z, k_rem)), [0.0, 1.0, 1.0 / RHO]
-    return total + _polar_quad(remainder, 0.0 + 0j, breaks, rel_tol)
+    return total + _polar_quad(remainder, 0.0 + 0j, breaks, GRAM_REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -608,17 +606,15 @@ def plumbing_gram(
     t_grid: np.ndarray,
     diffs: list[PlumbingDifferential],
     twisted: bool,
-    rel_tol: float = 1e-6,
-    degree: int = 24,
 ) -> PeriodGram:
     """Gram over the grid: node annuli in closed form plus t-independent
     component interiors, one component_pairing block per component
-    (doubling quadrature to rel_tol).
+    (doubling quadrature to GRAM_REL_TOL).
 
     An annulus rescaled to branch disks of radius RHO has parameter
     T = t/RHO^2 and data alpha = sum g_m x^m - sum_{m>=1} h_m (T/x)^m,
     with g and h the node_taylor data of the left and right branch to
-    ``degree`` (h enters with a minus sign because dy/y = -dx/x; its
+    GRAM_DEGREE (h enters with a minus sign because dy/y = -dx/x; its
     constant term, minus g_0, is dropped).  The angular integral removes
     the cross terms, leaving 4 pi [g_0 conj(g'_0) log(1/|T|) + sum_{m>=1}
     (g_m conj(g'_m) + h_m conj(h'_m)) (1 - |T|^2m)/(2m)]: finite for all
@@ -629,18 +625,18 @@ def plumbing_gram(
     if bad.size:
         raise ValueError(f"|t| = {abs(bad[0])} outside the plumbing range")
     n = len(diffs)
-    base = sum(component_pairing(family, diffs, comp.id, rel_tol)
-               for comp in family.components)
+    base = sum(component_pairing(family, diffs, comp.id) for comp in family.components)
 
     # taylor[b, q, i]: branch b of node q for diffs[i]; h_0 is not in alpha
-    scale = RHO ** np.arange(degree + 1)
-    taylor = np.zeros((2, len(family.nodes), n, degree + 1), dtype=complex)
+    scale = RHO ** np.arange(GRAM_DEGREE + 1)
+    taylor = np.zeros((2, len(family.nodes), n, GRAM_DEGREE + 1), dtype=complex)
     for b, q, i in np.ndindex(taylor.shape[:3]):
-        taylor[b, q, i] = scale * node_taylor(family, diffs[i], family.nodes[q], b, degree)
+        taylor[b, q, i] = scale * node_taylor(family, diffs[i], family.nodes[q], b,
+                                              GRAM_DEGREE)
     taylor[1, :, :, 0] = 0.0
 
     log_t = np.log(t_hat)[:, None]
-    m = np.arange(1, degree + 1)
+    m = np.arange(1, GRAM_DEGREE + 1)
     radial = np.hstack([-log_t, -np.expm1(2 * m * log_t) / (2 * m)])
     G = base + KAPPA * np.einsum("bqim,bqjm,tm->tij", taylor, taylor.conj(), radial)
     mats = list(0.5 * (G + G.conj().transpose(0, 2, 1)))
@@ -652,16 +648,14 @@ def plumbing_gram(
     )
 
 
-def plumbing_twisted_gram(family: DegenerationFamily, t_grid: np.ndarray,
-                          rel_tol: float = 1e-6) -> PeriodGram:
+def plumbing_twisted_gram(family: DegenerationFamily, t_grid: np.ndarray) -> PeriodGram:
     twisted, _ = canonical_basis(family)
-    return plumbing_gram(family, t_grid, twisted, twisted=True, rel_tol=rel_tol)
+    return plumbing_gram(family, t_grid, twisted, twisted=True)
 
 
-def plumbing_untwisted_gram(family: DegenerationFamily, t_grid: np.ndarray,
-                            rel_tol: float = 1e-6) -> PeriodGram:
+def plumbing_untwisted_gram(family: DegenerationFamily, t_grid: np.ndarray) -> PeriodGram:
     _, untwisted = canonical_basis(family)
-    return plumbing_gram(family, t_grid, untwisted, twisted=False, rel_tol=rel_tol)
+    return plumbing_gram(family, t_grid, untwisted, twisted=False)
 
 
 # ---------------------------------------------------------------------------

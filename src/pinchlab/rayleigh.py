@@ -76,8 +76,7 @@ def build_cutoffs(mesh: TriangleMesh, family: DegenerationFamily,
         _, nid, branch = chart
         # a neck chart covers |x| >= sqrt|s| only, where the other branch's
         # ramp log_ramp(|s|/|x|, eps) is 0 since eps >= sqrt|s|
-        own = (family.node(nid).left[0], family.node(nid).right[0])[branch]
-        phi[on, col[own]] = log_ramp(radius[on], eps)
+        phi[on, col[family.branch(nid, branch)[0]]] = log_ramp(radius[on], eps)
     mass = mesh.lumped_vertex_mass()
     areas = np.array([mass[phi[:, i] == 1.0].sum() for i in range(len(comp_ids))])
     for cid, area in zip(comp_ids, areas):

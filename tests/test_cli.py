@@ -1,6 +1,10 @@
 """Tests for the command-line sweep/fit/report pipeline."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from pinchlab.cli import (
     main,
     read_sweep_csv,
 )
+import pinchlab
 from pinchlab.errors import SchemaError
 
 
@@ -185,6 +190,10 @@ class TestCmdFit:
         assert payload["p"] is None  # NaN never leaks into JSON
 
 
+#: A family config of the removed Fermat kind (the old reader needed only d).
+FERMAT_CONFIG = "[family]\nschema = pinchlab-family-v1\nkind = fermat\nd = 4\n"
+
+
 class TestCmdPeriods:
     def test_report_contents(self, tmp_path):
         out = tmp_path / "periods.json"
@@ -194,6 +203,21 @@ class TestCmdPeriods:
         assert payload["twisted"]["min_eigenvalue"] > 0
         disk = json.loads(out.read_text(encoding="utf-8"))
         assert disk["twisted"]["det_slope"] == payload["twisted"]["det_slope"]
+
+    def test_fermat_config_fails_without_json(self, tmp_path):
+        # a family kind that no stage can run must stop the command, not
+        # write empty Grams
+        cfg, out = tmp_path / "fermat.cfg", tmp_path / "periods.json"
+        cfg.write_text(FERMAT_CONFIG, encoding="utf-8")
+        src = Path(pinchlab.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "pinchlab.cli", "periods", "--family", str(cfg),
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120)
+        assert run.returncode != 0
+        assert "SchemaError" in run.stderr and str(cfg) in run.stderr
+        assert not out.exists()
 
 
 class TestCmdVerify:

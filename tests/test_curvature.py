@@ -310,7 +310,7 @@ class TestFermatDensity:
 def _single_sphere_family() -> DegenerationFamily:
     return DegenerationFamily(
         components=(ComponentSurface(id=0, marked_points=()),),
-        nodes=(), N=1, g=0, kind="plumbing",
+        nodes=(),
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for family construction, conformal factors, and serialization."""
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from pinchlab.errors import (
     DisconnectedGraph,
     OverlappingMarkedPoints,
     PointOffFiber,
+    SchemaError,
     ZeroRadiusAtNode,
 )
 from pinchlab.family import (
@@ -18,11 +21,11 @@ from pinchlab.family import (
     ChartPoint,
     ComponentSurface,
     DegenerationFamily,
+    FermatAtlas,
     MetricKind,
     NodeSpec,
     build_plumbing,
     conformal_factor,
-    fermat_fiber_charts,
     is_inf_point,
     neck_core_length,
     read_family_config,
@@ -30,6 +33,7 @@ from pinchlab.family import (
     two_sphere_family,
     write_family_config,
 )
+from pinchlab.mesh import MeshParams, mesh_fiber
 
 ALL_PLUMBING_KINDS = (
     MetricKind.INDUCED,
@@ -146,6 +150,12 @@ def _chain_of_three():
     return build_plumbing(comps, nodes)
 
 
+def _chain_of_four():
+    comps = [ComponentSurface(id=i, marked_points=(0.0 + 0j, INF_POINT)) for i in range(4)]
+    nodes = [NodeSpec(node_id=i, left=(i, 1), right=(i + 1, 0)) for i in range(3)]
+    return build_plumbing(comps, nodes)
+
+
 def _reversed(family):
     return build_plumbing(family.components, family.nodes[::-1])
 
@@ -189,6 +199,37 @@ class TestDualGraph:
             assert mine == [e for e in expected if e[2] == comp.id]
             assert fam.node_degree(comp.id) == len(fam.branches(comp.id))
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["node-order", "reversed"])
+    @pytest.mark.parametrize("name", list(DUAL_GRAPHS))
+    def test_branch_is_node_side(self, name, reverse):
+        fam = DUAL_GRAPHS[name][0]()
+        if reverse:
+            fam = _reversed(fam)
+        for node in fam.nodes:
+            for b, (cid, mp) in enumerate((node.left, node.right)):
+                assert fam.branch(node.node_id, b) == (
+                    cid, fam.component(cid).marked_points[mp])
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["node-order", "reversed"])
+    @pytest.mark.parametrize("make,counts", [
+        (two_sphere_family, (2, 0)), (three_cycle_family, (3, 1)),
+        (_chain_of_three, (3, 0)), (_chain_of_four, (4, 0)),
+    ], ids=["two-sphere", "three-cycle", "chain-of-three", "chain-of-four"])
+    def test_counts_derived_from_graph(self, make, counts, reverse):
+        fam = _reversed(make()) if reverse else make()
+        assert (fam.N, fam.g) == counts
+
+    def test_graph_and_scale_are_the_only_fields(self):
+        names = [f.name for f in dataclasses.fields(DegenerationFamily)]
+        assert names == ["components", "nodes", "scale"]
+
+    def test_duplicate_node_ids_rejected(self):
+        comps = [ComponentSurface(id=i, marked_points=(0.0 + 0j, INF_POINT)) for i in range(2)]
+        nodes = [NodeSpec(node_id=0, left=(0, 0), right=(1, 1)),
+                 NodeSpec(node_id=0, left=(0, 1), right=(1, 0))]
+        with pytest.raises(ValueError, match="duplicate node ids"):
+            build_plumbing(comps, nodes)
+
     def test_three_node_component_rejected(self):
         comps = [
             ComponentSurface(id=0, marked_points=(0.0 + 0j, INF_POINT, 4.0 + 0j)),
@@ -224,7 +265,7 @@ class TestDualGraph:
         )
         nodes = (NodeSpec(node_id=0, left=(0, 0), right=(1, 0)),
                  NodeSpec(node_id=1, left=(0, 0), right=(1, 1)))
-        fam = DegenerationFamily(components=comps, nodes=nodes, N=2, g=1)
+        fam = DegenerationFamily(components=comps, nodes=nodes)
         with pytest.raises(ChartOverlapConflict):
             _reference_walk(fam)
         with pytest.raises(ChartOverlapConflict, match="component 0"):
@@ -386,23 +427,23 @@ class TestNeckCoreLength:
 class TestFermatAtlas:
     @pytest.mark.parametrize("d,g", [(1, 0), (2, 0), (3, 1), (4, 3), (5, 6)])
     def test_genus_from_lifted_euler_characteristic(self, d, g):
-        atlas = fermat_fiber_charts(d, 0.3 if d > 1 else 0.0)
+        atlas = FermatAtlas(d, 0.3 if d > 1 else 0.0)
         assert atlas.genus() == g
 
     def test_branch_points_solve_defining_equation(self):
-        atlas = fermat_fiber_charts(4, 0.3)
+        atlas = FermatAtlas(4, 0.3)
         assert len(atlas.branch_points) == 4
         for xb in atlas.branch_points:
             assert abs(xb ** 4 + 0.3) < 1e-14
 
     def test_singular_fiber_splits_into_lines(self):
-        atlas = fermat_fiber_charts(4, 0.0)
+        atlas = FermatAtlas(4, 0.0)
         assert atlas.component_count == 4
-        assert fermat_fiber_charts(4, 0.3).component_count == 1
+        assert FermatAtlas(4, 0.3).component_count == 1
 
     def test_chart_overlap_consistency(self):
         # sum over sheets of factor * |d a/d a2|^2 matches across the seam
-        atlas = fermat_fiber_charts(4, 0.3)
+        atlas = FermatAtlas(4, 0.3)
         for a in (1.0 + 0j, 0.6 + 0.8j, -1j):
             f1 = atlas.sheet_factors(1, a).sum(axis=0)
             a2 = 1.0 / a
@@ -410,7 +451,7 @@ class TestFermatAtlas:
             assert f1 == pytest.approx(f2, rel=1e-10)
 
     def test_branch_chart_matches_chart1(self):
-        atlas = fermat_fiber_charts(4, 0.3)
+        atlas = FermatAtlas(4, 0.3)
         xb = atlas.branch_points[0]
         x_of_y, factor = atlas.branch_chart(xb)
         y = 0.21 + 0.05j
@@ -426,6 +467,18 @@ class TestFermatAtlas:
         assert f_y == pytest.approx(f_chart1 * abs(db) ** (-2), rel=1e-10)
 
 
+#: A config of the removed Fermat family kind, as the old writer wrote it.
+FERMAT_CONFIG = """[family]
+schema = pinchlab-family-v1
+kind = fermat
+components = 0:0.0|inf ; 1:0.0|inf ; 2:0.0|inf ; 3:0.0|inf
+nodes = 
+metric = induced
+scale = 1.0
+d = 4
+"""
+
+
 class TestConfigRoundTrip:
     def test_round_trip_two_sphere(self, tmp_path):
         fam = two_sphere_family(scale=8.0)
@@ -435,6 +488,34 @@ class TestConfigRoundTrip:
         assert metric is MetricKind.CYLINDER
         assert (fam2.N, fam2.g, fam2.scale) == (fam.N, fam.g, 8.0)
         assert [n.left for n in fam2.nodes] == [n.left for n in fam.nodes]
+
+    def test_round_trip_keeps_radii(self, tmp_path):
+        comps = [ComponentSurface(id=0, marked_points=(0.0 + 0j,), radius=0.5),
+                 ComponentSurface(id=1, marked_points=(0.0 + 0j,), radius=1.0)]
+        fam = build_plumbing(comps, [NodeSpec(node_id=0, left=(0, 0), right=(1, 0))])
+        path = str(tmp_path / "fam.cfg")
+        write_family_config(fam, path)
+        fam2, _ = read_family_config(path)
+        assert [c.radius for c in fam2.components] == [0.5, 1.0]
+        area = [mesh_fiber(f, MetricKind.INDUCED, 1e-4, MeshParams()).total_area
+                for f in (fam, fam2)]
+        assert area[0] == area[1]
+
+    @pytest.mark.parametrize("kind_line", ["kind = plumbing\n", ""], ids=["plumbing", "no-kind"])
+    def test_v1_file_without_radius_reads(self, tmp_path, kind_line):
+        path = tmp_path / "old.cfg"
+        path.write_text("[family]\nschema = pinchlab-family-v1\n" + kind_line
+                        + "components = 0:0.0 ; 1:0.0\nnodes = 0:0.0-1.0\n"
+                        "metric = cylinder\nscale = 2.0\n", encoding="utf-8")
+        fam, metric = read_family_config(str(path))
+        assert [c.radius for c in fam.components] == [0.5, 0.5]
+        assert (fam.N, fam.g, fam.scale, metric) == (2, 0, 2.0, MetricKind.CYLINDER)
+
+    def test_fermat_kind_rejected(self, tmp_path):
+        path = tmp_path / "fermat.cfg"
+        path.write_text(FERMAT_CONFIG, encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(str(path))):
+            read_family_config(str(path))
 
     def test_round_trip_three_cycle(self, tmp_path):
         fam = three_cycle_family()

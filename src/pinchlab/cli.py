@@ -31,7 +31,6 @@ from .periods import det_growth_fit, plumbing_twisted_gram, plumbing_untwisted_g
 from .verify import SUITES, run_suite, solve_fibers
 
 SWEEP_SCHEMA = "pinchlab-sweep-v1"
-RUN_SCHEMA = "pinchlab-run-v1"
 FIT_SCHEMA = "pinchlab-fit-v1"
 PERIODS_SCHEMA = "pinchlab-periods-v1"
 VERIFY_SCHEMA = "pinchlab-verify-v1"
@@ -95,14 +94,11 @@ def _mesh_params(density: int) -> MeshParams:
 class RunReport:
     """Aggregated sweep outcome: complete rows or explicit failures."""
 
-    schema: str = RUN_SCHEMA
     family: str = ""
     metric: str = ""
-    n_components: int = 0
     seed: int = 0
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
-    fits: dict = field(default_factory=dict)
 
 
 def _metric_kind(plan_metric: str | None, config_metric: MetricKind | None
@@ -120,8 +116,7 @@ def cmd_sweep(plan: SweepPlan) -> RunReport:
     records = solve_fibers(fam, kind, plan.s_grid, plan.num_ev,
                            plan.mesh_params, plan.seed, plan.workers)
 
-    report = RunReport(family=plan.family, metric=kind.value,
-                       n_components=len(fam.components), seed=plan.seed)
+    report = RunReport(family=plan.family, metric=kind.value, seed=plan.seed)
     for index, rec in enumerate(records):
         if rec.error is not None:
             report.failures.append({"index": index, "s": rec.s,
@@ -148,18 +143,6 @@ def cmd_sweep(plan: SweepPlan) -> RunReport:
                                str(verts), _fmt(secs)]))
     with open(plan.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-    lam1 = [r for r in report.rows if r[1] == 1]
-    if len(lam1) >= 4:
-        try:
-            fit = fit_inverse_log(SweepSeries(
-                s=np.array([r[0] for r in lam1]),
-                values=np.array([r[2] for r in lam1]),
-            ))
-            report.fits["lambda_1"] = {"model": fit.model, "c": fit.c,
-                                       "residual": fit.residual}
-        except Exception as exc:
-            report.fits["lambda_1"] = {"error": f"{type(exc).__name__}: {exc}"}
     return report
 
 
@@ -323,9 +306,10 @@ def cmd_mesh_dump(family_ref: str, metric: str | None, s: float,
         f"# genus={mesh.genus}",
         "vertex,chart,re,im",
     ]
-    for v, (chart, coord) in enumerate(mesh.vertex_charts()):
-        name = ":".join(str(c) for c in chart)
-        lines.append(f"{v},{name},{_fmt(coord.real)},{_fmt(coord.imag)}")
+    charts, ids, coords = mesh.vertex_chart_index()
+    names = [":".join(str(c) for c in chart) for chart in charts]
+    for v, (c, coord) in enumerate(zip(ids.tolist(), coords.tolist())):
+        lines.append(f"{v},{names[c]},{_fmt(coord.real)},{_fmt(coord.imag)}")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -4,8 +4,10 @@ On the plumbing charts, K = -e^{-2u} Lap u comes from the analytic
 conformal factor by fourth-order central differences of u = (1/2) log
 factor (mesh-based curvature converges too slowly in the blow-up regime);
 on the Fermat charts the density is in closed form, with the stencil as
-its test oracle.  The module provides the blow-up sweep on the neck,
-per-triangle and Fermat chart-quadrature Gauss-Bonnet totals, and the
+its test oracle.  The module provides the blow-up sweep over the
+fiber's charts (``DegenerationFamily.charts``), per-triangle samples
+(one array, one stencil call per chart of the mesh's chart table) and
+their Gauss-Bonnet total, the Fermat chart-quadrature total, and the
 nodal-fiber curvature defect.
 """
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from .errors import NotConverged, StencilOutOfChart
 from .family import (
-    ChartPoint,
     DegenerationFamily,
     FermatAtlas,
     MetricKind,
@@ -62,10 +63,10 @@ STEP_SCALE = 2e-3
 FERMAT_REL_TOL = 1e-4
 
 
-def _chart_step(point: ChartPoint, s: complex) -> np.ndarray:
-    """Largest admissible FD step at each point, scaled to |x|."""
-    r = np.abs(point.coord)
-    if point.chart[0] == "cap":
+def _chart_step(chart: tuple, coord, s: complex) -> np.ndarray:
+    """Largest admissible FD step at each coordinate, scaled to |x|."""
+    r = np.abs(coord)
+    if chart[0] == "cap":
         h = np.minimum(STEP_SCALE * np.maximum(r, 0.1), (1.0 - r) / 2.5)
     else:
         abs_s = abs(s)
@@ -76,7 +77,7 @@ def _chart_step(point: ChartPoint, s: complex) -> np.ndarray:
     if bad.any():
         raise StencilOutOfChart(
             f"no room for a central stencil at |x| = {np.asarray(r)[bad].flat[0]} "
-            f"in chart {point.chart}"
+            f"in chart {chart}"
         )
     return h
 
@@ -84,26 +85,18 @@ def _chart_step(point: ChartPoint, s: complex) -> np.ndarray:
 def gauss_curvature(
     family: DegenerationFamily,
     kind: MetricKind,
-    point: ChartPoint,
+    chart: tuple,
+    coord,
     s: complex,
 ):
-    """Gauss curvature of the metric at the chart point(s) of the fiber X_s
-    (``point.coord`` a scalar or an array in one chart)."""
-    h = _chart_step(point, s)
+    """Gauss curvature of the metric at the coordinate(s) ``coord`` (a
+    scalar or an array) of one chart of the fiber X_s."""
+    h = _chart_step(chart, coord, s)
 
     def factor(z):
-        return conformal_factor(family, kind, ChartPoint(point.chart, z), s)
+        return conformal_factor(family, kind, chart, z, s)
 
-    return factor_curvature(factor, point.coord, h)
-
-
-@dataclass
-class CurvatureField:
-    """Curvature samples of one fiber metric (one value per triangle)."""
-
-    kind: MetricKind
-    s: complex
-    values: np.ndarray
+    return factor_curvature(factor, coord, h)
 
 
 def curvature_samples(
@@ -111,8 +104,8 @@ def curvature_samples(
     kind: MetricKind,
     s: complex,
     mesh: TriangleMesh,
-) -> CurvatureField:
-    """Curvature at the chart centroid of every mesh triangle.
+) -> np.ndarray:
+    """Curvature at the chart centroid of every mesh triangle, as an array.
 
     Every plumbing factor depends on the chart radius only, so each
     chart's centroid radii are rounded to 14 decimals, and the stencil
@@ -120,14 +113,13 @@ def curvature_samples(
     """
     radius = np.abs(mesh.tri_coords.mean(axis=1))
     values = np.empty(mesh.F)
-    charts, ids = mesh.chart_index()
-    for c, chart in enumerate(charts):
-        faces = np.flatnonzero(ids == c)
+    for c, chart in enumerate(mesh.charts):
+        faces = np.flatnonzero(mesh.tri_chart == c)
         _, first, inverse = np.unique(np.round(radius[faces], 14),
                                       return_index=True, return_inverse=True)
         r = radius[faces[first]] + 0j
-        values[faces] = gauss_curvature(family, kind, ChartPoint(chart, r), s)[inverse]
-    return CurvatureField(kind=kind, s=s, values=values)
+        values[faces] = gauss_curvature(family, kind, chart, r, s)[inverse]
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +130,9 @@ def curvature_samples(
 class MinCurvatureReport:
     """Minimum-curvature series over a geometric s-grid."""
 
-    kind: MetricKind
     s_grid: np.ndarray
     min_values: np.ndarray
-    min_points: list[ChartPoint]
+    min_points: list[tuple[tuple, complex]]  # (chart, coordinate) per s
     component_max: np.ndarray  # max K over component samples, per s
     fitted_exponent: float  # slope of log(-min K) vs log(1/s); reported only
 
@@ -152,16 +143,13 @@ def min_curvature_sweep(
     s_grid,
 ) -> MinCurvatureReport:
     """Minimum of K over neck sample grids (16 radii per decade) plus 40
-    radii on each cap, per s.
+    radii on each cap, per s, on every chart of ``family.charts()``.
 
     The divergence exponent is fitted (least squares on log(-min K)
     against log(1/s)) and reported without being asserted.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    charts = [("neck", node.node_id, branch) for node, branch, *_ in family.branches()]
-    # a cap chart on one-node components only
-    charts += [("cap", comp.id) for comp in family.components
-               if family.node_degree(comp.id) == 1]
+    charts = list(family.charts())
     cap_radii = np.linspace(0.0, 0.95, 40) + 0j
     mins, argmins, comp_max = [], [], []
     for s in s_grid:
@@ -170,12 +158,12 @@ def min_curvature_sweep(
         neck_radii = np.exp(np.linspace(math.log(s) + 1e-3, -1e-3, n)) + 0j
         for chart in charts:
             z = neck_radii if chart[0] == "neck" else cap_radii
-            k = gauss_curvature(family, kind, ChartPoint(chart, z), s)
+            k = gauss_curvature(family, kind, chart, z, s)
             i = int(np.argmin(k))
             if chart[0] == "cap":
                 top = max(top, float(k.max()))
             if k[i] < best:
-                best, best_pt = float(k[i]), ChartPoint(chart, complex(z[i]))
+                best, best_pt = float(k[i]), (chart, complex(z[i]))
         mins.append(best)
         argmins.append(best_pt)
         comp_max.append(top)
@@ -187,7 +175,7 @@ def min_curvature_sweep(
     else:
         exponent = math.nan
     return MinCurvatureReport(
-        kind=kind, s_grid=s_grid, min_values=mins, min_points=argmins,
+        s_grid=s_grid, min_values=mins, min_points=argmins,
         component_max=np.array(comp_max), fitted_exponent=exponent,
     )
 
@@ -211,11 +199,12 @@ class GaussBonnetReport:
                    deviation=total - expected)
 
 
-def gauss_bonnet(mesh: TriangleMesh, field: CurvatureField) -> GaussBonnetReport:
-    """Midpoint quadrature of K over the mesh: sum of K(centroid) * area."""
-    if len(field.values) != mesh.F:
-        raise ValueError("curvature field does not match the mesh triangles")
-    total = float(field.values @ mesh.triangle_areas)
+def gauss_bonnet(mesh: TriangleMesh, values: np.ndarray) -> GaussBonnetReport:
+    """Midpoint quadrature of K over the mesh: sum of K(centroid) * area,
+    with ``values`` one curvature per triangle (``curvature_samples``)."""
+    if len(values) != mesh.F:
+        raise ValueError("curvature samples do not match the mesh triangles")
+    total = float(values @ mesh.triangle_areas)
     return GaussBonnetReport.against_genus(total, mesh.genus or 0)
 
 
@@ -329,8 +318,7 @@ def fermat_gauss_bonnet(d: int, s: complex) -> GaussBonnetReport:
 class DefectReport:
     """Curvature integral of the nodal fiber outside shrinking node balls."""
 
-    eps_grid: np.ndarray
-    values: np.ndarray
+    values: np.ndarray  # one per ball radius, largest radius first
     limit: float
     target_smooth: float  # 2 pi chi(X_s)
     target_nodal: float  # 2 pi (chi of the normalization + sum (N_q - 1))
@@ -345,9 +333,8 @@ def _radial_total(family: DegenerationFamily, kind: MetricKind,
     breaks = [r_lo, 0.5, r_hi] if r_lo < 0.5 < r_hi else [r_lo, r_hi]
     for a, b in zip(breaks, breaks[1:]):
         r, w = _gl_panels(a, b, 4)
-        pt = ChartPoint(chart, r + 0j)
-        k = gauss_curvature(family, kind, pt, 0.0)
-        f = conformal_factor(family, kind, pt, 0.0)
+        k = gauss_curvature(family, kind, chart, r + 0j, 0.0)
+        f = conformal_factor(family, kind, chart, r + 0j, 0.0)
         total += float((w * k * f * 2.0 * math.pi * r).sum())
     return total
 
@@ -392,7 +379,7 @@ def nodal_defect(
     target_nodal = 2.0 * math.pi * chi_normalization  # all N_q = 1
     target_smooth = 2.0 * math.pi * chi_smooth
     return DefectReport(
-        eps_grid=eps_grid, values=values, limit=limit,
+        values=values, limit=limit,
         target_smooth=target_smooth, target_nodal=target_nodal,
         defect=limit - target_smooth,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -43,7 +43,6 @@ class MetricKind(str, Enum):
     INDUCED = "induced"
     HYPERBOLIC_MODEL = "hyperbolic"
     CYLINDER = "cylinder"
-    FUBINI_STUDY_INDUCED = "fubini-study"
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,20 @@ class DegenerationFamily:
     def node_degree(self, cid: int) -> int:
         return len(self.branches(cid))
 
+    def charts(self) -> dict[tuple, int]:
+        """The fiber's charts, each mapped to its component id, component
+        by component: a cap ``("cap", cid)`` if the component has exactly
+        one node, then the neck chart ``("neck", nid, branch)`` of each of
+        its node branches, in node order.  A neck chart belongs to the
+        component of its branch."""
+        table: dict[tuple, int] = {}
+        for comp in self.components:
+            branches = self.branches(comp.id)
+            if len(branches) == 1:
+                table[("cap", comp.id)] = comp.id
+            table.update((("neck", node.node_id, b), comp.id) for node, b, *_ in branches)
+        return table
+
     def walk(self) -> tuple[list[int], list[tuple[NodeSpec, int]], bool]:
         """The dual graph as a path or a cycle: (component ids in walk
         order, [(node, branch on the component the walk leaves)], whether
@@ -235,23 +248,8 @@ def build_plumbing(
 
 
 # ---------------------------------------------------------------------------
-# chart points and conformal factors
+# conformal factors
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point, or an array of points, in one fiber chart.
-
-    ``chart`` is ``("neck", node_id, branch)`` with branch 0 = left,
-    1 = right (coordinate on that branch, admissible ``|s| <= |x| <= 1``),
-    or ``("cap", component_id)`` (coordinate centered at the point
-    antipodal to the component's single node chart, ``|x| <= 1``).
-    ``coord`` is a complex scalar or an ndarray of coordinates.
-    """
-
-    chart: tuple
-    coord: complex | np.ndarray
-
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
     """Quintic smoothstep of t clipped to [0, 1].
@@ -293,31 +291,34 @@ def _neck_factor(kind: MetricKind, r: np.ndarray, abs_s: float) -> np.ndarray:
 def conformal_factor(
     family: DegenerationFamily,
     kind: MetricKind,
-    point: ChartPoint,
+    chart: tuple,
+    coord: complex | np.ndarray,
     s: complex,
 ) -> float | np.ndarray:
-    """Coefficient of |dx|^2 at the chart point(s) on the fiber X_s of a
-    plumbing family (induced, hyperbolic-model and cylinder kinds).
+    """Coefficient of |dx|^2 at the coordinate(s) ``coord`` of one chart
+    of the fiber X_s of a plumbing family (``DegenerationFamily.charts``).
 
-    Every plumbing factor depends on |x| only within a chart, so an array
-    of coordinates is evaluated region by region (cap, near blend, pure
-    neck, far blend), each formula on its own points only.  A scalar
-    coordinate gives a float, an array one an array of its shape.
+    ``("neck", node_id, branch)``, branch 0 = left, 1 = right, has the
+    coordinate on that branch, admissible on ``|s| <= |x| <= 1``;
+    ``("cap", component_id)`` is centered at the point antipodal to the
+    component's single node, admissible on ``|x| <= 1``.  Every factor
+    depends on |x| only within a chart, so an array of coordinates is
+    evaluated region by region (cap, near blend, pure neck, far blend),
+    each formula on its own points.  A scalar coordinate gives a float,
+    an array one an array of its shape.
     """
-    if kind is MetricKind.FUBINI_STUDY_INDUCED:
-        raise ValueError("Fubini-Study factor is not defined on plumbing charts")
     abs_s = abs(s)
-    r = np.abs(np.asarray(point.coord, dtype=complex))
-    tag = point.chart[0]
+    r = np.abs(np.asarray(coord, dtype=complex))
+    tag = chart[0]
     if tag == "cap":
         bad = r > 1.0 + 1e-12
         if bad.any():
             raise PointOffFiber(f"cap coordinate |x| = {r[bad].flat[0]} > 1")
-        value = _sphere_factor(r, family.component(point.chart[1]).radius)
+        value = _sphere_factor(r, family.component(chart[1]).radius)
     elif tag == "neck":
-        value = _neck_chart_factor(family, kind, point.chart, r, abs_s)
+        value = _neck_chart_factor(family, kind, chart, r, abs_s)
     else:
-        raise PointOffFiber(f"unknown chart {point.chart}")
+        raise PointOffFiber(f"unknown chart {chart}")
     value = family.scale * value
     return float(value) if value.ndim == 0 else value
 
@@ -605,41 +606,33 @@ def read_family_config(path: str) -> tuple[DegenerationFamily, MetricKind]:
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
     sec = cp["family"]
+    if sec.get("schema") != CONFIG_SCHEMA:
+        raise SchemaError(f"{path}: schema {sec.get('schema')!r} is not {CONFIG_SCHEMA}")
     kind = sec.get("kind", "plumbing")
     if kind != "plumbing":
         raise SchemaError(f"{path}: family kind {kind!r} is not supported; "
                           f"only plumbing families can be read")
     scale = float(sec.get("scale", "1.0"))
-    metric = MetricKind(sec.get("metric", "induced"))
+    try:
+        metric = MetricKind(sec.get("metric", "induced"))
+    except ValueError:
+        raise SchemaError(f"{path}: metric {sec.get('metric')!r} is not one of "
+                          f"{[k.value for k in MetricKind]}") from None
     comps = []
-    for chunk in sec["components"].split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, sec["components"].split(";"))):
         cid, pts, *radius = chunk.split(":")
         points = tuple(_parse_point(p) for p in pts.split("|"))
         comps.append(ComponentSurface(int(cid), points, *map(float, radius)))
     nodes = []
-    for chunk in sec.get("nodes", "").split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, sec.get("nodes", "").split(";"))):
         nid, rest = chunk.split(":")
-        left, right = rest.split("-")
-        lc, lm = left.split(".")
-        rc, rm = right.split(".")
-        nodes.append(NodeSpec(node_id=int(nid),
-                              left=(int(lc), int(lm)),
-                              right=(int(rc), int(rm))))
+        (lc, lm), (rc, rm) = (side.split(".") for side in rest.split("-"))
+        nodes.append(NodeSpec(int(nid), (int(lc), int(lm)), (int(rc), int(rm))))
     return build_plumbing(comps, nodes, scale=scale), metric
 
 
-def resolve_family(name_or_path: str, scale: float = 1.0
-                   ) -> tuple[DegenerationFamily, MetricKind | None]:
+def resolve_family(name_or_path: str) -> tuple[DegenerationFamily, MetricKind | None]:
     """Resolve a preset name or config file path to a family."""
     if name_or_path in FAMILY_PRESETS:
-        return FAMILY_PRESETS[name_or_path](scale=scale), None
-    fam, metric = read_family_config(name_or_path)
-    if scale != 1.0:
-        fam = replace(fam, scale=scale)
-    return fam, metric
+        return FAMILY_PRESETS[name_or_path](), None
+    return read_family_config(name_or_path)

@@ -51,9 +51,6 @@ class SweepSeries:
                 f"need >= {MIN_DECADES}"
             )
 
-    def __len__(self) -> int:
-        return len(self.s)
-
     def window(self, fraction: float = DEFAULT_WINDOW_FRACTION):
         """The deepest `fraction` of the grid (smallest s)."""
         if not 0.0 < fraction <= 1.0:

@@ -43,15 +43,19 @@ def heat_trace(spectrum: Spectrum, t: float, M: int | None = None) -> tuple[floa
     return value, tail
 
 
+#: Largest certified tail of the torsion sum that a partial spectrum may leave.
+TAIL_TOL = 1e-2
+
+
 def partial_torsion_large_time(
-    spectrum: Spectrum, h0: int | None = None, tail_tol: float = 1e-2
+    spectrum: Spectrum, h0: int | None = None
 ) -> tuple[float, float]:
     """log tau over the time window [1, infinity).
 
     Sums E1 over the positive computed eigenvalues (the h0 kernel modes
     are excluded).  The unseen remainder is at most
     (dimension - k) exp(-lambda_k) / lambda_k, since E1(x) <= exp(-x)/x;
-    ``InsufficientSpectrum`` is raised if that exceeds ``tail_tol``.
+    ``InsufficientSpectrum`` is raised if that exceeds ``TAIL_TOL``.
     """
     ev = spectrum.eigenvalues
     if h0 is None:
@@ -71,10 +75,10 @@ def partial_torsion_large_time(
         tail = 0.0
     else:
         tail = (V - k) * math.exp(-lam_k) / lam_k if lam_k > 0 else math.inf
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise InsufficientSpectrum(
             f"{where}: certified tail (V-k) exp(-lambda_k)/lambda_k = {tail:.3e} "
-            f"at lambda_k = {lam_k:.6g} exceeds tail_tol = {tail_tol}"
+            f"at lambda_k = {lam_k:.6g} exceeds TAIL_TOL = {TAIL_TOL}"
         )
     return value, tail
 

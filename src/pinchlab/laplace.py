@@ -143,8 +143,7 @@ def component_bundle_weight(mesh: TriangleMesh) -> WeightField:
     """
     cent = mesh.tri_coords.mean(axis=1)
     rho = np.abs(cent)
-    charts, ids = mesh.chart_index()
-    is_cap = np.array([ch[0] == "cap" for ch in charts], dtype=bool)[ids]
+    is_cap = np.array([ch[0] == "cap" for ch in mesh.charts], dtype=bool)[mesh.tri_chart]
     interior = is_cap | (rho >= 0.5)
     phi = np.where(interior, np.log((1.0 + rho ** 2) / 1.25), 0.0)
     density = np.where(interior, 1.0 / (1.0 + rho ** 2) ** 2, 0.0)
@@ -202,6 +201,9 @@ def _assemble(mesh: TriangleMesh, weights: np.ndarray,
 # eigensolver
 # ---------------------------------------------------------------------------
 
+#: Largest residual ||K u - lambda M u|| / ||u||_M a returned pair may have.
+RESIDUAL_TOL = 1e-9
+
 # guard bands tried, in order, after the plain k-pair solve
 _GUARD_BANDS = (2, 4, 8)
 _SOLVER_ERRORS = (spla.ArpackNoConvergence, RuntimeError, np.linalg.LinAlgError)
@@ -210,7 +212,6 @@ _SOLVER_ERRORS = (spla.ArpackNoConvergence, RuntimeError, np.linalg.LinAlgError)
 def solve_smallest(
     problem: SpectralProblem,
     k: int,
-    tol: float = 1e-9,
     s: complex = 0.0,
     seed: int = 0,
 ) -> Spectrum:
@@ -227,9 +228,10 @@ def solve_smallest(
     pairs of small k, and 1.5 k takes fewer solves, less time and less
     memory than 2 k at k = 150.  A rung passes if every residual
     ||K u - lambda M u|| / ||u||_M of its k lowest pairs is at most
-    ``tol`` (absolute), and a Sylvester inertia count of K - mu M, with mu
-    just below the top computed cluster, equals the number of pairs found
-    below mu (so no copy of a multiple eigenvalue was skipped).  The rungs:
+    ``RESIDUAL_TOL`` (absolute), and a Sylvester inertia count of K - mu M,
+    with mu just below the top computed cluster, equals the number of pairs
+    found below mu (so no copy of a multiple eigenvalue was skipped).  The
+    rungs:
 
     1. ``eigsh``: exactly k pairs from a seeded start vector;
     2. ``eigsh+g`` for g = 2, 4, 8 (k + g capped at dimension - 1): k + g
@@ -283,10 +285,10 @@ def solve_smallest(
         order = np.argsort(vals)[:k]
         vals, vecs = vals[order], vecs[:, order]
         residuals = _residuals(K, problem.mass, vals, vecs)
-        bad = ~(residuals <= tol)  # a NaN residual fails too
+        bad = ~(residuals <= RESIDUAL_TOL)  # a NaN residual fails too
         outcome = f"max residual {residuals.max():.3e}"
         if bad.any():
-            outcome += f", {int(bad.sum())} of {k} pairs above tol {tol}"
+            outcome += f", {int(bad.sum())} of {k} pairs above tol {RESIDUAL_TOL}"
             continue
         # accurate pairs can still skip one copy of a multiple eigenvalue.
         # mu lies below the top computed cluster by far more than solver
@@ -312,7 +314,7 @@ def solve_smallest(
             factor_bandwidth=bandwidth,
         )
     raise NoConvergence(
-        f"laplace.solve_smallest(V={n}, k={k}, seed={seed}, tol={tol}): "
+        f"laplace.solve_smallest(V={n}, k={k}, seed={seed}, tol={RESIDUAL_TOL}): "
         f"no rung passed (tried {', '.join(p for p, _, _ in rungs)}); "
         f"last rung {path}: {outcome}"
     )

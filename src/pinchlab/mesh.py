@@ -10,9 +10,11 @@ per run of full log steps, with a halving ladder only where the factor
 changes too fast (``_neck_radii``).  The triangles of all bands between
 rings come from one array gather of ring starts and radii.  Edge lengths
 are intrinsic: chart chord length times the square root of the conformal
-factor at the chord's log-polar midpoint.  Edges are numbered and
-measured with array operations: the metric is called once per chart, on
-all the edges whose first incident triangle lies in that chart.
+factor at the chord's log-polar midpoint.  A mesh keeps a chart table:
+the distinct charts, and one int64 index into them per triangle, which
+the ring stack emits as arrays.  Edges are numbered and measured with
+array operations: the metric is called once per chart, on all the edges
+whose first incident triangle lies in that chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
 meshes used to pin down conventions.
@@ -27,7 +29,6 @@ import numpy as np
 
 from .errors import DegenerateTriangle, PointOffFiber
 from .family import (
-    ChartPoint,
     ComponentSurface,
     DegenerationFamily,
     MetricKind,
@@ -77,7 +78,7 @@ class FiberMetric:
         self.s = s
 
     def __call__(self, chart: tuple, coord):
-        return conformal_factor(self.family, self.kind, ChartPoint(chart, coord), self.s)
+        return conformal_factor(self.family, self.kind, chart, coord, self.s)
 
     @staticmethod
     def edge_midpoint(chart: tuple, p, q):
@@ -111,7 +112,8 @@ class RoundSphereFactor:
 class TriangleMesh:
     """Immutable triangulated surface with intrinsic metric lengths.
 
-    Geometry lives per triangle: ``tri_chart[f]`` names the chart and
+    Geometry lives per triangle: ``charts[tri_chart[f]]`` is its chart
+    (``charts`` in order of first use, ``tri_chart`` read-only int64) and
     ``tri_coords[f]`` holds the three vertex coordinates there, so charts
     may disagree about a shared vertex (seams, wraparound) without any
     global embedding.  Edges are numbered in order of first incidence
@@ -124,7 +126,8 @@ class TriangleMesh:
         self,
         vertex_count: int,
         triangles: np.ndarray,
-        tri_chart: Sequence[tuple],
+        charts: Sequence[tuple],
+        tri_chart: np.ndarray,
         tri_coords: np.ndarray,
         metric: Callable[[tuple, np.ndarray], np.ndarray],
         closed: bool = True,
@@ -132,7 +135,9 @@ class TriangleMesh:
     ):
         self.V = int(vertex_count)
         self.triangles = np.asarray(triangles, dtype=np.int64)
-        self.tri_chart = tuple(tri_chart)
+        self.charts = tuple(charts)
+        self.tri_chart = np.asarray(tri_chart, dtype=np.int64).view()
+        self.tri_chart.flags.writeable = False  # the view only, not the caller's array
         self.tri_coords = np.asarray(tri_coords, dtype=complex)
         self.metric = metric
         self.closed = closed
@@ -140,7 +145,8 @@ class TriangleMesh:
         self.F = self.triangles.shape[0]
         if self.tri_coords.shape != (self.F, 3):
             raise ValueError("tri_coords must have shape (F, 3)")
-        self._index_charts()
+        if self.tri_chart.shape != (self.F,):
+            raise ValueError("tri_chart must have shape (F,)")
         self._build_edges()
         self._compute_lengths()
         self._validate()
@@ -163,27 +169,14 @@ class TriangleMesh:
         self._edge_first = first[order]  # flat (f, j) index f * 3 + j
         self.edges = np.stack([lo[self._edge_first], hi[self._edge_first]], axis=1)
 
-    def _index_charts(self) -> None:
-        self._charts = tuple(dict.fromkeys(self.tri_chart))
-        index = {c: i for i, c in enumerate(self._charts)}
-        self._chart_ids = np.fromiter(map(index.__getitem__, self.tri_chart),
-                                      dtype=np.int64, count=self.F)
-        self._chart_ids.flags.writeable = False
-
-    def chart_index(self) -> tuple[list[tuple], np.ndarray]:
-        """Distinct charts in order of first use, and each triangle's index
-        (read-only, computed once at construction)."""
-        return list(self._charts), self._chart_ids
-
     def _compute_lengths(self) -> None:
         midpoint = getattr(self.metric, "edge_midpoint", None)
         f, j = np.divmod(self._edge_first, 3)
         p = self.tri_coords[f, (j + 1) % 3]
         q = self.tri_coords[f, (j + 2) % 3]
         fac = np.empty(self.E)
-        charts, ids = self.chart_index()
-        for c, chart in enumerate(charts):
-            on = ids[f] == c
+        for c, chart in enumerate(self.charts):
+            on = self.tri_chart[f] == c
             mid = midpoint(chart, p[on], q[on]) if midpoint else 0.5 * (p[on] + q[on])
             fac[on] = self.metric(chart, mid)
         bad = ~((fac > 0.0) & np.isfinite(fac))
@@ -209,7 +202,7 @@ class TriangleMesh:
             f = int(np.flatnonzero(bad)[0])
             raise DegenerateTriangle(
                 f"triangle {f} violates the strict triangle inequality: "
-                f"lengths {tl[f].tolist()} in chart {self.tri_chart[f]}"
+                f"lengths {tl[f].tolist()} in chart {self.charts[self.tri_chart[f]]}"
             )
         if not (self.triangle_areas > 0.0).all():
             raise DegenerateTriangle("zero-area triangle")
@@ -250,19 +243,13 @@ class TriangleMesh:
             worst = min(worst, float(ang.min()))
         return worst
 
-    def vertex_chart_index(self) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-        """Distinct charts, each vertex's index into them and its coordinate
+    def vertex_chart_index(self) -> tuple[tuple[tuple, ...], np.ndarray, np.ndarray]:
+        """The chart table, each vertex's index into it and its coordinate
         there, deterministically the first incidence in triangle order."""
         verts, first = np.unique(self.triangles.ravel(), return_index=True)
         if verts.size != self.V:
             raise DegenerateTriangle("isolated vertex")
-        charts, ids = self.chart_index()
-        return charts, ids[first // 3], self.tri_coords.ravel()[first]
-
-    def vertex_charts(self) -> list[tuple[tuple, complex]]:
-        """One (chart, coordinate) pair per vertex (see vertex_chart_index)."""
-        charts, ids, coords = self.vertex_chart_index()
-        return list(zip(map(charts.__getitem__, ids.tolist()), coords.tolist()))
+        return self.charts, self.tri_chart[first // 3], self.tri_coords.ravel()[first]
 
     def lumped_vertex_mass(self) -> np.ndarray:
         """One third of incident triangle areas per vertex."""
@@ -282,9 +269,8 @@ class TriangleMesh:
         midpoint = getattr(self.metric, "edge_midpoint", None)
         p = self.tri_coords
         q = np.empty_like(p)  # q[:, j]: midpoint of the edge opposite vertex j
-        charts, ids = self.chart_index()
-        for c, chart in enumerate(charts):
-            on = ids == c
+        for c, chart in enumerate(self.charts):
+            on = self.tri_chart == c
             for j in range(3):
                 a, b = p[on, (j + 1) % 3], p[on, (j + 2) % 3]
                 q[on, j] = midpoint(chart, a, b) if midpoint else 0.5 * (a + b)
@@ -296,13 +282,12 @@ class TriangleMesh:
             return np.stack(kids + [mid], axis=1).reshape(-1, 3)
 
         tris = children(self.triangles, self.V + self.tri_edge)
-        coords = children(p, q)
-        charts = [c for c in self.tri_chart for _ in range(4)]
         return TriangleMesh(
             vertex_count=self.V + self.E,
             triangles=tris,
-            tri_chart=charts,
-            tri_coords=coords,
+            charts=self.charts,
+            tri_chart=np.repeat(self.tri_chart, 4),
+            tri_coords=children(p, q),
             metric=self.metric,
             closed=self.closed,
             genus=self.genus,
@@ -323,7 +308,8 @@ class _RingStack:
         self.next_vertex = 0
         self.tris: list[np.ndarray] = []  # (n or 2n per ring row, 3) blocks
         self.coords: list[np.ndarray] = []
-        self.charts: list[tuple] = []
+        self.charts: dict[tuple, int] = {}  # chart -> index, in order of first use
+        self.tri_chart: list[np.ndarray] = []
         self._j = np.arange(n_theta)
         self._unit = np.exp(1j * (2.0 * np.pi * np.arange(n_theta + 1) / n_theta))
 
@@ -345,9 +331,8 @@ class _RingStack:
         # consecutive: (j, first), (j, second), ...
         self.tris.append(np.stack(tris, axis=-1).reshape(-1, 3))
         self.coords.append(np.stack(coords, axis=-1).reshape(-1, 3))
-        per_row = self.n * len(tris) // 3
-        for chart in charts:
-            self.charts.extend([chart] * per_row)
+        ids = [self.charts.setdefault(chart, len(self.charts)) for chart in charts]
+        self.tri_chart.append(np.repeat(ids, self.n * len(tris) // 3))
 
     def add_bands(self, bands: Sequence[tuple[tuple, int, int]]) -> None:
         """Two triangles per position between each (chart, lower, upper)
@@ -374,7 +359,8 @@ class _RingStack:
         return TriangleMesh(
             vertex_count=self.next_vertex,
             triangles=np.concatenate(self.tris),
-            tri_chart=self.charts,
+            charts=list(self.charts),
+            tri_chart=np.concatenate(self.tri_chart),
             tri_coords=np.concatenate(self.coords),
             metric=metric,
             closed=closed,
@@ -535,7 +521,7 @@ def flat_torus_mesh(n: int = 16, area: float = 1.0) -> TriangleMesh:
     def vid(i: int, j: int) -> int:
         return (i % n) * n + (j % n)
 
-    tris, coords, charts = [], [], []
+    tris, coords = [], []
     for i in range(n):
         for j in range(n):
             p00 = complex(i * h, j * h)
@@ -544,11 +530,11 @@ def flat_torus_mesh(n: int = 16, area: float = 1.0) -> TriangleMesh:
             coords.append((p00, p10, p11))
             tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
             coords.append((p00, p11, p01))
-            charts.extend([("plane",), ("plane",)])
     return TriangleMesh(
         vertex_count=V,
         triangles=np.array(tris, dtype=np.int64),
-        tri_chart=charts,
+        charts=[("plane",)],
+        tri_chart=np.zeros(len(tris), dtype=np.int64),
         tri_coords=np.array(coords, dtype=complex),
         metric=ConstantFactor(1.0),
         closed=True,
@@ -576,7 +562,6 @@ def annulus_mesh(
     r_outer: float = 1.0,
     n_theta: int = 24,
     rings_per_decade: int = 12,
-    metric: Callable[[tuple, np.ndarray], np.ndarray] | None = None,
 ) -> TriangleMesh:
     """Log-polar mesh of the annulus r_inner <= |x| <= r_outer (boundary mesh)."""
     if not 0 < r_inner < r_outer:
@@ -587,7 +572,7 @@ def annulus_mesh(
     stack = _RingStack(n_theta)
     rings = [stack.add_ring(r) for r in radii]
     stack.add_bands([(("plane",), rings[k], rings[k + 1]) for k in range(len(rings) - 1)])
-    return stack.build(metric or ConstantFactor(1.0), closed=False, genus=None)
+    return stack.build(ConstantFactor(1.0), closed=False, genus=None)
 
 
 class _UnionMetric:
@@ -608,18 +593,19 @@ class _UnionMetric:
 
 def disjoint_union(meshes: Sequence[TriangleMesh]) -> TriangleMesh:
     """Disjoint union of meshes (models nodal fibers at s = 0)."""
-    tris, coords, charts = [], [], []
+    tris, charts, tri_chart = [], [], []
     offset = 0
     for i, m in enumerate(meshes):
         tris.append(m.triangles + offset)
-        coords.append(m.tri_coords)
-        charts.extend((i,) + ch for ch in m.tri_chart)
+        tri_chart.append(m.tri_chart + len(charts))
+        charts.extend((i,) + ch for ch in m.charts)
         offset += m.V
     return TriangleMesh(
         vertex_count=offset,
         triangles=np.vstack(tris),
-        tri_chart=charts,
-        tri_coords=np.vstack(coords),
+        charts=charts,
+        tri_chart=np.concatenate(tri_chart),
+        tri_coords=np.vstack([m.tri_coords for m in meshes]),
         metric=_UnionMetric([m.metric for m in meshes]),
         closed=all(m.closed for m in meshes),
         genus=None,

@@ -583,7 +583,6 @@ class PeriodGram:
 
     t_grid: np.ndarray
     matrices: list[np.ndarray]
-    twisted: bool
     labels: list[str] = field(default_factory=list)
 
     def determinants(self) -> np.ndarray:
@@ -605,7 +604,6 @@ def plumbing_gram(
     family: DegenerationFamily,
     t_grid: np.ndarray,
     diffs: list[PlumbingDifferential],
-    twisted: bool,
 ) -> PeriodGram:
     """Gram over the grid: node annuli in closed form plus t-independent
     component interiors, one component_pairing block per component
@@ -643,19 +641,18 @@ def plumbing_gram(
     return PeriodGram(
         t_grid=np.asarray(t_grid, dtype=complex),
         matrices=mats,
-        twisted=twisted,
         labels=[d.label for d in diffs],
     )
 
 
 def plumbing_twisted_gram(family: DegenerationFamily, t_grid: np.ndarray) -> PeriodGram:
     twisted, _ = canonical_basis(family)
-    return plumbing_gram(family, t_grid, twisted, twisted=True)
+    return plumbing_gram(family, t_grid, twisted)
 
 
 def plumbing_untwisted_gram(family: DegenerationFamily, t_grid: np.ndarray) -> PeriodGram:
     _, untwisted = canonical_basis(family)
-    return plumbing_gram(family, t_grid, untwisted, twisted=False)
+    return plumbing_gram(family, t_grid, untwisted)
 
 
 # ---------------------------------------------------------------------------

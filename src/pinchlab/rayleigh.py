@@ -51,8 +51,7 @@ def log_ramp(r, eps: float):
 class TestFunctionSet:
     """One normalized vertex vector per component, disjoint supports."""
 
-    vectors: np.ndarray  # (V, N)
-    component_ids: list[int]
+    vectors: np.ndarray  # (V, N), columns in the order of family.components
     epsilon: float
     plateau_areas: np.ndarray  # discrete mass where the raw cut-off is 1
 
@@ -61,31 +60,27 @@ def build_cutoffs(mesh: TriangleMesh, family: DegenerationFamily,
                   s: complex) -> TestFunctionSet:
     """Per component: 1 on the interior, the log ramp in eps <= r <= sqrt(eps)
     on each adjacent neck branch, 0 past it; normalized by the square root
-    of the component's plateau mass."""
+    of the component's plateau mass.  Each chart's component comes from
+    ``family.charts()``."""
     eps = cutoff_epsilon(s)
-    comp_ids = [c.id for c in family.components]
-    col = {cid: i for i, cid in enumerate(comp_ids)}
-    phi = np.zeros((mesh.V, len(comp_ids)))
+    col = {c.id: i for i, c in enumerate(family.components)}
+    component = family.charts()
+    phi = np.zeros((mesh.V, len(col)))
     charts, ids, coords = mesh.vertex_chart_index()
     radius = np.hypot(coords.real, coords.imag)  # abs(complex)'s bits, unlike np.abs
     for c, chart in enumerate(charts):
         on = ids == c
-        if chart[0] == "cap":
-            phi[on, col[chart[1]]] = 1.0
-            continue
-        _, nid, branch = chart
-        # a neck chart covers |x| >= sqrt|s| only, where the other branch's
-        # ramp log_ramp(|s|/|x|, eps) is 0 since eps >= sqrt|s|
-        phi[on, col[family.branch(nid, branch)[0]]] = log_ramp(radius[on], eps)
+        # a cap is plateau; a neck chart covers |x| >= sqrt|s| only, where
+        # the other branch's ramp log_ramp(|s|/|x|, eps) is 0 since
+        # eps >= sqrt|s|
+        phi[on, col[component[chart]]] = 1.0 if chart[0] == "cap" else log_ramp(radius[on], eps)
     mass = mesh.lumped_vertex_mass()
-    areas = np.array([mass[phi[:, i] == 1.0].sum() for i in range(len(comp_ids))])
-    for cid, area in zip(comp_ids, areas):
+    areas = np.array([mass[phi[:, i] == 1.0].sum() for i in range(len(col))])
+    for cid, area in zip(col, areas):
         if area <= 0:
             raise EpsilonOutOfRange(f"component {cid} has no plateau vertices at eps={eps:.3g}")
     phi /= np.sqrt(areas)
-    return TestFunctionSet(
-        vectors=phi, component_ids=comp_ids, epsilon=eps, plateau_areas=areas
-    )
+    return TestFunctionSet(vectors=phi, epsilon=eps, plateau_areas=areas)
 
 
 def dirichlet_energy(problem: SpectralProblem, vec: np.ndarray) -> float:

@@ -263,8 +263,8 @@ def suite_thm1() -> list[CriterionRow]:
 
 def _core_ring_length(mesh, s: complex) -> float:
     """Metric length of the vertex ring nearest |x| = sqrt|s| on the neck."""
-    charts, ids = mesh.chart_index()
-    neck = np.isin(ids, [c for c, chart in enumerate(charts) if chart[0] == "neck"])
+    neck = np.isin(mesh.tri_chart,
+                   [c for c, chart in enumerate(mesh.charts) if chart[0] == "neck"])
     radii = np.abs(mesh.tri_coords[neck])
     ring = np.unique(radii)
     r0 = ring[np.abs(np.log(ring / math.sqrt(abs(s)))).argmin()]
@@ -327,7 +327,8 @@ def suite_rayleigh() -> list[CriterionRow]:
 
     eps = 1e-4
     mesh = annulus_mesh(eps, 1.0, n_theta=64, rings_per_decade=16)
-    vec = np.array([log_ramp(abs(c), eps) for _, c in mesh.vertex_charts()])
+    coords = mesh.vertex_chart_index()[2]
+    vec = log_ramp(np.hypot(coords.real, coords.imag), eps)
     energy = dirichlet_energy(assemble(mesh), vec)
     expect = 4.0 * math.pi / math.log(1.0 / eps)
     rows.append(_within("flat-annulus ramp energy", energy, expect, 0.01 * expect))
@@ -407,7 +408,7 @@ def suite_periods() -> list[CriterionRow]:
 
     twists, _ = canonical_basis(fam2)
     rf = residue_free_differential(fam2)
-    g_rf = plumbing_gram(fam2, ts, twists + [rf], twisted=True)
+    g_rf = plumbing_gram(fam2, ts, twists + [rf])
     fit_rf = fit_log_asymptotics(g_rf)
     amax = float(np.abs(fit_rf.a).max())
     leak = max(float(np.abs(fit_rf.a[1]).max()),
@@ -435,8 +436,8 @@ def suite_curvature() -> list[CriterionRow]:
                                                      three_cycle_family(), 0)):
         def total(fam=fam):
             mesh = mesh_fiber(fam, MetricKind.INDUCED, s, CURVATURE_PARAMS)
-            field = curvature_samples(fam, MetricKind.INDUCED, s, mesh)
-            return gauss_bonnet(mesh, field).total
+            values = curvature_samples(fam, MetricKind.INDUCED, s, mesh)
+            return gauss_bonnet(mesh, values).total
         tot = _memo(("curvature", "gb", name), total)
         rows.append(_within(f"{name} Gauss-Bonnet total", tot,
                             2.0 * math.pi * chi, 0.02 * 4.0 * math.pi))

@@ -22,6 +22,7 @@ from pinchlab.cli import (
 )
 import pinchlab
 from pinchlab.errors import SchemaError
+from pinchlab.family import three_cycle_family
 
 
 def _numeric_lines(path):
@@ -245,6 +246,23 @@ class TestCmdMeshDump:
         assert stats["schema"] == "pinchlab-mesh-v1"
         body = [ln for ln in lines if not ln.startswith(("#", "vertex,"))]
         assert len(body) == int(stats["vertices"])
+
+    def test_chart_column_names_the_family_charts(self, tmp_path):
+        out = tmp_path / "mesh.csv"
+        cmd_mesh_dump("three-cycle", None, 1e-4, 1, str(out))
+        lines = out.read_text(encoding="utf-8").splitlines()
+        names = {ln.split(",")[1] for ln in lines if not ln.startswith(("#", "vertex,"))}
+        assert names == {":".join(map(str, c)) for c in three_cycle_family().charts()}
+
+    def test_fubini_study_metric_is_a_usage_error(self, tmp_path, capsys):
+        # no plumbing chart has a Fubini-Study factor, so no command offers it
+        out = tmp_path / "mesh.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["mesh-dump", "--family", "two-sphere", "--metric", "fubini-study",
+                  "--out", str(out)])
+        assert err.value.code == 2
+        assert "invalid choice: 'fubini-study'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMain:

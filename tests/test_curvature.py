@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pinchlab import curvature as cv
 from pinchlab.curvature import (
-    CurvatureField,
     DefectReport,
     GaussBonnetReport,
     curvature_samples,
@@ -23,7 +22,6 @@ from pinchlab.curvature import (
 from pinchlab.errors import NotConverged, StencilOutOfChart
 from pinchlab.family import (
     INF_POINT,
-    ChartPoint,
     ComponentSurface,
     DegenerationFamily,
     FermatAtlas,
@@ -53,7 +51,7 @@ class TestFactorCurvature:
         # u = -log|x| is harmonic away from the origin
         fam = two_sphere_family()
         k = gauss_curvature(
-            fam, MetricKind.CYLINDER, ChartPoint(("neck", 0, 0), 0.1 + 0.05j), 1e-4
+            fam, MetricKind.CYLINDER, ("neck", 0, 0), 0.1 + 0.05j, 1e-4
         )
         assert k == pytest.approx(0.0, abs=1e-4)
 
@@ -76,19 +74,19 @@ class TestGaussCurvature:
     def test_cap_round_sphere(self):
         # component spheres have radius 1/2, hence K = 4
         fam = two_sphere_family()
-        k = gauss_curvature(fam, MetricKind.INDUCED, ChartPoint(("cap", 0), 0.3 + 0.2j), 1e-4)
+        k = gauss_curvature(fam, MetricKind.INDUCED, ("cap", 0), 0.3 + 0.2j, 1e-4)
         assert k == pytest.approx(4.0, rel=1e-6)
 
     def test_scale_divides_curvature(self):
         fam = two_sphere_family(scale=4.0)
-        k = gauss_curvature(fam, MetricKind.INDUCED, ChartPoint(("cap", 0), 0.3j), 1e-4)
+        k = gauss_curvature(fam, MetricKind.INDUCED, ("cap", 0), 0.3j, 1e-4)
         assert k == pytest.approx(1.0, rel=1e-6)
 
     def test_hyperbolic_model_neck_minus_one(self):
         fam = two_sphere_family()
         for r in (0.01, 0.05, 0.2):
             k = gauss_curvature(
-                fam, MetricKind.HYPERBOLIC_MODEL, ChartPoint(("neck", 0, 0), complex(r)), 1e-8
+                fam, MetricKind.HYPERBOLIC_MODEL, ("neck", 0, 0), complex(r), 1e-8
             )
             assert k == pytest.approx(-1.0, rel=1e-4)
 
@@ -96,7 +94,7 @@ class TestGaussCurvature:
         fam = two_sphere_family()
         ks = [
             gauss_curvature(
-                fam, MetricKind.HYPERBOLIC_MODEL, ChartPoint(("neck", 0, 0), 0.05 + 0j), s
+                fam, MetricKind.HYPERBOLIC_MODEL, ("neck", 0, 0), 0.05 + 0j, s
             )
             for s in (1e-6, 1e-9, 1e-12)
         ]
@@ -107,16 +105,16 @@ class TestGaussCurvature:
         fam = two_sphere_family()
         s = 1e-4
         k = gauss_curvature(
-            fam, MetricKind.INDUCED, ChartPoint(("neck", 0, 0), complex(math.sqrt(s))), s
+            fam, MetricKind.INDUCED, ("neck", 0, 0), complex(math.sqrt(s)), s
         )
         assert k == pytest.approx(-1.0 / s, rel=1e-6)
 
     def test_stencil_out_of_chart(self):
         fam = two_sphere_family()
         with pytest.raises(StencilOutOfChart):
-            gauss_curvature(fam, MetricKind.INDUCED, ChartPoint(("neck", 0, 0), 1e-4 + 0j), 1e-4)
+            gauss_curvature(fam, MetricKind.INDUCED, ("neck", 0, 0), 1e-4 + 0j, 1e-4)
         with pytest.raises(StencilOutOfChart):
-            gauss_curvature(fam, MetricKind.INDUCED, ChartPoint(("cap", 0), 1.0 + 0j), 1e-4)
+            gauss_curvature(fam, MetricKind.INDUCED, ("cap", 0), 1.0 + 0j, 1e-4)
 
 
 @pytest.fixture(scope="module")
@@ -137,9 +135,9 @@ class TestMinCurvatureSweep:
         assert report.component_max.max() <= 4.0 + 1e-6
 
     def test_minimum_on_neck(self, report):
-        for s, pt in zip(report.s_grid, report.min_points):
-            assert pt.chart[0] == "neck"
-            assert s <= abs(pt.coord) <= 1.0
+        for s, (chart, coord) in zip(report.s_grid, report.min_points):
+            assert chart[0] == "neck"
+            assert s <= abs(coord) <= 1.0
 
     def test_exponent_reported(self, report):
         assert math.isfinite(report.fitted_exponent)
@@ -166,10 +164,9 @@ class TestCurvatureField:
         fam = two_sphere_family()
         s = 1e-4
         mesh = mesh_fiber(fam, MetricKind.INDUCED, s)
-        field = curvature_samples(fam, MetricKind.INDUCED, s, mesh)
-        assert isinstance(field, CurvatureField)
-        assert len(field.values) == mesh.F
-        assert np.isfinite(field.values).all()
+        values = curvature_samples(fam, MetricKind.INDUCED, s, mesh)
+        assert values.shape == (mesh.F,)
+        assert np.isfinite(values).all()
 
 
 class TestGaussBonnet:
@@ -199,10 +196,9 @@ class TestGaussBonnet:
         fam = two_sphere_family()
         s = 1e-3
         mesh = mesh_fiber(fam, MetricKind.INDUCED, s)
-        field = curvature_samples(fam, MetricKind.INDUCED, s, mesh)
-        field.values = field.values[:-1]
+        values = curvature_samples(fam, MetricKind.INDUCED, s, mesh)
         with pytest.raises(ValueError):
-            gauss_bonnet(mesh, field)
+            gauss_bonnet(mesh, values[:-1])
 
 
 class TestFermatGaussBonnet:

@@ -18,7 +18,6 @@ from pinchlab.errors import (
 )
 from pinchlab.family import (
     INF_POINT,
-    ChartPoint,
     ComponentSurface,
     DegenerationFamily,
     FermatAtlas,
@@ -43,7 +42,7 @@ ALL_PLUMBING_KINDS = (
 
 
 def neck_factor(fam, kind, r, s, branch=0):
-    return conformal_factor(fam, kind, ChartPoint(("neck", 0, branch), complex(r, 0.0)), s)
+    return conformal_factor(fam, kind, ("neck", 0, branch), complex(r, 0.0), s)
 
 
 class TestGraphInvariants:
@@ -171,7 +170,44 @@ DUAL_GRAPHS = {
 }
 
 
+CAP, NECK = "cap", "neck"
+#: (chart, component id) of every chart, component by component, in node
+#: order and with the nodes reversed
+CHART_TABLES = {
+    "two-sphere": [[((CAP, 0), 0), ((NECK, 0, 0), 0), ((CAP, 1), 1), ((NECK, 0, 1), 1)]] * 2,
+    "three-cycle": [
+        [((NECK, 0, 0), 0), ((NECK, 2, 1), 0), ((NECK, 0, 1), 1), ((NECK, 1, 0), 1),
+         ((NECK, 1, 1), 2), ((NECK, 2, 0), 2)],
+        [((NECK, 2, 1), 0), ((NECK, 0, 0), 0), ((NECK, 1, 0), 1), ((NECK, 0, 1), 1),
+         ((NECK, 2, 0), 2), ((NECK, 1, 1), 2)],
+    ],
+    "chain-of-three": [
+        [((CAP, 0), 0), ((NECK, 0, 0), 0), ((NECK, 0, 1), 1), ((NECK, 1, 0), 1),
+         ((CAP, 2), 2), ((NECK, 1, 1), 2)],
+        [((CAP, 0), 0), ((NECK, 0, 0), 0), ((NECK, 1, 0), 1), ((NECK, 0, 1), 1),
+         ((CAP, 2), 2), ((NECK, 1, 1), 2)],
+    ],
+}
+
+
 class TestDualGraph:
+    @pytest.mark.parametrize("reverse", [False, True], ids=["node-order", "reversed"])
+    @pytest.mark.parametrize("name", list(DUAL_GRAPHS))
+    def test_charts_table(self, name, reverse):
+        fam = DUAL_GRAPHS[name][0]()
+        if reverse:
+            fam = _reversed(fam)
+        assert list(fam.charts().items()) == CHART_TABLES[name][reverse]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["node-order", "reversed"])
+    @pytest.mark.parametrize("name", list(DUAL_GRAPHS))
+    def test_charts_are_the_meshed_charts(self, name, reverse):
+        fam = DUAL_GRAPHS[name][0]()
+        if reverse:
+            fam = _reversed(fam)
+        for kind in ALL_PLUMBING_KINDS:
+            assert set(fam.charts()) == set(mesh_fiber(fam, kind, 1e-3).charts)
+
     @pytest.mark.parametrize("reverse", [False, True], ids=["node-order", "reversed"])
     @pytest.mark.parametrize("name", list(DUAL_GRAPHS))
     def test_walk_matches_reference(self, name, reverse):
@@ -289,7 +325,7 @@ class TestConformalFactor:
         fam = two_sphere_family()
         s = 1e-6
         fn = neck_factor(fam, kind, 1.0, s)
-        fc = conformal_factor(fam, kind, ChartPoint(("cap", 0), 1.0 + 0j), s)
+        fc = conformal_factor(fam, kind, ("cap", 0), 1.0 + 0j, s)
         assert fn == pytest.approx(fc, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_PLUMBING_KINDS)
@@ -302,7 +338,7 @@ class TestConformalFactor:
             y = s / x
             f0 = neck_factor(fam, kind, r, s, branch=0)
             f1 = conformal_factor(
-                fam, kind, ChartPoint(("neck", 0, 1), y), s
+                fam, kind, ("neck", 0, 1), y, s
             ) * (abs(s) / abs(x) ** 2) ** 2
             assert f0 == pytest.approx(f1, rel=1e-12)
 
@@ -354,8 +390,8 @@ class TestConformalFactor:
         assert ((r >= 0.5).any() and (s / r >= 0.5).any()
                 and ((r < 0.5) & (s / r < 0.5)).any())
         for chart in (("neck", 0, 0), ("neck", 0, 1), ("cap", 0)):
-            arr = conformal_factor(fam, kind, ChartPoint(chart, z), s)
-            one = [conformal_factor(fam, kind, ChartPoint(chart, complex(c)), s)
+            arr = conformal_factor(fam, kind, chart, z, s)
+            one = [conformal_factor(fam, kind, chart, complex(c), s)
                    for c in z]
             assert arr.shape == z.shape
             np.testing.assert_allclose(arr, one, rtol=4e-15, atol=0.0)
@@ -373,12 +409,12 @@ class TestConformalFactor:
     def test_one_off_range_element_raises_like_scalar(self, kind, chart, r, s, good, exc):
         fam = two_sphere_family()
         for x in good:
-            conformal_factor(fam, kind, ChartPoint(chart, complex(x)), s)
+            conformal_factor(fam, kind, chart, complex(x), s)
         with pytest.raises(exc):
-            conformal_factor(fam, kind, ChartPoint(chart, complex(r)), s)
+            conformal_factor(fam, kind, chart, complex(r), s)
         z = np.array(good[:1] + [r] + good[1:], dtype=complex)
         with pytest.raises(exc):
-            conformal_factor(fam, kind, ChartPoint(chart, z), s)
+            conformal_factor(fam, kind, chart, z, s)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -515,6 +551,23 @@ class TestConfigRoundTrip:
         path = tmp_path / "fermat.cfg"
         path.write_text(FERMAT_CONFIG, encoding="utf-8")
         with pytest.raises(SchemaError, match=re.escape(str(path))):
+            read_family_config(str(path))
+
+    @pytest.mark.parametrize("schema_line", ["schema = not-a-schema\n", ""],
+                             ids=["wrong", "missing"])
+    def test_bad_schema_rejected(self, tmp_path, schema_line):
+        path = tmp_path / "bad-schema.cfg"
+        path.write_text("[family]\n" + schema_line + "components = 0:0.0 ; 1:0.0\n"
+                        "nodes = 0:0.0-1.0\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(str(path)) + ".*schema"):
+            read_family_config(str(path))
+
+    @pytest.mark.parametrize("metric", ["fubini-study", "no-such-metric"])
+    def test_bad_metric_rejected(self, tmp_path, metric):
+        path = tmp_path / "bad-metric.cfg"
+        path.write_text("[family]\nschema = pinchlab-family-v1\ncomponents = 0:0.0 ; 1:0.0\n"
+                        f"nodes = 0:0.0-1.0\nmetric = {metric}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(str(path)) + f".*{metric}"):
             read_family_config(str(path))
 
     def test_round_trip_three_cycle(self, tmp_path):

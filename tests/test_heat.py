@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from pinchlab import heat
 from pinchlab.errors import InsufficientSpectrum
 from pinchlab.heat import (
     heat_trace,
@@ -115,10 +116,11 @@ class TestDenseOracle:
         return pb, full
 
     @pytest.mark.parametrize("k", [10, 30, 60])
-    def test_reported_value_plus_unseen_sum_is_full_sum(self, pencil, k):
+    def test_reported_value_plus_unseen_sum_is_full_sum(self, pencil, k, monkeypatch):
         pb, full = pencil
         spec = solve_smallest(pb, k)
-        value, tail = partial_torsion_large_time(spec, h0=1, tail_tol=math.inf)
+        monkeypatch.setattr(heat, "TAIL_TOL", math.inf)
+        value, tail = partial_torsion_large_time(spec, h0=1)
         unseen = float(scipy.special.exp1(full[k:]).sum())
         whole = float(scipy.special.exp1(full[1:]).sum())
         assert value + unseen == pytest.approx(whole, rel=1e-9)
@@ -165,7 +167,7 @@ class TestPartialTorsion:
             partial_torsion_large_time(sp)
         tail = 9996 * math.exp(-1.5) / 1.5
         for part in ("heat.partial_torsion_large_time(V=10000, k=4, h0=1)",
-                     f"{tail:.3e}", "lambda_k = 1.5 ", "tail_tol = 0.01"):
+                     f"{tail:.3e}", "lambda_k = 1.5 ", "TAIL_TOL = 0.01"):
             assert part in str(err.value)
 
     def test_unseen_spectrum_above_zero_window_raises(self):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinchlab import laplace
 from pinchlab.cli import SweepPlan
 from pinchlab.errors import NoConvergence, NonFiniteEntry
 from pinchlab.family import MetricKind, three_cycle_family, two_sphere_family
@@ -97,7 +98,7 @@ class TestSolveSmallest:
         assert not spec.numerically_zero()[1]
 
     def test_residuals_below_tolerance(self, fiber_mesh):
-        spec = solve_smallest(assemble(fiber_mesh), 6, tol=1e-9)
+        spec = solve_smallest(assemble(fiber_mesh), 6)
         assert (spec.residual_norms <= 1e-9).all()
 
     def test_deterministic_given_seed(self, fiber_mesh):
@@ -131,11 +132,12 @@ class TestSolveSmallest:
                     err_msg=f"seed={seed} k={k} path={spec.solver_path}",
                 )
 
-    def test_no_convergence_names_input_and_rungs(self):
+    def test_no_convergence_names_input_and_rungs(self, monkeypatch):
         half = unit_sphere_mesh(8, 16, radius=0.5)
         pb = assemble(disjoint_union([half, half]))
+        monkeypatch.setattr(laplace, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NoConvergence) as err:
-            solve_smallest(pb, 5, tol=0.0, seed=3)
+            solve_smallest(pb, 5, seed=3)
         msg = str(err.value)
         for part in ("V=484", "k=5", "seed=3",
                      "(tried eigsh, eigsh+2, eigsh+4, eigsh+8)",
@@ -304,18 +306,18 @@ class TestWeighted:
         wf = component_bundle_weight(fiber_mesh)
         cent = np.abs(fiber_mesh.tri_coords.mean(axis=1))
         neck = np.array(
-            [ch[0] == "neck" for ch in fiber_mesh.tri_chart]
+            [fiber_mesh.charts[i][0] == "neck" for i in fiber_mesh.tri_chart]
         ) & (cent < 0.5)
         assert np.array_equal(wf.weights[neck], np.ones(int(neck.sum())))
         assert np.array_equal(wf.curvature_density[neck], np.zeros(int(neck.sum())))
 
-    def test_cap_charts_from_chart_index(self):
-        # the weight reads cap triangles from the mesh's chart ids; the
-        # same fields come from the per-triangle chart tuples
+    def test_cap_charts_from_chart_table(self):
+        # the weight reads cap triangles from the mesh's chart table; the
+        # same fields come from each triangle's chart, one at a time
         m = mesh_fiber(two_sphere_family(), MetricKind.INDUCED, 1e-3)
         wf = component_bundle_weight(m)
         rho = np.abs(m.tri_coords.mean(axis=1))
-        interior = np.array([ch[0] == "cap" for ch in m.tri_chart]) | (rho >= 0.5)
+        interior = np.array([m.charts[i][0] == "cap" for i in m.tri_chart]) | (rho >= 0.5)
         phi = np.where(interior, np.log((1.0 + rho ** 2) / 1.25), 0.0)
         assert np.array_equal(wf.weights, np.exp(-phi))
         assert np.array_equal(wf.curvature_density,

@@ -10,7 +10,6 @@ from pinchlab import mesh as mesh_module
 from pinchlab.errors import ChartOverlapConflict, DegenerateTriangle, PointOffFiber
 from pinchlab.family import (
     INF_POINT,
-    ChartPoint,
     ComponentSurface,
     MetricKind,
     NodeSpec,
@@ -95,11 +94,11 @@ class TestMeshValidity:
     def test_neck_vertices_log_uniform_in_angle(self):
         # all rings carry the same angular count, uniformly spaced
         m = mesh_fiber(two_sphere_family(), MetricKind.INDUCED, 1e-4)
-        charts = m.vertex_charts()
+        charts, ids, coords = m.vertex_chart_index()
         neck_angles = sorted(
             math.atan2(c.imag, c.real)
-            for ch, c in charts
-            if ch[0] == "neck" and abs(abs(c) - 0.01) < 1e-9
+            for i, c in zip(ids.tolist(), coords.tolist())
+            if charts[i][0] == "neck" and abs(abs(c) - 0.01) < 1e-9
         )
         diffs = np.diff(neck_angles)
         assert np.allclose(diffs, 2 * math.pi / 16, atol=1e-12)
@@ -158,42 +157,54 @@ class TestEdges:
                 mid = -mid
             if p == 0 or q == 0:
                 mid = chord
-            point = ChartPoint(mesh.tri_chart[f], complex(mid))
-            fac = conformal_factor(fam, MetricKind.HYPERBOLIC_MODEL, point, self.S)
+            chart = mesh.charts[mesh.tri_chart[f]]
+            fac = conformal_factor(fam, MetricKind.HYPERBOLIC_MODEL, chart, complex(mid),
+                                   self.S)
             assert mesh.edge_lengths[e] == pytest.approx(abs(p - q) * math.sqrt(fac),
                                                          rel=1e-14)
 
 
-def fiber_area_quadrature(family, kind, s) -> float:
-    """Fiber area by 1-D radial quadrature, independent of any mesh.
+def chart_area_quadrature(family, kind, s) -> list[tuple[int, float]]:
+    """(component id, area) of every chart region by 1-D radial
+    quadrature, independent of any mesh and of ``family.charts()``.
 
     All supported factors are rotation invariant, so the area of each
     chart region is 2*pi * integral of factor(r) * r dr; regions are the
-    per-branch neck half-annuli sqrt|s| <= |x| <= 1 and the caps.
+    per-branch neck half-annuli sqrt|s| <= |x| <= 1 (on the branch's
+    component) and the caps.
     """
-    total = 0.0
+    areas = []
     root = math.sqrt(abs(s))
 
     for node in family.nodes:
-        for branch in (0, 1):
+        for branch, (cid, _) in enumerate((node.left, node.right)):
             def f(r: float, b=branch, nid=node.node_id) -> float:
-                pt = ChartPoint(("neck", nid, b), complex(r, 0.0))
-                return conformal_factor(family, kind, pt, s) * r
+                return conformal_factor(family, kind, ("neck", nid, b), complex(r, 0.0), s) * r
 
             # integrate in log r for graded accuracy
             val, _ = quad(lambda u, g=f: g(math.exp(u)) * math.exp(u),
                           math.log(root), 0.0, limit=200)
-            total += 2.0 * math.pi * val
+            areas.append((cid, 2.0 * math.pi * val))
 
     for comp in family.components:
         if family.node_degree(comp.id) == 1:
             def f(r: float, cid=comp.id) -> float:
-                pt = ChartPoint(("cap", cid), complex(r, 0.0))
-                return conformal_factor(family, kind, pt, s) * r
+                return conformal_factor(family, kind, ("cap", cid), complex(r, 0.0), s) * r
 
             val, _ = quad(f, 0.0, 1.0, limit=200)
-            total += 2.0 * math.pi * val
-    return total
+            areas.append((comp.id, 2.0 * math.pi * val))
+    return areas
+
+
+def fiber_area_quadrature(family, kind, s) -> float:
+    """Fiber area by 1-D radial quadrature (sum of chart_area_quadrature)."""
+    return sum(area for _, area in chart_area_quadrature(family, kind, s))
+
+
+def _two_sphere_half_and_one():
+    comps = [ComponentSurface(id=0, marked_points=(0.0 + 0j,), radius=0.5),
+             ComponentSurface(id=1, marked_points=(0.0 + 0j,), radius=1.0)]
+    return build_plumbing(comps, [NodeSpec(node_id=0, left=(0, 0), right=(1, 0))])
 
 
 class TestAreaAgainstQuadrature:
@@ -215,6 +226,32 @@ class TestAreaAgainstQuadrature:
         oracle = fiber_area_quadrature(three_cycle_family(), kind, s)
         assert m.total_area == pytest.approx(oracle, rel=0.01)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("make", [two_sphere_family, three_cycle_family,
+                                      _two_sphere_half_and_one],
+                             ids=["two-sphere", "three-cycle", "two-sphere-0.5-1.0"])
+    def test_component_areas_within_one_percent(self, make, kind):
+        # the component areas A_i: mesh triangles grouped by component
+        # through the chart table and family.charts()
+        fam, s = make(), 1e-3
+        m = mesh_fiber(fam, kind, s).refine()
+        if kind is MetricKind.HYPERBOLIC_MODEL:
+            m = m.refine()
+        component = fam.charts()
+        chart_area = np.bincount(m.tri_chart, weights=m.triangle_areas,
+                                 minlength=len(m.charts))
+        mesh_area = dict.fromkeys((c.id for c in fam.components), 0.0)
+        for chart, area in zip(m.charts, chart_area):
+            mesh_area[component[chart]] += area
+        oracle = dict.fromkeys(mesh_area, 0.0)
+        for cid, area in chart_area_quadrature(fam, kind, s):
+            oracle[cid] += area
+        for cid, area in oracle.items():
+            assert mesh_area[cid] == pytest.approx(area, rel=0.01), cid
+        if make is _two_sphere_half_and_one:
+            # the caps differ by 2 pi (1 - 1/4) = 4.7
+            assert mesh_area[1] - mesh_area[0] > math.pi
+
     def test_area_converges_second_order(self):
         fam = two_sphere_family()
         oracle = fiber_area_quadrature(fam, MetricKind.INDUCED, 1e-4)
@@ -232,15 +269,19 @@ class TestRefine:
         assert m2.F == 4 * m.F
         assert m2.V - m2.E + m2.F == m.V - m.E + m.F
 
-    def test_chart_index_fixed_at_construction(self):
+    def test_chart_table_fixed_at_construction(self):
         m = mesh_fiber(three_cycle_family(), MetricKind.INDUCED, 1e-3)
-        charts, ids = m.chart_index()
-        assert charts == list(dict.fromkeys(m.tri_chart))
-        assert [charts[i] for i in ids] == list(m.tri_chart)
-        # one read-only array, not recomputed per call
-        assert m.chart_index()[1] is ids and not ids.flags.writeable
-        charts2, ids2 = m.refine().chart_index()
-        assert charts2 == charts and np.array_equal(ids2, np.repeat(ids, 4))
+        # one read-only int64 index per triangle into the distinct charts,
+        # which are listed in order of first use
+        assert m.tri_chart.dtype == np.int64 and m.tri_chart.shape == (m.F,)
+        assert not m.tri_chart.flags.writeable
+        used, first = np.unique(m.tri_chart, return_index=True)
+        assert used.tolist() == list(range(len(m.charts)))
+        assert (np.diff(first) > 0).all()
+        assert len(set(m.charts)) == len(m.charts)
+        fine = m.refine()
+        assert fine.charts == m.charts
+        assert np.array_equal(fine.tri_chart, np.repeat(m.tri_chart, 4))
 
     def test_lengths_reevaluated_not_interpolated(self):
         # on the round sphere a subdivided edge is strictly shorter than
@@ -306,7 +347,8 @@ class _LoopStack(mesh_module._RingStack):
     def _add_one(self, chart, tris, coords):
         self.tris.append(np.stack(tris, axis=-1).reshape(-1, 3))
         self.coords.append(np.stack(coords, axis=-1).reshape(-1, 3))
-        self.charts.extend([chart] * (self.n * len(tris) // 3))
+        index = self.charts.setdefault(chart, len(self.charts))
+        self.tri_chart.append(np.full(self.n * len(tris) // 3, index, dtype=np.int64))
 
     def add_bands(self, bands):
         for chart, lower, upper in bands:
@@ -346,8 +388,8 @@ def _assert_same_mesh(got, expect):
         return
     assert not isinstance(got, Exception), got
     assert got.V == expect.V
-    assert got.tri_chart == expect.tri_chart
-    for name in ("triangles", "tri_coords", "edge_lengths"):
+    assert got.charts == expect.charts
+    for name in ("triangles", "tri_chart", "tri_coords", "edge_lengths"):
         a, b = getattr(got, name), getattr(expect, name)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), name

@@ -649,7 +649,7 @@ class TestClosedFormAnnuli:
             fam = two_sphere_family()
             diffs = canonical_basis(fam)[0] + [residue_free_differential(fam)]
         ts = np.array([1e-3, 1e-9, 1e-24])
-        got = np.array(plumbing_gram(fam, ts, diffs, twisted=True).matrices)
+        got = np.array(plumbing_gram(fam, ts, diffs).matrices)
         expect = quadrature_gram(fam, ts, diffs)
         # the residue-free pair's cross entries vanish (|G| ~ 1e-15), so
         # the tolerance is absolute below |G| = 1
@@ -683,7 +683,7 @@ class TestProp51:
         tw, _ = canonical_basis(fam)
         rf = residue_free_differential(fam)
         ts = np.logspace(-3, -8, 8)
-        g = plumbing_gram(fam, ts, tw + [rf], twisted=True)
+        g = plumbing_gram(fam, ts, tw + [rf])
         fit = fit_log_asymptotics(g)
         amax = abs(fit.a).max()
         assert abs(fit.a[1]).max() < 1e-3 * amax
@@ -752,11 +752,10 @@ def _spectrum(evs, s):
     )
 
 
-def _gram_1x1(ts, values, twisted=True):
+def _gram_1x1(ts, values):
     return PeriodGram(
         t_grid=np.asarray(ts, dtype=complex),
         matrices=[np.array([[v + 0j]]) for v in values],
-        twisted=twisted,
     )
 
 
@@ -766,7 +765,7 @@ class TestKeyIdentity:
         L = np.log(1.0 / ts)
         spectra = [_spectrum([0.0, 1.0 / l, 2.0, 3.0], s) for s, l in zip(ts, L)]
         twisted = _gram_1x1(ts, L)
-        untwisted = _gram_1x1(ts, np.ones_like(L), twisted=False)
+        untwisted = _gram_1x1(ts, np.ones_like(L))
         chk = key_identity_check(spectra, twisted, untwisted, n_small=1)
         assert chk.verdict == "PASS"
         assert np.allclose(chk.ratio, 1.0)
@@ -776,7 +775,7 @@ class TestKeyIdentity:
         L = np.log(1.0 / ts)
         spectra = [_spectrum([0.0, 1.0 / l, 2.0, 3.0], s) for s, l in zip(ts, L)]
         twisted = _gram_1x1(ts, L ** 2)
-        untwisted = _gram_1x1(ts, np.ones_like(L), twisted=False)
+        untwisted = _gram_1x1(ts, np.ones_like(L))
         chk = key_identity_check(spectra, twisted, untwisted, n_small=1)
         assert chk.verdict == "FAIL"
 
@@ -785,6 +784,6 @@ class TestKeyIdentity:
         L = np.log(1.0 / ts)
         spectra = [_spectrum([0.0, 1.0 / l, 2.0], s) for s, l in zip(ts, L)]
         twisted = _gram_1x1(ts * 10.0, L)
-        untwisted = _gram_1x1(ts, np.ones_like(L), twisted=False)
+        untwisted = _gram_1x1(ts, np.ones_like(L))
         with pytest.raises(GridMismatch):
             key_identity_check(spectra, twisted, untwisted, n_small=1)

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchlab.errors import EpsilonOutOfRange, RankDeficientTestSet
-from pinchlab.family import MetricKind, three_cycle_family, two_sphere_family
+from pinchlab.family import (
+    INF_POINT,
+    ComponentSurface,
+    MetricKind,
+    NodeSpec,
+    build_plumbing,
+    three_cycle_family,
+    two_sphere_family,
+)
 from pinchlab.laplace import assemble, solve_smallest
 from pinchlab.mesh import annulus_mesh, mesh_fiber
 from pinchlab.rayleigh import (
@@ -28,6 +36,12 @@ def two_sphere_setup():
     return fam, s, mesh, pb
 
 
+def _vertex_charts(mesh):
+    """One (chart, coordinate) pair per vertex."""
+    charts, ids, coords = mesh.vertex_chart_index()
+    return [(charts[i], z) for i, z in zip(ids.tolist(), coords.tolist())]
+
+
 def _per_vertex_cutoffs(mesh, fam, s):
     """Cut-offs vertex by vertex with the scalar ramp, both branches of
     every neck ramped; returns the normalized vectors and plateau areas."""
@@ -41,7 +55,7 @@ def _per_vertex_cutoffs(mesh, fam, s):
     eps = cutoff_epsilon(s)
     col = {c.id: i for i, c in enumerate(fam.components)}
     phi = np.zeros((mesh.V, len(col)))
-    for v, (chart, coord) in enumerate(mesh.vertex_charts()):
+    for v, (chart, coord) in enumerate(_vertex_charts(mesh)):
         if chart[0] == "cap":
             phi[v, col[chart[1]]] = 1.0
             continue
@@ -99,7 +113,7 @@ class TestLogRamp:
         eps = 1e-4
         mesh = annulus_mesh(eps, 1.0, n_theta=64, rings_per_decade=16)
         pb = assemble(mesh)
-        vec = np.array([log_ramp(abs(c), eps) for _, c in mesh.vertex_charts()])
+        vec = np.array([log_ramp(abs(c), eps) for _, c in _vertex_charts(mesh)])
         energy = dirichlet_energy(pb, vec)
         assert energy == pytest.approx(4.0 * math.pi / math.log(1.0 / eps), rel=0.01)
 
@@ -124,7 +138,7 @@ class TestBuildCutoffs:
         fam, s, mesh, _ = two_sphere_setup
         ts = build_cutoffs(mesh, fam, s)
         raw = ts.vectors * np.sqrt(ts.plateau_areas)[None, :]
-        for v, (chart, coord) in enumerate(mesh.vertex_charts()):
+        for v, (chart, coord) in enumerate(_vertex_charts(mesh)):
             if chart[0] == "cap":
                 assert raw[v, chart[1]] == 1.0
             else:
@@ -159,6 +173,30 @@ class TestBuildCutoffs:
         ts = build_cutoffs(mesh, fam, s)
         assert np.array_equal(ts.plateau_areas, areas)
         assert np.array_equal(ts.vectors, phi)
+
+    def test_chain_of_three_plateaus_on_their_components(self):
+        # components 0 - 1 - 2 with ids unlike their column order; each
+        # neck branch's plateau belongs to the component on that branch
+        comps = [ComponentSurface(id=7, marked_points=(0.0 + 0j,)),
+                 ComponentSurface(id=3, marked_points=(0.0 + 0j, INF_POINT)),
+                 ComponentSurface(id=5, marked_points=(0.0 + 0j,))]
+        nodes = [NodeSpec(node_id=0, left=(7, 0), right=(3, 0)),
+                 NodeSpec(node_id=1, left=(3, 1), right=(5, 0))]
+        fam = build_plumbing(comps, nodes)
+        column = {("cap", 7): 0, ("neck", 0, 0): 0, ("neck", 0, 1): 1,
+                  ("neck", 1, 0): 1, ("cap", 5): 2, ("neck", 1, 1): 2}
+        s = 1e-10
+        mesh = mesh_fiber(fam, MetricKind.INDUCED, s)
+        ts = build_cutoffs(mesh, fam, s)
+        raw = ts.vectors * np.sqrt(ts.plateau_areas)[None, :]
+        seen = set()
+        for v, (chart, coord) in enumerate(_vertex_charts(mesh)):
+            if chart[0] == "cap" or abs(coord) ** 2 >= ts.epsilon:
+                expect = [float(c == column[chart]) for c in range(3)]
+                assert raw[v] == pytest.approx(expect, abs=1e-12), (v, chart)
+                seen.add(chart)
+        assert seen == set(column)
+        assert (ts.plateau_areas > 0).all()
 
     def test_normalized_mass_near_one_at_small_s(self):
         fam = two_sphere_family()

@@ -60,11 +60,12 @@ def _core_ring_length_loop(mesh, s):
     """Per-triangle reference for ``verify._core_ring_length``."""
     root = math.sqrt(abs(s))
     radii = np.unique(np.abs(np.concatenate(
-        [mesh.tri_coords[f] for f, ch in enumerate(mesh.tri_chart) if ch[0] == "neck"])))
+        [mesh.tri_coords[f] for f, i in enumerate(mesh.tri_chart)
+         if mesh.charts[i][0] == "neck"])))
     r0 = radii[np.abs(np.log(radii / root)).argmin()]
     total, seen = 0.0, set()
-    for f, chart in enumerate(mesh.tri_chart):
-        if chart[0] != "neck":
+    for f, i in enumerate(mesh.tri_chart):
+        if mesh.charts[i][0] != "neck":
             continue
         for j in range(3):
             e = int(mesh.tri_edge[f, j])

@@ -94,9 +94,6 @@ def _mesh_params(density: int) -> MeshParams:
 class RunReport:
     """Aggregated sweep outcome: complete rows or explicit failures."""
 
-    family: str = ""
-    metric: str = ""
-    seed: int = 0
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
@@ -116,7 +113,7 @@ def cmd_sweep(plan: SweepPlan) -> RunReport:
     records = solve_fibers(fam, kind, plan.s_grid, plan.num_ev,
                            plan.mesh_params, plan.seed, plan.workers)
 
-    report = RunReport(family=plan.family, metric=kind.value, seed=plan.seed)
+    report = RunReport()
     for index, rec in enumerate(records):
         if rec.error is not None:
             report.failures.append({"index": index, "s": rec.s,

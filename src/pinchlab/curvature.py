@@ -325,18 +325,18 @@ class DefectReport:
     defect: float  # limit - target_smooth = 2 pi * 2 * sum delta_p
 
 
-def _radial_total(family: DegenerationFamily, kind: MetricKind,
-                  chart: tuple, r_lo: float, r_hi: float) -> float:
-    """Integral of K dv over the radial band [r_lo, r_hi] of one chart
-    of the nodal fiber (the factor there depends on |x| only)."""
-    total = 0.0
-    breaks = [r_lo, 0.5, r_hi] if r_lo < 0.5 < r_hi else [r_lo, r_hi]
-    for a, b in zip(breaks, breaks[1:]):
-        r, w = _gl_panels(a, b, 4)
-        k = gauss_curvature(family, kind, chart, r + 0j, 0.0)
-        f = conformal_factor(family, kind, chart, r + 0j, 0.0)
-        total += float((w * k * f * 2.0 * math.pi * r).sum())
-    return total
+def _panel_totals(family: DegenerationFamily, kind: MetricKind,
+                  chart: tuple, panels) -> list[float]:
+    """Integral of K dv over each radial panel (a, b) of one chart of the
+    nodal fiber (the factor there depends on |x| only), from one stencil
+    call and one factor call on the nodes of all panels."""
+    nodes = [_gl_panels(a, b, 4) for a, b in panels]
+    r = np.concatenate([pts for pts, _ in nodes])
+    k = gauss_curvature(family, kind, chart, r + 0j, 0.0)
+    f = conformal_factor(family, kind, chart, r + 0j, 0.0)
+    dens = np.concatenate([w for _, w in nodes]) * k * f * 2.0 * math.pi * r
+    cuts = np.cumsum([pts.size for pts, _ in nodes])[:-1]
+    return [float(part.sum()) for part in np.split(dens, cuts)]
 
 
 def nodal_defect(
@@ -348,27 +348,29 @@ def nodal_defect(
 
     Compared against 2 pi chi(X_s) and against the normalization value
     2 pi (chi(X_0~) + sum_q (N_q - 1)) with N_q = 1 at nodal branches;
-    the difference is the node defect 2 pi * 2 * sum delta_p.
+    the difference is the node defect 2 pi * 2 * sum delta_p.  A cap is
+    integrated over [0, 1/2] and [1/2, 1], a neck branch over [eps, 1/2]
+    for every eps and over [1/2, 1], and each total is summed per eps in
+    component order.
     """
     eps_grid = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
     if eps_grid.size < 2 or eps_grid.min() <= 0 or eps_grid.max() >= 0.5:
         raise ValueError("need at least two ball radii in (0, 1/2)")
     kind = MetricKind.INDUCED
-    values = []
-    for eps in eps_grid:
-        total = 0.0
-        for comp in family.components:
-            branches = family.branches(comp.id)
-            if len(branches) < 2:
-                # one stereographic cap per hemisphere free of nodes (two
-                # on a smooth sphere); none on a two-node component
-                total += (2 - len(branches)) * _radial_total(
-                    family, kind, ("cap", comp.id), 0.0, 1.0)
-            for node, branch, *_ in branches:
-                total += _radial_total(family, kind, ("neck", node.node_id, branch),
-                                       eps, 1.0)
-        values.append(total)
-    values = np.array(values)
+    terms = []  # per chart, its total at every eps
+    for comp in family.components:
+        branches = family.branches(comp.id)
+        if len(branches) < 2:
+            # one stereographic cap per hemisphere free of nodes (two
+            # on a smooth sphere); none on a two-node component
+            inner, outer = _panel_totals(family, kind, ("cap", comp.id),
+                                         [(0.0, 0.5), (0.5, 1.0)])
+            terms.append([(2 - len(branches)) * (inner + outer)] * eps_grid.size)
+        for node, branch, *_ in branches:
+            *inner, outer = _panel_totals(family, kind, ("neck", node.node_id, branch),
+                                          [(eps, 0.5) for eps in eps_grid] + [(0.5, 1.0)])
+            terms.append([part + outer for part in inner])
+    values = np.array([sum(at_eps) for at_eps in zip(*terms)])
     if abs(values[-1] - values[-2]) > 5e-3 * max(abs(values[-1]), 1e-12):
         raise NotConverged(
             "curvature integral still moving on the last two ball radii"

@@ -401,10 +401,9 @@ def _nth_roots(w, d: int) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
     if d == 1:
         return w[None, ...]
-    rad = np.abs(w) ** (1.0 / d)
-    base = np.angle(w) / d
-    ks = np.arange(d).reshape((d,) + (1,) * w.ndim)
-    return rad * np.exp(1j * (base + 2.0 * math.pi * ks / d))
+    principal = np.abs(w) ** (1.0 / d) * np.exp(1j * (np.angle(w) / d))
+    unity = np.exp(1j * (2.0 * math.pi * np.arange(d) / d))
+    return unity.reshape((d,) + (1,) * w.ndim) * principal
 
 
 def _fs_factor(a, b, da, db):

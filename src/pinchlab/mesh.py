@@ -12,9 +12,9 @@ rings come from one array gather of ring starts and radii.  Edge lengths
 are intrinsic: chart chord length times the square root of the conformal
 factor at the chord's log-polar midpoint.  A mesh keeps a chart table:
 the distinct charts, and one int64 index into them per triangle, which
-the ring stack emits as arrays.  Edges are numbered and measured with
-array operations: the metric is called once per chart, on all the edges
-whose first incident triangle lies in that chart.
+the ring stack emits as arrays.  Edges are numbered by one stable sort
+of their keys min * V + max and measured per chart: one metric call per
+chart, on the edges whose first incident triangle lies in that chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
 meshes used to pin down conventions.
@@ -154,38 +154,52 @@ class TriangleMesh:
     # --- construction ----------------------------------------------------
 
     def _build_edges(self) -> None:
-        tri = self.triangles
-        u, v = tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        # np.unique returns each key's first position in (f, j) order;
-        # ranking those positions numbers the edges by first incidence
-        _, first, inverse = np.unique(lo * self.V + hi, return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        self.E = order.size
-        self.tri_edge = rank[inverse].reshape(self.F, 3)
-        self._edge_first = first[order]  # flat (f, j) index f * 3 + j
-        self.edges = np.stack([lo[self._edge_first], hi[self._edge_first]], axis=1)
+        tri, V = self.triangles, self.V
+        keys = np.empty((self.F, 3), dtype=np.int64)  # min * V + max per edge
+        for j in range(3):
+            u, v = tri[:, (j + 1) % 3], tri[:, (j + 2) % 3]
+            np.multiply(np.minimum(u, v), V, out=keys[:, j])
+            keys[:, j] += np.maximum(u, v)
+        keys = keys.ravel()
+        # a stable sort keeps each key's first (f, j) position at the head
+        # of its run; ranking those positions numbers the edges by first
+        # incidence, as np.unique(return_index=True) would
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.empty(keys.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        keys, first = keys[new], order[new]
+        by_first = np.argsort(first)
+        self.E = first.size
+        self._edge_first = first[by_first]  # flat (f, j) index f * 3 + j
+        self.edges = np.stack(np.divmod(keys[by_first], V), axis=1)
+        del keys, first
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(self.E)
+        tri_edge = np.empty(3 * self.F, dtype=np.int64)
+        tri_edge[order] = rank[np.cumsum(new) - 1]  # each key's run, then its rank
+        self.tri_edge = tri_edge.reshape(self.F, 3)
 
     def _compute_lengths(self) -> None:
         midpoint = getattr(self.metric, "edge_midpoint", None)
-        f, j = np.divmod(self._edge_first, 3)
-        p = self.tri_coords[f, (j + 1) % 3]
-        q = self.tri_coords[f, (j + 2) % 3]
-        fac = np.empty(self.E)
+        edge_chart = self.tri_chart[self._edge_first // 3]
+        fac, lengths = np.empty(self.E), np.empty(self.E)
         for c, chart in enumerate(self.charts):
-            on = self.tri_chart[f] == c
-            mid = midpoint(chart, p[on], q[on]) if midpoint else 0.5 * (p[on] + q[on])
+            on = np.flatnonzero(edge_chart == c)
+            f, j = np.divmod(self._edge_first[on], 3)
+            p, q = self.tri_coords[f, (j + 1) % 3], self.tri_coords[f, (j + 2) % 3]
+            mid = midpoint(chart, p, q) if midpoint else 0.5 * (p + q)
             fac[on] = self.metric(chart, mid)
+            lengths[on] = np.abs(p - q)
+        del edge_chart
         bad = ~((fac > 0.0) & np.isfinite(fac))
         if bad.any():
             e = int(np.flatnonzero(bad)[0])
             raise DegenerateTriangle(
                 f"non-positive conformal factor {fac[e]} at edge {e}"
             )
-        lengths = np.abs(p - q) * np.sqrt(fac)
+        lengths *= np.sqrt(fac, out=fac)
         self.edge_lengths = lengths
         tl = lengths[self.tri_edge]  # (F, 3), edge j opposite vertex j
         a, b, c = tl[:, 0], tl[:, 1], tl[:, 2]
@@ -356,12 +370,17 @@ class _RingStack:
         return center
 
     def build(self, metric, closed: bool, genus: int | None) -> TriangleMesh:
+        # each block list is dropped once concatenated, so that no array
+        # is held twice while the mesh measures its edges
+        tris, self.tris = np.concatenate(self.tris), []
+        tri_chart, self.tri_chart = np.concatenate(self.tri_chart), []
+        coords, self.coords = np.concatenate(self.coords), []
         return TriangleMesh(
             vertex_count=self.next_vertex,
-            triangles=np.concatenate(self.tris),
+            triangles=tris,
             charts=list(self.charts),
-            tri_chart=np.concatenate(self.tri_chart),
-            tri_coords=np.concatenate(self.coords),
+            tri_chart=tri_chart,
+            tri_coords=coords,
             metric=metric,
             closed=closed,
             genus=genus,

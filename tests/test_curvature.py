@@ -29,10 +29,12 @@ from pinchlab.family import (
     NodeSpec,
     _fs_density,
     build_plumbing,
+    conformal_factor,
     three_cycle_family,
     two_sphere_family,
 )
 from pinchlab.mesh import MeshParams, mesh_fiber
+from pinchlab.periods import _gl_panels
 
 
 class TestFactorCurvature:
@@ -310,6 +312,15 @@ def _single_sphere_family() -> DegenerationFamily:
     )
 
 
+def _chain_of_three() -> DegenerationFamily:
+    comps = [ComponentSurface(id=0, marked_points=(0.0 + 0j,)),
+             ComponentSurface(id=1, marked_points=(0.0 + 0j, INF_POINT)),
+             ComponentSurface(id=2, marked_points=(0.0 + 0j,))]
+    nodes = [NodeSpec(node_id=0, left=(0, 0), right=(1, 0)),
+             NodeSpec(node_id=1, left=(1, 1), right=(2, 0))]
+    return build_plumbing(comps, nodes)
+
+
 class TestNodalDefect:
     def test_two_sphere_defect(self):
         rep = nodal_defect(two_sphere_family(), [0.2, 0.1, 0.05, 0.02])
@@ -344,12 +355,51 @@ class TestNodalDefect:
             nodal_defect(fam, [0.6, 0.1])
 
     def test_not_converged(self, monkeypatch):
-        def fake_radial(family, kind, chart, r_lo, r_hi):
-            return 1.0 + r_lo  # keeps moving with the ball radius
+        def fake_panels(family, kind, chart, panels):
+            return [1.0 + a for a, b in panels]  # keeps moving with the ball radius
 
-        monkeypatch.setattr(cv, "_radial_total", fake_radial)
+        monkeypatch.setattr(cv, "_panel_totals", fake_panels)
         with pytest.raises(NotConverged):
             nodal_defect(two_sphere_family(), [0.2, 0.1, 0.05])
+
+    @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family,
+                                             _chain_of_three, _single_sphere_family])
+    def test_values_match_per_eps_stencils(self, make_family):
+        # one stencil call per chart for all ball radii gives the bits of
+        # one call per chart, panel and radius
+        fam = make_family()
+        eps = np.logspace(-1.0, -3.0, 6)
+        assert np.array_equal(nodal_defect(fam, eps).values, _per_eps_defect_values(fam, eps))
+
+
+def _radial_total(family, kind, chart, r_lo, r_hi):
+    """Integral of K dv over [r_lo, r_hi] of one chart, one stencil call
+    per panel (the previous nodal-defect quadrature, kept as the oracle)."""
+    total = 0.0
+    breaks = [r_lo, 0.5, r_hi] if r_lo < 0.5 < r_hi else [r_lo, r_hi]
+    for a, b in zip(breaks, breaks[1:]):
+        r, w = _gl_panels(a, b, 4)
+        k = gauss_curvature(family, kind, chart, r + 0j, 0.0)
+        f = conformal_factor(family, kind, chart, r + 0j, 0.0)
+        total += float((w * k * f * 2.0 * math.pi * r).sum())
+    return total
+
+
+def _per_eps_defect_values(family, eps_grid):
+    kind = MetricKind.INDUCED
+    values = []
+    for eps in eps_grid:
+        total = 0.0
+        for comp in family.components:
+            branches = family.branches(comp.id)
+            if len(branches) < 2:
+                total += (2 - len(branches)) * _radial_total(
+                    family, kind, ("cap", comp.id), 0.0, 1.0)
+            for node, branch, *_ in branches:
+                total += _radial_total(family, kind, ("neck", node.node_id, branch),
+                                       eps, 1.0)
+        values.append(total)
+    return np.array(values)
 
 
 class TestReports:

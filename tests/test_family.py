@@ -23,6 +23,7 @@ from pinchlab.family import (
     FermatAtlas,
     MetricKind,
     NodeSpec,
+    _nth_roots,
     build_plumbing,
     conformal_factor,
     is_inf_point,
@@ -501,6 +502,22 @@ class TestFermatAtlas:
         f_chart1 = _fs_factor(x, y, 1.0 + 0j, db)
         f_y = factor(y)
         assert f_y == pytest.approx(f_chart1 * abs(db) ** (-2), rel=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_nth_roots_match_one_exponential_per_root(self, d):
+        # the principal root times the roots of unity against d complex
+        # exponentials of the shifted angles
+        rng = np.random.default_rng(d)
+        w = np.concatenate([rng.standard_normal(500) + 1j * rng.standard_normal(500),
+                            [1.0, -1.0, 1j, -1j, -0.3, 2.5 + 0j]])
+        ks = np.arange(d)[:, None]
+        expect = np.abs(w) ** (1.0 / d) * np.exp(1j * (np.angle(w) / d + 2.0 * math.pi * ks / d))
+        got = _nth_roots(w, d)
+        assert got.shape == (d,) + w.shape
+        assert (np.abs(got - expect) <= 1e-14 * np.abs(expect)).all()
+        assert np.allclose(got ** d, w, rtol=1e-13, atol=0.0)
+        assert np.array_equal(got[0], expect[0])  # the principal root itself
+        assert _nth_roots(2.0 - 1j, d).shape == (d,)
 
 
 #: A config of the removed Fermat family kind, as the old writer wrote it.

@@ -1,6 +1,7 @@
 """Tests for the structured fiber mesher and reference meshes."""
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from pinchlab.family import (
 )
 from pinchlab.mesh import (
     MeshParams,
+    RoundSphereFactor,
     TriangleMesh,
     annulus_mesh,
+    disjoint_union,
     flat_torus_mesh,
     mesh_fiber,
     unit_sphere_mesh,
@@ -461,3 +464,134 @@ class TestNeckMarchWork:
         monkeypatch.setattr(mesh_module, "conformal_factor", counted)
         mesh_fiber(ORACLE_FAMILIES[name](), kind, s, SWEEP_PARAMS)
         assert len(calls) <= self.BUDGETS[name, kind]
+
+
+# ---------------------------------------------------------------------------
+# edge table and lengths against the np.unique construction
+# ---------------------------------------------------------------------------
+
+class _UniqueEdgeMesh(TriangleMesh):
+    """The mesh with the edge table from np.unique and the lengths from
+    whole-array gathers (the previous construction, kept as the oracle)."""
+
+    def _build_edges(self):
+        tri = self.triangles
+        u, v = tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        _, first, inverse = np.unique(lo * self.V + hi, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.E = order.size
+        self.tri_edge = rank[inverse].reshape(self.F, 3)
+        self._edge_first = first[order]
+        self.edges = np.stack([lo[self._edge_first], hi[self._edge_first]], axis=1)
+
+    def _compute_lengths(self):
+        midpoint = getattr(self.metric, "edge_midpoint", None)
+        f, j = np.divmod(self._edge_first, 3)
+        p = self.tri_coords[f, (j + 1) % 3]
+        q = self.tri_coords[f, (j + 2) % 3]
+        fac = np.empty(self.E)
+        for c, chart in enumerate(self.charts):
+            on = self.tri_chart[f] == c
+            mid = midpoint(chart, p[on], q[on]) if midpoint else 0.5 * (p[on] + q[on])
+            fac[on] = self.metric(chart, mid)
+        bad = ~((fac > 0.0) & np.isfinite(fac))
+        if bad.any():
+            e = int(np.flatnonzero(bad)[0])
+            raise DegenerateTriangle(f"non-positive conformal factor {fac[e]} at edge {e}")
+        lengths = np.abs(p - q) * np.sqrt(fac)
+        self.edge_lengths = lengths
+        tl = lengths[self.tri_edge]
+        a, b, c = tl[:, 0], tl[:, 1], tl[:, 2]
+        sp = 0.5 * (a + b + c)
+        self._tri_lengths = tl
+        self.triangle_areas = np.sqrt(np.maximum(sp * (sp - a) * (sp - b) * (sp - c), 0.0))
+
+
+def _mesh_args(mesh):
+    return (mesh.V, mesh.triangles, mesh.charts, mesh.tri_chart, mesh.tri_coords,
+            mesh.metric, mesh.closed, mesh.genus)
+
+
+def _assert_same_edges(got):
+    expect = _UniqueEdgeMesh(*_mesh_args(got))
+    assert got.E == expect.E
+    for name in ("tri_edge", "edges", "_edge_first", "edge_lengths", "triangle_areas"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+EDGE_PARAMS = {"sweep": SWEEP_PARAMS, "curvature": CURVATURE_PARAMS}
+
+
+class TestEdgeTableMatchesUnique:
+    """Byte-equal edge tables, lengths and areas from the stable sort and
+    the per-chart gathers as from np.unique and whole-array gathers."""
+
+    @pytest.mark.parametrize("params", EDGE_PARAMS)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family])
+    def test_fiber_matrix(self, make_family, kind, params):
+        for s in (1e-3, 1e-9):
+            _assert_same_edges(mesh_fiber(make_family(), kind, s, EDGE_PARAMS[params]))
+
+    @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family])
+    def test_refine(self, make_family):
+        m = mesh_fiber(make_family(), MetricKind.HYPERBOLIC_MODEL, 1e-6, SWEEP_PARAMS)
+        fine = m.refine()
+        _assert_same_edges(fine)
+        assert fine.triangles.tobytes() == _UniqueEdgeMesh(*_mesh_args(m)).refine().triangles.tobytes()
+
+    def test_disjoint_union(self):
+        parts = [mesh_fiber(two_sphere_family(), MetricKind.INDUCED, 1e-4),
+                 mesh_fiber(three_cycle_family(), MetricKind.CYLINDER, 1e-4),
+                 flat_torus_mesh(8)]
+        _assert_same_edges(disjoint_union(parts))
+
+    @pytest.mark.parametrize("fn,args", [
+        (annulus_mesh, (0.1, 1.0, 32)),
+        (annulus_mesh, (1e-4,)),
+        (flat_torus_mesh, (8,)),
+        (unit_sphere_mesh, (12, 32)),
+        (unit_sphere_mesh, (1, 16)),
+    ])
+    def test_reference_meshes(self, fn, args):
+        _assert_same_edges(fn(*args))
+        _assert_same_edges(fn(*args).refine())
+
+    def test_failing_factor_names_the_same_edge(self):
+        # bad on the north fan's spokes and on the first south bands: the
+        # lowest bad edge is in the second chart, not in the first
+        sphere = RoundSphereFactor()
+
+        def factor(chart, coord):
+            r = np.abs(coord)
+            bad = r < 0.04 if chart == ("capN",) else r > 0.9
+            return np.where(bad, -sphere(chart, coord), sphere(chart, coord))
+
+        args = list(_mesh_args(unit_sphere_mesh(12, 32)))
+        args[5] = factor
+        with pytest.raises(DegenerateTriangle) as got:
+            TriangleMesh(*args)
+        with pytest.raises(DegenerateTriangle) as expect:
+            _UniqueEdgeMesh(*args)
+        assert str(got.value) == str(expect.value)
+
+
+class TestMeshBuildMemory:
+    def test_traced_peak_within_one_and_a_half_mesh_sizes(self):
+        # the densest mesh of the curvature rows; at the np.unique edge
+        # table with the ring-stack blocks held the ratio was 2.3
+        args = (three_cycle_family(), MetricKind.INDUCED, 1e-3, CURVATURE_PARAMS)
+        tracemalloc.start()
+        try:
+            mesh = mesh_fiber(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in vars(mesh).values() if isinstance(a, np.ndarray))
+        assert peak <= 1.5 * held, (peak, held)

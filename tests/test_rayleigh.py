@@ -42,6 +42,18 @@ def _vertex_charts(mesh):
     return [(charts[i], z) for i, z in zip(ids.tolist(), coords.tolist())]
 
 
+def _chain_of_three(ids=(0, 1, 2)):
+    """Components a - b - c, joined at 0 on the ends and at 0 and infinity
+    on the middle one (the chain of ``tests/test_mesh.py``)."""
+    a, b, c = ids
+    comps = [ComponentSurface(id=a, marked_points=(0.0 + 0j,)),
+             ComponentSurface(id=b, marked_points=(0.0 + 0j, INF_POINT)),
+             ComponentSurface(id=c, marked_points=(0.0 + 0j,))]
+    nodes = [NodeSpec(node_id=0, left=(a, 0), right=(b, 0)),
+             NodeSpec(node_id=1, left=(b, 1), right=(c, 0))]
+    return build_plumbing(comps, nodes)
+
+
 def _per_vertex_cutoffs(mesh, fam, s):
     """Cut-offs vertex by vertex with the scalar ramp, both branches of
     every neck ramped; returns the normalized vectors and plateau areas."""
@@ -135,23 +147,29 @@ class TestBuildCutoffs:
         assert raw.max() <= 1.0 + 1e-12
 
     def test_one_on_component_interior(self, two_sphere_setup):
+        # a plateau entry is the raw 1.0 divided by the square root of its
+        # component's plateau mass, bit for bit
         fam, s, mesh, _ = two_sphere_setup
-        ts = build_cutoffs(mesh, fam, s)
-        raw = ts.vectors * np.sqrt(ts.plateau_areas)[None, :]
-        for v, (chart, coord) in enumerate(_vertex_charts(mesh)):
-            if chart[0] == "cap":
-                assert raw[v, chart[1]] == 1.0
-            else:
-                r = abs(coord)
-                if r >= math.sqrt(ts.epsilon):
-                    branch_comp = (fam.nodes[0].left if chart[2] == 0
-                                   else fam.nodes[0].right)[0]
-                    assert raw[v, branch_comp] == 1.0
+        chain = _chain_of_three()
+        for fam, mesh in ((fam, mesh), (chain, mesh_fiber(chain, MetricKind.INDUCED, s))):
+            ts = build_cutoffs(mesh, fam, s)
+            col = {c.id: i for i, c in enumerate(fam.components)}
+            seen = set()
+            for v, (chart, coord) in enumerate(_vertex_charts(mesh)):
+                if chart[0] == "cap":
+                    c = col[chart[1]]
+                elif abs(coord) >= math.sqrt(ts.epsilon):
+                    c = col[fam.branch(chart[1], chart[2])[0]]
+                else:
+                    continue
+                assert ts.vectors[v, c] == 1.0 / np.sqrt(ts.plateau_areas[c]), (v, chart)
+                seen.add(c)
+            assert seen == set(col.values())
 
     @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family])
     def test_matches_per_vertex_loop(self, make_family):
         # the arrays must give the same bits, since the plateau test
-        # compares with 1.0 exactly
+        # compares bits
         fam = make_family()
         s = 1e-10
         mesh = mesh_fiber(fam, MetricKind.INDUCED, s)
@@ -177,12 +195,7 @@ class TestBuildCutoffs:
     def test_chain_of_three_plateaus_on_their_components(self):
         # components 0 - 1 - 2 with ids unlike their column order; each
         # neck branch's plateau belongs to the component on that branch
-        comps = [ComponentSurface(id=7, marked_points=(0.0 + 0j,)),
-                 ComponentSurface(id=3, marked_points=(0.0 + 0j, INF_POINT)),
-                 ComponentSurface(id=5, marked_points=(0.0 + 0j,))]
-        nodes = [NodeSpec(node_id=0, left=(7, 0), right=(3, 0)),
-                 NodeSpec(node_id=1, left=(3, 1), right=(5, 0))]
-        fam = build_plumbing(comps, nodes)
+        fam = _chain_of_three(ids=(7, 3, 5))
         column = {("cap", 7): 0, ("neck", 0, 0): 0, ("neck", 0, 1): 1,
                   ("neck", 1, 0): 1, ("cap", 5): 2, ("neck", 1, 1): 2}
         s = 1e-10

@@ -3,18 +3,20 @@
 The dual graph of every supported plumbing fiber is a path or a cycle,
 and the family orders it (``DegenerationFamily.walk``), so the fiber is
 globally a chain or cycle of annular charts capped by polar disks.  The
-mesher follows that walk with one structured stack of concentric rings,
-log-uniform in |x| on necks and latitude-uniform on caps, with rings
-shared at chart seams.  Neck rings are placed in runs, one metric call
-per run of full log steps, with a halving ladder only where the factor
-changes too fast (``_neck_radii``).  The triangles of all bands between
-rings come from one array gather of ring starts and radii.  Edge lengths
-are intrinsic: chart chord length times the square root of the conformal
-factor at the chord's log-polar midpoint.  A mesh keeps a chart table:
-the distinct charts, and one int64 index into them per triangle, which
-the ring stack emits as arrays.  Edges are numbered by one stable sort
-of their keys min * V + max and measured per chart: one metric call per
-chart, on the edges whose first incident triangle lies in that chart.
+mesher follows that walk with one list of (chart, radii) segments of
+concentric rings: the two halves of each neck, log-uniform in |x|,
+between two latitude-uniform caps on a path.  Each segment starts on the
+ring where the previous one ends, and on a cycle the last ring is the
+first.  Neck rings are placed in runs, one metric call per run of full
+log steps, with a halving ladder only where the factor changes too fast
+(``_neck_radii``).  ``_ring_stack`` writes every band and end fan in
+place into preallocated arrays.  Edge lengths are intrinsic: chart chord
+length times the square root of the conformal factor at the chord's
+log-polar midpoint.  A mesh keeps a chart table: the distinct charts,
+and one int64 index into them per triangle.  Edges are numbered by one
+stable sort of their keys min * V + max and measured per chart: one
+metric call per chart, on the edges whose first incident triangle lies
+in that chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
 meshes used to pin down conventions.
@@ -312,79 +314,59 @@ class TriangleMesh:
 # structured ring-stack builder
 # ---------------------------------------------------------------------------
 
-class _RingStack:
-    """Stack of concentric rings with shared seams, fans, or cycle closure."""
+def _ring_stack(
+    n: int,
+    segments: Sequence[tuple[tuple, np.ndarray]],
+    metric: Callable[[tuple, np.ndarray], np.ndarray],
+    closed: bool,
+    genus: int | None,
+    cycle: bool = False,
+) -> TriangleMesh:
+    """Mesh of concentric rings of n vertices, from (chart, radii) segments.
 
-    def __init__(self, n_theta: int):
-        self.n = n_theta
-        self.ring_start: list[int] = []
-        self.ring_radius: list[float] = []
-        self.next_vertex = 0
-        self.tris: list[np.ndarray] = []  # (n or 2n per ring row, 3) blocks
-        self.coords: list[np.ndarray] = []
-        self.charts: dict[tuple, int] = {}  # chart -> index, in order of first use
-        self.tri_chart: list[np.ndarray] = []
-        self._j = np.arange(n_theta)
-        self._unit = np.exp(1j * (2.0 * np.pi * np.arange(n_theta + 1) / n_theta))
+    Each segment starts on the ring where the previous one ends, at the
+    previous radius; two triangles per position join consecutive rings in
+    the segment's chart.  In a cycle the last ring is the first; a closed
+    stack that is not a cycle gets one fan per end.  Ring k holds vertex
+    k * n + j at angle 2 pi j / n, and the fan centers follow.  Triangles
+    go band by band, then fan by fan, position j's consecutive.
+    """
+    radius = np.concatenate([segments[0][1][:1]] + [r[1:] for _, r in segments])
+    if cycle:
+        radius = radius[:-1]
+    charts: dict[tuple, int] = {}  # chart -> index, in segment order
+    band_chart = np.repeat([charts.setdefault(c, len(charts)) for c, _ in segments],
+                           [len(r) - 1 for _, r in segments])
+    R, B = radius.size, band_chart.size
+    # (chart, ring, shifts of corners 1 and 2) per fan; its center is corner 0
+    fans = [] if cycle or not closed else [
+        (segments[0][0], 0, (1, 0)), (segments[-1][0], R - 1, (0, 1))]
+    F = n * (2 * B + len(fans))
+    tris, coords = np.empty((F, 3), dtype=np.int64), np.empty((F, 3), dtype=complex)
+    tri_chart = np.empty(F, dtype=np.int64)
+    j, unit = np.arange(n), np.exp(1j * (2.0 * np.pi * np.arange(n + 1) / n))
 
-    def add_ring(self, radius: float) -> int:
-        self.ring_start.append(self.next_vertex)
-        self.ring_radius.append(radius)
-        self.next_vertex += self.n
-        return len(self.ring_start) - 1
+    def corner(ids, at, ring, shift):
+        # position j + shift on each of the rings, one row per ring
+        np.add(n * ring[:, None], (j + shift) % n, out=ids)
+        np.multiply(radius[ring, None], unit[shift:n + shift], out=at)
 
-    def _rings(self, rings) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vertex ids and coordinates of positions j and j + 1, one row per ring."""
-        rings = np.asarray(rings, dtype=np.int64)
-        start = np.asarray(self.ring_start, dtype=np.int64)[rings, None]
-        p = np.asarray(self.ring_radius, dtype=float)[rings, None] * self._unit
-        return start + self._j, start + (self._j + 1) % self.n, p[:, :-1], p[:, 1:]
-
-    def _add(self, charts: Sequence[tuple], tris: list, coords: list) -> None:
-        # one row per chart; in a row the triangles of position j are
-        # consecutive: (j, first), (j, second), ...
-        self.tris.append(np.stack(tris, axis=-1).reshape(-1, 3))
-        self.coords.append(np.stack(coords, axis=-1).reshape(-1, 3))
-        ids = [self.charts.setdefault(chart, len(self.charts)) for chart in charts]
-        self.tri_chart.append(np.repeat(ids, self.n * len(tris) // 3))
-
-    def add_bands(self, bands: Sequence[tuple[tuple, int, int]]) -> None:
-        """Two triangles per position between each (chart, lower, upper)
-        ring pair, in band order."""
-        if not bands:
-            return
-        charts, lower, upper = zip(*bands)
-        a, an, pa, pan = self._rings(lower)
-        b, bn, pb, pbn = self._rings(upper)
-        self._add(charts, [a, an, b, an, bn, b], [pa, pan, pb, pan, pbn, pb])
-
-    def add_fan(self, chart: tuple, ring: int, bottom: bool) -> int:
-        center = self.next_vertex
-        self.next_vertex += 1
-        v, vn, p, pn = self._rings([ring])
-        c, zero = np.full_like(v, center), np.zeros(p.shape, dtype=complex)
-        if bottom:
-            self._add([chart], [c, vn, v], [zero, pn, p])
-        else:
-            self._add([chart], [c, v, vn], [zero, p, pn])
-        return center
-
-    def build(self, metric, closed: bool, genus: int | None) -> TriangleMesh:
-        # each block list is dropped once concatenated, so that no array
-        # is held twice while the mesh measures its edges
-        tris, self.tris = np.concatenate(self.tris), []
-        tri_chart, self.tri_chart = np.concatenate(self.tri_chart), []
-        coords, self.coords = np.concatenate(self.coords), []
-        return TriangleMesh(
-            vertex_count=self.next_vertex,
-            triangles=tris,
-            charts=list(self.charts),
-            tri_chart=tri_chart,
-            tri_coords=coords,
-            metric=metric,
-            closed=closed,
-            genus=genus,
-        )
+    lower, upper = np.arange(B), np.arange(1, B + 1) % R
+    bands = slice(0, 2 * n * B)
+    ids, at = tris[bands].reshape(B, n, 2, 3), coords[bands].reshape(B, n, 2, 3)
+    for t, corners in enumerate((((lower, 0), (lower, 1), (upper, 0)),
+                                 ((lower, 1), (upper, 1), (upper, 0)))):
+        for i, (ring, shift) in enumerate(corners):
+            corner(ids[:, :, t, i], at[:, :, t, i], ring, shift)
+    tri_chart[bands].reshape(B, 2 * n)[:] = band_chart[:, None]
+    for f, (chart, ring, shifts) in enumerate(fans):
+        rows = slice(n * (2 * B + f), n * (2 * B + f + 1))
+        tris[rows, 0], coords[rows, 0] = n * R + f, 0.0
+        for i, shift in enumerate(shifts, 1):
+            corner(tris[rows, i][None], coords[rows, i][None], np.array([ring]), shift)
+        tri_chart[rows] = charts.setdefault(chart, len(charts))
+    return TriangleMesh(n * R + len(fans), tris, list(charts), tri_chart, coords, metric,
+                        closed=closed, genus=genus)
 
 
 #: Target arc length between latitude rings on a cap.
@@ -394,9 +376,12 @@ CAP_RING_SPACING = 0.12
 def _cap_radii(comp: ComponentSurface, scale: float) -> np.ndarray:
     """Latitude-uniform cap rings: radius tan of half the colatitude."""
     arc = 0.5 * math.pi * comp.radius * math.sqrt(scale)
-    J = max(3, math.ceil(arc / CAP_RING_SPACING))
-    lat = 0.5 * math.pi * np.arange(1, J + 1) / J
-    return np.tan(0.5 * lat)
+    return _latitude_radii(max(3, math.ceil(arc / CAP_RING_SPACING)))
+
+
+def _latitude_radii(J: int) -> np.ndarray:
+    """J rings uniform in colatitude out to the equator: tan of half of it."""
+    return np.tan(0.25 * math.pi * np.arange(1, J + 1) / J)
 
 
 #: Largest change of the log conformal factor between adjacent neck rings.
@@ -463,64 +448,29 @@ def mesh_fiber(
     """Triangulate the fiber X_s with log-graded necks.
 
     Neck vertices are uniform in (log|x|, arg x); caps are uniform in
-    geodesic latitude; every ring carries ``angular_count`` vertices and
-    seam rings are shared between adjacent charts.
+    geodesic latitude; every ring carries ``angular_count`` vertices.
+    Per node of ``family.walk()`` the near branch runs from the seam to
+    the core and the far branch back, between two caps on a path.
     """
     if s == 0:
         raise PointOffFiber("mesh_fiber requires s != 0; fibers at s = 0 are nodal")
     if abs(s) >= 0.25:
         raise PointOffFiber("plumbing fibers are meshed for |s| < 1/4")
     comp_order, node_order, is_cycle = family.walk()
-
-    abs_s = abs(s)
-    stack = _RingStack(params.angular_count)
     metric = FiberMetric(family, kind, s)
-
-    rings: list[int] = []
-    bands: list[tuple[tuple, int, int]] = []  # (chart, lower ring, upper ring)
-
-    def extend(chart: tuple, radii: Sequence[float], reuse_first: bool) -> None:
-        start = len(rings) - 1 if reuse_first else None
-        for r in (radii if not reuse_first else radii[1:]):
-            rings.append(stack.add_ring(r))
-        base = start if start is not None else len(rings) - len(radii)
-        for k in range(base, len(rings) - 1):
-            bands.append((chart, rings[k], rings[k + 1]))
-
-    first_comp = family.component(comp_order[0])
+    rpd = params.rings_per_decade
+    segments = []
+    for node, branch in node_order:
+        near, far = ("neck", node.node_id, branch), ("neck", node.node_id, 1 - branch)
+        segments.append((near, _neck_radii(metric, near, abs(s), rpd)))       # 1 -> sqrt|s|
+        segments.append((far, _neck_radii(metric, far, abs(s), rpd)[::-1]))  # sqrt|s| -> 1
     if not is_cycle:
-        # opening cap: rings from near the pole out to the seam |x| = 1
-        cap_r = _cap_radii(first_comp, family.scale)
-        extend(("cap", first_comp.id), list(cap_r), reuse_first=False)
-
-    for i, (node, branch) in enumerate(node_order):
-        near = ("neck", node.node_id, branch)
-        far = ("neck", node.node_id, 1 - branch)
-        neck_near = _neck_radii(metric, near, abs_s, params.rings_per_decade)
-        neck_far = _neck_radii(metric, far, abs_s, params.rings_per_decade)
-        if is_cycle and i == 0:
-            extend(near, [1.0], reuse_first=False)
-        extend(near, list(neck_near), reuse_first=True)          # 1 -> sqrt|s|
-        if is_cycle and i == len(node_order) - 1:
-            # close the cycle back onto the very first ring
-            tail = list(neck_far[::-1])[:-1]
-            extend(far, tail, reuse_first=True)
-            bands.append((far, rings[-1], rings[0]))
-        else:
-            extend(far, list(neck_far[::-1]), reuse_first=True)  # sqrt|s| -> 1
-
-    if not is_cycle:
-        # closing cap: rings from the seam |x| = 1 back toward the pole
-        last_comp = family.component(comp_order[-1])
-        cap_r = _cap_radii(last_comp, family.scale)
-        extend(("cap", last_comp.id), list(cap_r[::-1]), reuse_first=True)
-
-    stack.add_bands(bands)
-    if not is_cycle:
-        stack.add_fan(("cap", first_comp.id), rings[0], bottom=True)
-        stack.add_fan(("cap", last_comp.id), rings[-1], bottom=False)
-
-    return stack.build(metric, closed=True, genus=family.g)
+        # the caps run from near the pole out to the seam |x| = 1 and back
+        first, last = family.component(comp_order[0]), family.component(comp_order[-1])
+        segments.insert(0, (("cap", first.id), _cap_radii(first, family.scale)))
+        segments.append((("cap", last.id), _cap_radii(last, family.scale)[::-1]))
+    return _ring_stack(params.angular_count, segments, metric, closed=True,
+                       genus=family.g, cycle=is_cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -563,17 +513,9 @@ def flat_torus_mesh(n: int = 16, area: float = 1.0) -> TriangleMesh:
 
 def unit_sphere_mesh(J: int = 10, n_theta: int = 24, radius: float = 1.0) -> TriangleMesh:
     """Round sphere as two latitude-uniform caps joined at the equator."""
-    stack = _RingStack(n_theta)
-    lat = 0.5 * math.pi * np.arange(1, J + 1) / J
-    radii = np.tan(0.5 * lat)
-    rings = [stack.add_ring(r) for r in radii]          # north cap, out to equator
-    rings2 = [stack.add_ring(r) for r in radii[-2::-1]]  # south cap, equator inward
-    seq = rings + rings2
-    stack.add_bands([(("capN",) if k < J - 1 else ("capS",), seq[k], seq[k + 1])
-                     for k in range(len(seq) - 1)])
-    stack.add_fan(("capN",), rings[0], bottom=True)
-    stack.add_fan(("capS",), seq[-1], bottom=False)
-    return stack.build(RoundSphereFactor(radius), closed=True, genus=0)
+    radii = _latitude_radii(J)
+    return _ring_stack(n_theta, [(("capN",), radii), (("capS",), radii[::-1])],
+                       RoundSphereFactor(radius), closed=True, genus=0)
 
 
 def annulus_mesh(
@@ -588,10 +530,8 @@ def annulus_mesh(
     decades = math.log10(r_outer / r_inner)
     K = max(4, math.ceil(rings_per_decade * decades))
     radii = np.exp(np.linspace(math.log(r_inner), math.log(r_outer), K + 1))
-    stack = _RingStack(n_theta)
-    rings = [stack.add_ring(r) for r in radii]
-    stack.add_bands([(("plane",), rings[k], rings[k + 1]) for k in range(len(rings) - 1)])
-    return stack.build(ConstantFactor(1.0), closed=False, genus=None)
+    return _ring_stack(n_theta, [(("plane",), radii)], ConstantFactor(1.0),
+                       closed=False, genus=None)
 
 
 class _UnionMetric:

@@ -142,12 +142,18 @@ def node_taylor(family: DegenerationFamily, diff: PlumbingDifferential,
 
 def validate_residues(family: DegenerationFamily,
                       diff: PlumbingDifferential) -> None:
-    """Residue theorem per component; opposite residues across each node."""
+    """Poles only at node marked points and punctures, the implicit one at
+    infinity included; opposite residues across each node."""
     for comp in family.components:
         form = diff.form(comp.id)
-        total = sum(res for _, res in form.poles) + form.residue_at_infinity()
-        if abs(total) > 1e-12:
-            raise ValueError(f"residues on component {comp.id} sum to {total}")
+        allowed = [p for *_, p in family.branches(comp.id)]
+        allowed += [p for cid, p in diff.punctures if cid == comp.id]
+        stray = [loc for loc, _ in form.poles if loc not in allowed]
+        if abs(form.residue_at_infinity()) > 1e-12 and not any(map(is_inf_point, allowed)):
+            stray.append(INF_POINT)
+        if stray:
+            raise ValueError(f"component {comp.id}: poles at {stray} are neither "
+                             "node marked points nor punctures")
     for node in family.nodes:
         r0 = node_residue(family, diff, node, 0)
         r1 = node_residue(family, diff, node, 1)

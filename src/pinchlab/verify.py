@@ -186,8 +186,21 @@ def eigen_sweep(name: str, kind: MetricKind, grid: np.ndarray, num_ev: int,
     return _memo(key, run)
 
 
-def _lambda_series(records, index: int) -> np.ndarray:
-    return np.array([rec.spectrum.eigenvalues[index] for rec in records])
+def _one_zero_mode(name: str, kind: MetricKind, records) -> list[np.ndarray]:
+    """The eigenvalues of every fiber of an ``eigen_sweep`` (at seed 0),
+    after checking that each has exactly one numerically zero mode, the
+    one that eigenvalue indices 1, 2, ... count from."""
+    for i, rec in enumerate(records):
+        h0 = int(rec.spectrum.numerically_zero().sum())
+        if h0 != 1:
+            raise PinchlabError(
+                f"verify: {name} {kind.value} sweep: fiber s={rec.s:.6g} "
+                f"(seed {i}) has h0={h0} numerically zero modes, not 1")
+    return [rec.spectrum.eigenvalues for rec in records]
+
+
+def _lambda_series(name: str, kind: MetricKind, records, index: int) -> np.ndarray:
+    return np.array([ev[index] for ev in _one_zero_mode(name, kind, records)])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +246,7 @@ def suite_thm1() -> list[CriterionRow]:
     rows = []
 
     ind = eigen_sweep("two-sphere", MetricKind.INDUCED, grid, 3)
-    lam1 = _lambda_series(ind, 1)
+    lam1 = _lambda_series("two-sphere", MetricKind.INDUCED, ind, 1)
     fit_ind = fit_power_of_log(SweepSeries(s=grid, values=lam1))
     rows.append(_within("induced lambda_1 log-power exponent", fit_ind.p, 1.0, 0.15))
     comp = (lam1 * np.log(1.0 / grid))[len(grid) // 2:]
@@ -241,7 +254,8 @@ def suite_thm1() -> list[CriterionRow]:
                        comp.max() / comp.min() - 1.0, 0.20))
 
     hyp = eigen_sweep("two-sphere", MetricKind.HYPERBOLIC_MODEL, grid, 3)
-    fit_hyp = fit_power_of_log(SweepSeries(s=grid, values=_lambda_series(hyp, 1)))
+    fit_hyp = fit_power_of_log(SweepSeries(s=grid, values=_lambda_series(
+        "two-sphere", MetricKind.HYPERBOLIC_MODEL, hyp, 1)))
     rows.append(_within("hyperbolic-model lambda_1 log-power exponent",
                         fit_hyp.p, 1.0, 0.2))
 
@@ -254,7 +268,8 @@ def suite_thm1() -> list[CriterionRow]:
                         0.10 * expect))
 
     cyl = eigen_sweep("two-sphere", MetricKind.CYLINDER, grid, 3)
-    fit_cyl = fit_power_of_log(SweepSeries(s=grid, values=_lambda_series(cyl, 1)))
+    fit_cyl = fit_power_of_log(SweepSeries(s=grid, values=_lambda_series(
+        "two-sphere", MetricKind.CYLINDER, cyl, 1)))
     rows.append(_within("cylinder lambda_1 log-power exponent", fit_cyl.p, 2.5, 0.7))
     rows.append(_at_least("cylinder vs induced exponent separation",
                           abs(fit_cyl.p - fit_ind.p), 0.5))
@@ -278,11 +293,11 @@ def suite_thm2() -> list[CriterionRow]:
     """Product law for the two degenerating eigenvalues of the 3-cycle."""
     grid = DEFAULT_GRID
     records = eigen_sweep("three-cycle", MetricKind.INDUCED, grid, 5)
-    lam = np.column_stack([_lambda_series(records, 1), _lambda_series(records, 2)])
-    res = product_law_check(grid, lam)
+    lam = np.array(_one_zero_mode("three-cycle", MetricKind.INDUCED, records))
+    res = product_law_check(grid, lam[:, 1:3])
     rows = [_below("three-cycle compensated product max/min",
                    res.window["max_over_min"], 1.5)]
-    lam3 = _lambda_series(records, 3)
+    lam3 = lam[:, 3]
     rows.append(_at_least("three-cycle lambda_3 persistence",
                           lam3.min() / lam3[0], 0.5))
     return rows
@@ -301,10 +316,10 @@ def suite_rayleigh() -> list[CriterionRow]:
             fam = FAMILY_PRESETS[name]()
             records = eigen_sweep(name, MetricKind.INDUCED, grid, k)
             small = slice(1, len(fam.components))
-            for s, rec in zip(grid, records):
+            for s, ev in zip(grid, _one_zero_mode(name, MetricKind.INDUCED, records)):
                 mesh = mesh_fiber(fam, MetricKind.INDUCED, s, SWEEP_PARAMS)
                 bounds = rayleigh_upper_bound(assemble(mesh), build_cutoffs(mesh, fam, s))
-                count += int((bounds < rec.spectrum.eigenvalues[small] - 1e-14).sum())
+                count += int((bounds < ev[small] - 1e-14).sum())
         return count
 
     rows.append(_within("upper-bound violations",

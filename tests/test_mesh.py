@@ -337,8 +337,22 @@ def _neck_radii_loop(metric, chart, abs_s, rpd, max_dlnf=0.8):
     return np.exp(-np.asarray(us))
 
 
-class _LoopStack(mesh_module._RingStack):
-    """The ring stack with one call per band and per ring (reference)."""
+class _LoopStack:
+    """The ring stack built ring by ring, band by band and fan by fan
+    (reference for ``mesh._ring_stack``)."""
+
+    def __init__(self, n_theta):
+        self.n = n_theta
+        self.ring_start, self.ring_radius = [], []
+        self.next_vertex = 0
+        self.tris, self.coords, self.tri_chart = [], [], []
+        self.charts = {}  # chart -> index, in order of first use
+
+    def add_ring(self, radius):
+        self.ring_start.append(self.next_vertex)
+        self.ring_radius.append(radius)
+        self.next_vertex += self.n
+        return len(self.ring_start) - 1
 
     def _ring(self, ring):
         j = np.arange(self.n)
@@ -370,6 +384,96 @@ class _LoopStack(mesh_module._RingStack):
             self._add_one(chart, [c, v, vn], [zero, p, pn])
         return center
 
+    def build(self, metric, closed, genus):
+        return TriangleMesh(self.next_vertex, np.concatenate(self.tris), list(self.charts),
+                            np.concatenate(self.tri_chart), np.concatenate(self.coords),
+                            metric, closed, genus)
+
+
+def _latitude_radii_loop(J):
+    lat = 0.5 * math.pi * np.arange(1, J + 1) / J
+    return np.tan(0.5 * lat)
+
+
+def _cap_radii_loop(comp, scale):
+    arc = 0.5 * math.pi * comp.radius * math.sqrt(scale)
+    return _latitude_radii_loop(max(3, math.ceil(arc / mesh_module.CAP_RING_SPACING)))
+
+
+def _mesh_fiber_loop(family, kind, s, params=MeshParams()):
+    """The fiber walk with ring indices kept by hand: every segment
+    reuses the last ring, a cycle opens on the ring |x| = 1 and closes
+    with one band back onto it (reference for ``mesh.mesh_fiber``)."""
+    if s == 0:
+        raise PointOffFiber("mesh_fiber requires s != 0; fibers at s = 0 are nodal")
+    if abs(s) >= 0.25:
+        raise PointOffFiber("plumbing fibers are meshed for |s| < 1/4")
+    comp_order, node_order, is_cycle = family.walk()
+    stack = _LoopStack(params.angular_count)
+    metric = mesh_module.FiberMetric(family, kind, s)
+    rings, bands = [], []  # bands: (chart, lower ring, upper ring)
+
+    def extend(chart, radii, reuse_first):
+        start = len(rings) - 1 if reuse_first else None
+        for r in (radii if not reuse_first else radii[1:]):
+            rings.append(stack.add_ring(r))
+        base = start if start is not None else len(rings) - len(radii)
+        for k in range(base, len(rings) - 1):
+            bands.append((chart, rings[k], rings[k + 1]))
+
+    first_comp = family.component(comp_order[0])
+    if not is_cycle:
+        extend(("cap", first_comp.id), list(_cap_radii_loop(first_comp, family.scale)), False)
+    for i, (node, branch) in enumerate(node_order):
+        near = ("neck", node.node_id, branch)
+        far = ("neck", node.node_id, 1 - branch)
+        neck_near = _neck_radii_loop(metric, near, abs(s), params.rings_per_decade)
+        neck_far = _neck_radii_loop(metric, far, abs(s), params.rings_per_decade)
+        if is_cycle and i == 0:
+            extend(near, [1.0], reuse_first=False)
+        extend(near, list(neck_near), reuse_first=True)
+        if is_cycle and i == len(node_order) - 1:
+            extend(far, list(neck_far[::-1])[:-1], reuse_first=True)
+            bands.append((far, rings[-1], rings[0]))
+        else:
+            extend(far, list(neck_far[::-1]), reuse_first=True)
+    if not is_cycle:
+        last_comp = family.component(comp_order[-1])
+        cap_r = _cap_radii_loop(last_comp, family.scale)
+        extend(("cap", last_comp.id), list(cap_r[::-1]), reuse_first=True)
+    stack.add_bands(bands)
+    if not is_cycle:
+        stack.add_fan(("cap", first_comp.id), rings[0], bottom=True)
+        stack.add_fan(("cap", last_comp.id), rings[-1], bottom=False)
+    return stack.build(metric, closed=True, genus=family.g)
+
+
+def _unit_sphere_loop(J=10, n_theta=24, radius=1.0):
+    stack = _LoopStack(n_theta)
+    radii = _latitude_radii_loop(J)
+    rings = [stack.add_ring(r) for r in radii]          # north cap, out to equator
+    rings2 = [stack.add_ring(r) for r in radii[-2::-1]]  # south cap, equator inward
+    seq = rings + rings2
+    stack.add_bands([(("capN",) if k < J - 1 else ("capS",), seq[k], seq[k + 1])
+                     for k in range(len(seq) - 1)])
+    stack.add_fan(("capN",), rings[0], bottom=True)
+    stack.add_fan(("capS",), seq[-1], bottom=False)
+    return stack.build(RoundSphereFactor(radius), closed=True, genus=0)
+
+
+def _annulus_loop(r_inner, r_outer=1.0, n_theta=24, rings_per_decade=12):
+    decades = math.log10(r_outer / r_inner)
+    K = max(4, math.ceil(rings_per_decade * decades))
+    radii = np.exp(np.linspace(math.log(r_inner), math.log(r_outer), K + 1))
+    stack = _LoopStack(n_theta)
+    rings = [stack.add_ring(r) for r in radii]
+    stack.add_bands([(("plane",), rings[k], rings[k + 1]) for k in range(len(rings) - 1)])
+    return stack.build(mesh_module.ConstantFactor(1.0), closed=False, genus=None)
+
+
+_REFERENCE = {mesh_fiber: _mesh_fiber_loop, unit_sphere_mesh: _unit_sphere_loop,
+              annulus_mesh: _annulus_loop}
+
 
 def _build(fn, *args):
     try:
@@ -378,11 +482,8 @@ def _build(fn, *args):
         return exc
 
 
-def _reference(monkeypatch, fn, *args):
-    with monkeypatch.context() as m:
-        m.setattr(mesh_module, "_neck_radii", _neck_radii_loop)
-        m.setattr(mesh_module, "_RingStack", _LoopStack)
-        return _build(fn, *args)
+def _reference(fn, *args):
+    return _build(_REFERENCE[fn], *args)
 
 
 def _assert_same_mesh(got, expect):
@@ -409,23 +510,23 @@ ORACLE_PARAMS = {"sweep": SWEEP_PARAMS, "default": MeshParams()}
 
 
 class TestArrayMesherMatchesLoop:
-    """Byte-equal meshes (or the same error) from the run-wise neck march
-    and the one-gather band build as from the sequential reference."""
+    """Byte-equal meshes (or the same error) from the run-wise neck march,
+    the segment walk and the in-place ring stack as from the sequential
+    reference: rings, bands and fans one at a time."""
 
     @pytest.mark.parametrize("params", ORACLE_PARAMS)
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     @pytest.mark.parametrize("name", ORACLE_FAMILIES)
-    def test_fiber_matrix(self, monkeypatch, name, kind, params):
+    def test_fiber_matrix(self, name, kind, params):
         fam = ORACLE_FAMILIES[name]()
         for s in ORACLE_GRID:
             args = (fam, kind, float(s), ORACLE_PARAMS[params])
-            _assert_same_mesh(_build(mesh_fiber, *args),
-                              _reference(monkeypatch, mesh_fiber, *args))
+            _assert_same_mesh(_build(mesh_fiber, *args), _reference(mesh_fiber, *args))
 
     @pytest.mark.parametrize("family", [two_sphere_family, three_cycle_family])
-    def test_curvature_params(self, monkeypatch, family):
+    def test_curvature_params(self, family):
         args = (family(), MetricKind.INDUCED, 1e-3, CURVATURE_PARAMS)
-        _assert_same_mesh(mesh_fiber(*args), _reference(monkeypatch, mesh_fiber, *args))
+        _assert_same_mesh(mesh_fiber(*args), _reference(mesh_fiber, *args))
 
     @pytest.mark.parametrize("fn,args", [
         (unit_sphere_mesh, (16, 40)),
@@ -433,9 +534,11 @@ class TestArrayMesherMatchesLoop:
         (unit_sphere_mesh, (1, 16)),  # no bands: two fans on the equator
         (annulus_mesh, (0.1, 1.0, 32)),
         (annulus_mesh, (1e-4,)),
+        (unit_sphere_mesh, (10, 24)),
+        (annulus_mesh, (1e-4, 1.0, 64, 16)),
     ])
-    def test_reference_meshes(self, monkeypatch, fn, args):
-        _assert_same_mesh(fn(*args), _reference(monkeypatch, fn, *args))
+    def test_reference_meshes(self, fn, args):
+        _assert_same_mesh(fn(*args), _reference(fn, *args))
 
 
 class TestNeckMarchWork:

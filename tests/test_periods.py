@@ -124,6 +124,27 @@ class TestRationalForm:
         with pytest.raises(ValueError):
             validate_residues(fam, bad)
 
+    def test_validate_residues_rejects_a_stray_pole(self):
+        # residues sum to zero on each component and are opposite at the
+        # node, but z = 2 is neither a node marked point nor a puncture
+        fam = two_sphere_family()
+        forms = {0: RationalForm(poles=((0j, 1.0 + 0j), (2.0 + 0j, -1.0 + 0j))),
+                 1: RationalForm(poles=((0j, -1.0 + 0j), (2.0 + 0j, 1.0 + 0j)))}
+        with pytest.raises(ValueError, match=r"component 0: poles at \[\(2\+0j\)\]"):
+            validate_residues(fam, PlumbingDifferential(forms=forms))
+        validate_residues(fam, PlumbingDifferential(
+            forms=forms, punctures=((0, 2.0 + 0j), (1, 2.0 + 0j))))
+
+    def test_validate_residues_rejects_a_stray_residue_at_infinity(self):
+        # the implicit pole at infinity, which no node of the two-sphere has
+        fam = two_sphere_family()
+        forms = {0: RationalForm(poles=((0j, 1.0 + 0j),)),
+                 1: RationalForm(poles=((0j, -1.0 + 0j),))}
+        with pytest.raises(ValueError, match=r"component 0: poles at \[\(inf\+0j\)\]"):
+            validate_residues(fam, PlumbingDifferential(forms=forms))
+        validate_residues(fam, PlumbingDifferential(
+            forms=forms, punctures=((0, INF_POINT), (1, INF_POINT))))
+
     def test_bivariate_taylor_layout(self):
         g = np.array([1.0, 2.0, 3.0], dtype=complex)
         h = np.array([-1.0, 5.0], dtype=complex)

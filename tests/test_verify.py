@@ -4,16 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from pinchlab import verify
 from pinchlab.cli import SweepPlan, cmd_sweep, read_sweep_csv
 from pinchlab.errors import PinchlabError
 from pinchlab.family import MetricKind, three_cycle_family, two_sphere_family
+from pinchlab.laplace import Spectrum
 from pinchlab.mesh import mesh_fiber
 from pinchlab.verify import (
     DEFAULT_GRID,
     SWEEP_PARAMS,
+    FiberRecord,
     _core_ring_length,
     eigen_sweep,
     solve_fibers,
+    suite_rayleigh,
+    suite_thm1,
+    suite_thm2,
 )
 
 
@@ -54,6 +60,35 @@ def test_fiber_record_times_the_mesh_and_counts_vertices():
     assert 0.0 < ok.mesh_seconds < ok.seconds
     assert failed.error.startswith("PointOffFiber")
     assert failed.mesh_seconds is None and failed.vertices is None
+
+
+def _doctored_records(grid, k, doctored):
+    """Sweep records with one zero mode per fiber, but two on fiber
+    ``doctored``; no mesh or eigensolve behind them."""
+    records = []
+    for i, s in enumerate(grid):
+        ev = np.linspace(0.0, 1.0, k)
+        if i == doctored:
+            ev[1] = 1e-12
+        spectrum = Spectrum(eigenvalues=ev, residual_norms=np.zeros(k), dimension=100,
+                            s=s, zero_threshold=1e-10)
+        records.append(FiberRecord(float(s), spectrum, None, 0.0, None, 0.0, 100))
+    return records
+
+
+@pytest.mark.parametrize("suite,name", [(suite_thm1, "two-sphere"),
+                                        (suite_thm2, "three-cycle"),
+                                        (suite_rayleigh, "two-sphere")])
+def test_sweep_rows_reject_a_fiber_without_exactly_one_zero_mode(monkeypatch, suite, name):
+    # the rows read eigenvalue 1, 2, ... as the first nonzero ones
+    monkeypatch.setattr(verify, "_CACHE", {})
+    monkeypatch.setattr(verify, "eigen_sweep",
+                        lambda name, kind, grid, k: _doctored_records(grid, k, doctored=2))
+    with pytest.raises(PinchlabError) as info:
+        suite()
+    msg = str(info.value)
+    for part in ("verify", name, "induced", f"s={DEFAULT_GRID[2]:.6g}", "seed 2", "h0=2"):
+        assert part in msg
 
 
 def _core_ring_length_loop(mesh, s):

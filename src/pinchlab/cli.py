@@ -5,7 +5,7 @@ structured results, each carrying a versioned ``schema`` marker.  A sweep
 runs through ``verify.solve_fibers``, which seeds each fiber from the
 plan seed and its index and fans the fibers out to a process pool; rows
 are order-normalized (by s, then eigenvalue index) before the single
-writer emits them, so worker count never changes the output.
+writer emits them, so worker count never changes their order.
 """
 from __future__ import annotations
 

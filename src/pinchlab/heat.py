@@ -4,8 +4,8 @@ The large-time torsion window [1, infinity) only needs the small end of
 the spectrum: log tau = sum of E1(lambda_i) over positive eigenvalues,
 with E1 the exponential integral.  As an eigenvalue degenerates,
 E1(lambda) = -log(lambda) - gamma + O(lambda), so the torsion diverges
-like the log of the product of the vanishing eigenvalues; the extraction
-check adds that product back and watches the sum settle.
+like minus the log of the product of the vanishing eigenvalues; the
+torsion row of ``verify`` adds that log back and watches the sum settle.
 
 Truncation tails are certified by the pencil dimension alone.  The pencil
 has ``Spectrum.dimension`` eigenvalues, and the inertia check of
@@ -16,7 +16,6 @@ growth law is fitted or extrapolated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,34 +80,3 @@ def partial_torsion_large_time(
             f"at lambda_k = {lam_k:.6g} exceeds TAIL_TOL = {TAIL_TOL}"
         )
     return value, tail
-
-
-@dataclass
-class ExtractionCheck:
-    """Drift diagnostic of the small-eigenvalue extraction."""
-
-    s_grid: np.ndarray
-    series: np.ndarray
-    variation: float  # relative variation over the final half
-
-
-def small_ev_extraction_check(
-    torsion_values: np.ndarray,
-    spectra: list[Spectrum],
-    n_small: int,
-) -> ExtractionCheck:
-    """Series log tau(s) + sum of logs of the n_small degenerating
-    eigenvalues; its variation over the final half of the sweep measures
-    convergence of the compensated torsion."""
-    s_grid = np.array([sp.s if isinstance(sp.s, float) else abs(sp.s) for sp in spectra])
-    series = np.empty(len(spectra))
-    for i, sp in enumerate(spectra):
-        zeros = int(sp.numerically_zero().sum())
-        small = sp.eigenvalues[zeros:zeros + n_small]
-        if (small <= 0).any():
-            raise InsufficientSpectrum("degenerating eigenvalue not resolved")
-        series[i] = torsion_values[i] + float(np.log(small).sum())
-    half = series[len(series) // 2:]
-    denom = max(abs(float(np.mean(half))), 1e-30)
-    variation = float((half.max() - half.min()) / denom)
-    return ExtractionCheck(s_grid=s_grid, series=series, variation=variation)

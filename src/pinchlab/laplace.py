@@ -35,15 +35,23 @@ class SpectralProblem:
 
     stiffness: sp.csr_matrix
     mass: np.ndarray  # diagonal entries
-    dimension: int
 
     def __post_init__(self) -> None:
+        if self.mass.shape != (self.dimension,):
+            raise ValueError(
+                f"laplace.SpectralProblem: mass of shape {self.mass.shape} "
+                f"for a {self.stiffness.shape[0]}x{self.stiffness.shape[1]} stiffness")
         if not np.isfinite(self.stiffness.data).all():
             raise NonFiniteEntry("stiffness contains non-finite entries")
         if not np.isfinite(self.mass).all():
             raise NonFiniteEntry("mass contains non-finite entries")
         if not (self.mass > 0).all():
             raise NonFiniteEntry("mass must be strictly positive")
+
+    @property
+    def dimension(self) -> int:
+        """Order of the pencil: the rows of the stiffness."""
+        return self.stiffness.shape[0]
 
 
 @dataclass
@@ -194,7 +202,7 @@ def _assemble(mesh: TriangleMesh, weights: np.ndarray,
     mass = np.zeros(mesh.V)
     share = np.repeat(weights * mesh.triangle_areas / 3.0, 3)
     np.add.at(mass, tri.ravel(), share)
-    return SpectralProblem(stiffness=K, mass=mass, dimension=mesh.V)
+    return SpectralProblem(stiffness=K, mass=mass)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Differentials live on genus-0 components as explicit rational one-forms;
 the Gram pairing sqrt(-1) * integral of omega_i wedge conj(omega_j)
 decomposes into node-annulus integrals (which carry the log(1/|t|)
 divergence, coefficient KAPPA per unit |residue|^2) and t-independent
-component-interior integrals.  Determinant growth in loglog(1/|t|) and
-the eigenvalue-product/period-determinant identity are checked on top.
+component-interior integrals.  Determinant growth in loglog(1/|t|) is
+fitted on top; ``check_grid`` guards the grid that the
+eigenvalue-product/period-determinant identity (``verify``) pairs with.
 
 The node annuli are paired in closed form (plumbing_gram).  The
 component interiors are one Hermitian block per component
@@ -31,6 +32,7 @@ from .errors import (
     QuadratureNotConverged,
 )
 from .family import DegenerationFamily, INF_POINT, _smoothstep, is_inf_point
+from .fitting import _log_log_regression
 
 #: Annulus log prefactor: sqrt(-1) * Int_{|t|<=|x|<=1} dx wedge dxbar / |x|^2
 #: = KAPPA * log(1/|t|).  Direct polar computation and the quadrature
@@ -662,7 +664,7 @@ def plumbing_untwisted_gram(family: DegenerationFamily, t_grid: np.ndarray) -> P
 
 
 # ---------------------------------------------------------------------------
-# fits and the key identity
+# fits and the identity's grid guard
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -704,61 +706,19 @@ def det_growth_fit(t_grid, dets: np.ndarray) -> tuple[float, int, float]:
         raise GridTooShort("need >= 8 points spanning >= 4 decades of |t|")
     if (dets <= 0).any():
         raise IllConditionedFit("determinants must be positive for the log fit")
-    x = np.log(np.log(1.0 / t_abs))
-    X = np.column_stack([x, np.ones_like(x)])
-    if np.linalg.matrix_rank(X) < 2:
-        raise IllConditionedFit("degenerate loglog design matrix")
-    coef, *_ = np.linalg.lstsq(X, np.log(dets), rcond=None)
-    slope = float(coef[0])
+    slope = _log_log_regression(t_abs, dets)[0]
     nearest = int(round(slope))
     return slope, nearest, abs(slope - nearest)
 
 
-@dataclass
-class IdentityCheck:
-    """Bounded-ratio verdict for the eigenvalue-product identity."""
-
-    s_grid: np.ndarray
-    ratio: np.ndarray
-    max_over_min: float
-    trend_per_decade: float
-    verdict: str  # PASS / FAIL
-
-
-def key_identity_check(
-    spectra: list,
-    twisted: PeriodGram,
-    untwisted: PeriodGram,
-    n_small: int,
-) -> IdentityCheck:
-    """R(s) = prod of the n_small degenerating eigenvalues times
-    det(twisted)/det(untwisted); PASS when R is bounded (max/min < 2 on
-    the final half) with no trend above 10% per decade."""
-    s_grid = np.array([abs(complex(sp.s)) for sp in spectra])
-    t_abs = np.abs(np.asarray(twisted.t_grid, dtype=complex))
-    if len(spectra) != len(twisted.matrices) or not np.allclose(s_grid, t_abs):
-        raise GridMismatch("spectra and twisted gram use different grids")
-    if len(untwisted.t_grid) and len(untwisted.matrices) != len(twisted.matrices):
-        raise GridMismatch("twisted and untwisted grids differ")
-    det_t = twisted.determinants()
-    det_u = untwisted.determinants()
-    ratio = np.empty(len(spectra))
-    for i, sp in enumerate(spectra):
-        zeros = int(sp.numerically_zero().sum())
-        small = sp.eigenvalues[zeros:zeros + n_small]
-        ratio[i] = float(np.prod(small)) * det_t[i] / det_u[i]
-    half = len(ratio) // 2
-    r = ratio[half:]
-    s = s_grid[half:]
-    max_over_min = float(r.max() / r.min())
-    X = np.column_stack([np.log10(1.0 / s), np.ones_like(s)])
-    coef, *_ = np.linalg.lstsq(X, np.log(r), rcond=None)
-    trend = float(coef[0])
-    ok = max_over_min < 2.0 and abs(trend) < math.log(1.1)
-    return IdentityCheck(
-        s_grid=s_grid,
-        ratio=ratio,
-        max_over_min=max_over_min,
-        trend_per_decade=trend,
-        verdict="PASS" if ok else "FAIL",
-    )
+def check_grid(s_grid, *grams: PeriodGram) -> None:
+    """Raise ``GridMismatch`` unless every Gram is sampled at |s| for each
+    s of ``s_grid``, in order."""
+    s_abs = np.abs(np.asarray(s_grid, dtype=complex))
+    for gram in grams:
+        t_abs = np.abs(np.asarray(gram.t_grid, dtype=complex))
+        if len(gram.matrices) != len(s_abs) or not np.allclose(s_abs, t_abs):
+            raise GridMismatch(
+                f"periods.check_grid: Gram of {len(gram.matrices)} matrices at "
+                f"|t| = {np.array2string(t_abs, precision=3)}, "
+                f"s grid |s| = {np.array2string(s_abs, precision=3)}")

@@ -8,13 +8,18 @@ command-line `verify` runner and the acceptance tests share work.
 
 Every sweep, here and in ``pinchlab sweep``, runs through
 ``solve_fibers``: mesh, pencil and eigensolve per fiber, fiber i seeded
-with ``seed * 100003 + i``, in-process or in a process pool.
+with ``seed * 100003 + i``, in-process or in a process pool.  The
+eigenvalue suites read their sweeps through ``eigen_sweep``, which
+certifies one zero mode per fiber.
 """
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +41,7 @@ from .family import (
     two_sphere_family,
 )
 from .fitting import SweepSeries, fit_power_of_log, product_law_check
-from .heat import partial_torsion_large_time, small_ev_extraction_check
+from .heat import partial_torsion_large_time
 from .laplace import (
     SpectralProblem,
     Spectrum,
@@ -49,10 +54,10 @@ from .mesh import MeshParams, annulus_mesh, flat_torus_mesh, mesh_fiber, unit_sp
 from .periods import (
     KAPPA,
     canonical_basis,
+    check_grid,
     det_growth_fit,
     elliptic_period_gram,
     fit_log_asymptotics,
-    key_identity_check,
     plumbing_gram,
     plumbing_twisted_gram,
     plumbing_untwisted_gram,
@@ -163,44 +168,59 @@ def solve_fibers(family: DegenerationFamily, kind: MetricKind, grid, k: int,
              for i, s in enumerate(grid)]
     if workers == 1:
         return [_solve_fiber(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Fresh interpreters, so each worker's BLAS starts with one thread:
+    # forked workers inherit the parent's BLAS thread count and
+    # oversubscribe the cores.
+    with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(_solve_fiber, tasks))
+
+
+@contextmanager
+def _one_blas_thread():
+    """Processes started inside the block run OpenBLAS (numpy's and
+    scipy's) with one thread; this process's environment is restored on
+    exit."""
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
 def eigen_sweep(name: str, kind: MetricKind, grid: np.ndarray, num_ev: int,
                 scale: float = 1.0, weighted: bool = False) -> list[FiberRecord]:
-    """``solve_fibers`` over a preset family at seed 0, memoized; raises
-    on a failed fiber."""
+    """``solve_fibers`` over a preset family at seed 0, memoized.
+
+    Raises on a failed fiber, and on a fiber whose scalar pencil does not
+    have exactly one numerically zero mode: every suite reads column 0 of
+    ``_eigenvalues`` as the kernel and columns 1 : N as the N - 1 small
+    eigenvalues."""
     key = ("eigen", name, kind.value, tuple(grid), num_ev, scale, weighted)
 
     def run():
         records = solve_fibers(FAMILY_PRESETS[name](scale), kind, grid, num_ev,
                                weighted=weighted)
         for i, rec in enumerate(records):
+            where = (f"verify: {name} {kind.value} sweep, k={num_ev}: fiber "
+                     f"s={rec.s:.6g} (seed {i})")
             if rec.error is not None:
-                raise PinchlabError(
-                    f"verify: {name} {kind.value} sweep, k={num_ev}: fiber "
-                    f"s={rec.s:.6g} (seed {i}) failed: {rec.error}")
+                raise PinchlabError(f"{where} failed: {rec.error}")
+            h0 = int(rec.spectrum.numerically_zero().sum())
+            if h0 != 1:
+                raise PinchlabError(f"{where} has h0={h0} numerically zero modes, not 1")
         return records
 
     return _memo(key, run)
 
 
-def _one_zero_mode(name: str, kind: MetricKind, records) -> list[np.ndarray]:
-    """The eigenvalues of every fiber of an ``eigen_sweep`` (at seed 0),
-    after checking that each has exactly one numerically zero mode, the
-    one that eigenvalue indices 1, 2, ... count from."""
-    for i, rec in enumerate(records):
-        h0 = int(rec.spectrum.numerically_zero().sum())
-        if h0 != 1:
-            raise PinchlabError(
-                f"verify: {name} {kind.value} sweep: fiber s={rec.s:.6g} "
-                f"(seed {i}) has h0={h0} numerically zero modes, not 1")
-    return [rec.spectrum.eigenvalues for rec in records]
-
-
-def _lambda_series(name: str, kind: MetricKind, records, index: int) -> np.ndarray:
-    return np.array([ev[index] for ev in _one_zero_mode(name, kind, records)])
+def _eigenvalues(records: list[FiberRecord]) -> np.ndarray:
+    """The (fibers, k) eigenvalues of an ``eigen_sweep``."""
+    return np.array([rec.spectrum.eigenvalues for rec in records])
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +249,7 @@ def suite_oracles() -> list[CriterionRow]:
     # Constant conformal scaling by 4 divides every eigenvalue by 4,
     # exactly (stiffness unchanged, mass scaled).
     pb = assemble(mesh_fiber(two_sphere_family(), MetricKind.INDUCED, 1e-4))
-    scaled = SpectralProblem(stiffness=pb.stiffness, mass=4.0 * pb.mass,
-                             dimension=pb.dimension)
+    scaled = SpectralProblem(stiffness=pb.stiffness, mass=4.0 * pb.mass)
     ev = solve_smallest(pb, 3, s=1e-4, seed=0).eigenvalues[1:]
     ev4 = solve_smallest(scaled, 3, s=1e-4, seed=0).eigenvalues[1:]
     rows.append(_within("conformal scaling invariance",
@@ -245,17 +264,15 @@ def suite_thm1() -> list[CriterionRow]:
     grid = DEFAULT_GRID
     rows = []
 
-    ind = eigen_sweep("two-sphere", MetricKind.INDUCED, grid, 3)
-    lam1 = _lambda_series("two-sphere", MetricKind.INDUCED, ind, 1)
+    lam1 = _eigenvalues(eigen_sweep("two-sphere", MetricKind.INDUCED, grid, 3))[:, 1]
     fit_ind = fit_power_of_log(SweepSeries(s=grid, values=lam1))
     rows.append(_within("induced lambda_1 log-power exponent", fit_ind.p, 1.0, 0.15))
     comp = (lam1 * np.log(1.0 / grid))[len(grid) // 2:]
     rows.append(_below("induced lambda_1 * log(1/s) variation (final half)",
                        comp.max() / comp.min() - 1.0, 0.20))
 
-    hyp = eigen_sweep("two-sphere", MetricKind.HYPERBOLIC_MODEL, grid, 3)
-    fit_hyp = fit_power_of_log(SweepSeries(s=grid, values=_lambda_series(
-        "two-sphere", MetricKind.HYPERBOLIC_MODEL, hyp, 1)))
+    hyp = _eigenvalues(eigen_sweep("two-sphere", MetricKind.HYPERBOLIC_MODEL, grid, 3))
+    fit_hyp = fit_power_of_log(SweepSeries(s=grid, values=hyp[:, 1]))
     rows.append(_within("hyperbolic-model lambda_1 log-power exponent",
                         fit_hyp.p, 1.0, 0.2))
 
@@ -267,9 +284,8 @@ def suite_thm1() -> list[CriterionRow]:
     rows.append(_within("hyperbolic-model neck core length", length, expect,
                         0.10 * expect))
 
-    cyl = eigen_sweep("two-sphere", MetricKind.CYLINDER, grid, 3)
-    fit_cyl = fit_power_of_log(SweepSeries(s=grid, values=_lambda_series(
-        "two-sphere", MetricKind.CYLINDER, cyl, 1)))
+    cyl = _eigenvalues(eigen_sweep("two-sphere", MetricKind.CYLINDER, grid, 3))
+    fit_cyl = fit_power_of_log(SweepSeries(s=grid, values=cyl[:, 1]))
     rows.append(_within("cylinder lambda_1 log-power exponent", fit_cyl.p, 2.5, 0.7))
     rows.append(_at_least("cylinder vs induced exponent separation",
                           abs(fit_cyl.p - fit_ind.p), 0.5))
@@ -292,12 +308,12 @@ def _core_ring_length(mesh, s: complex) -> float:
 def suite_thm2() -> list[CriterionRow]:
     """Product law for the two degenerating eigenvalues of the 3-cycle."""
     grid = DEFAULT_GRID
-    records = eigen_sweep("three-cycle", MetricKind.INDUCED, grid, 5)
-    lam = np.array(_one_zero_mode("three-cycle", MetricKind.INDUCED, records))
-    res = product_law_check(grid, lam[:, 1:3])
+    n = three_cycle_family().N
+    lam = _eigenvalues(eigen_sweep("three-cycle", MetricKind.INDUCED, grid, 5))
+    res = product_law_check(grid, lam[:, 1:n])
     rows = [_below("three-cycle compensated product max/min",
                    res.window["max_over_min"], 1.5)]
-    lam3 = lam[:, 3]
+    lam3 = lam[:, n]  # the first eigenvalue that does not degenerate
     rows.append(_at_least("three-cycle lambda_3 persistence",
                           lam3.min() / lam3[0], 0.5))
     return rows
@@ -314,12 +330,11 @@ def suite_rayleigh() -> list[CriterionRow]:
             ("three-cycle", np.logspace(-4.0, -8.0, 3), 3),
         ):
             fam = FAMILY_PRESETS[name]()
-            records = eigen_sweep(name, MetricKind.INDUCED, grid, k)
-            small = slice(1, len(fam.components))
-            for s, ev in zip(grid, _one_zero_mode(name, MetricKind.INDUCED, records)):
+            lam = _eigenvalues(eigen_sweep(name, MetricKind.INDUCED, grid, k))
+            for s, small in zip(grid, lam[:, 1:fam.N]):
                 mesh = mesh_fiber(fam, MetricKind.INDUCED, s, SWEEP_PARAMS)
                 bounds = rayleigh_upper_bound(assemble(mesh), build_cutoffs(mesh, fam, s))
-                count += int((bounds < ev[small] - 1e-14).sum())
+                count += int((bounds < small - 1e-14).sum())
         return count
 
     rows.append(_within("upper-bound violations",
@@ -357,11 +372,15 @@ def suite_torsion() -> list[CriterionRow]:
     the deepest fiber; ``partial_torsion_large_time`` raises if not."""
     records = eigen_sweep("two-sphere", MetricKind.INDUCED, TORSION_GRID, 60,
                           scale=4.0, weighted=True)
-    specs = [rec.spectrum for rec in records]
-    torsions = np.array([partial_torsion_large_time(sp)[0] for sp in specs])
-    chk = small_ev_extraction_check(torsions, specs, n_small=1)
-    rows = [_below("compensated torsion variation (final half)",
-                   chk.variation, 0.10)]
+    n = two_sphere_family().N
+    torsions = np.array([partial_torsion_large_time(rec.spectrum)[0]
+                         for rec in records])
+    # log tau diverges like -log(lambda_1 ... lambda_{N-1}); adding that
+    # back, the series settles as the small eigenvalues vanish
+    series = torsions + np.log(_eigenvalues(records)[:, 1:n]).sum(axis=1)
+    half = series[len(series) // 2:]
+    variation = (half.max() - half.min()) / max(abs(float(np.mean(half))), 1e-30)
+    rows = [_below("compensated torsion variation (final half)", variation, 0.10)]
 
     tw = np.array([partial_torsion_large_time(rec.weighted, h0=0)[0]
                    for rec in records])
@@ -374,19 +393,26 @@ def suite_identity() -> list[CriterionRow]:
     """Eigenvalue product * twisted/untwisted determinant ratio."""
     grid = DEFAULT_GRID
     rows = []
-    for name, num_ev, n_small in (("two-sphere", 3, 1), ("three-cycle", 5, 2)):
+    half = len(grid) // 2
+    for name, num_ev in (("two-sphere", 3), ("three-cycle", 5)):
         fam = FAMILY_PRESETS[name]()
         records = eigen_sweep(name, MetricKind.INDUCED, grid, num_ev)
         tg = _memo(("gram", name, "twisted", tuple(grid)),
                    lambda: plumbing_twisted_gram(fam, grid))
         ug = _memo(("gram", name, "untwisted", tuple(grid)),
                    lambda: plumbing_untwisted_gram(fam, grid))
-        chk = key_identity_check([rec.spectrum for rec in records], tg, ug,
-                                 n_small)
+        check_grid([rec.s for rec in records], tg, ug)
+        # R(s) = lambda_1 ... lambda_{N-1} * det(twisted) / det(untwisted),
+        # bounded with no trend on the final half of the sweep
+        ratio = (_eigenvalues(records)[:, 1:fam.N].prod(axis=1)
+                 * tg.determinants() / ug.determinants())
+        r, s = ratio[half:], grid[half:]
+        X = np.column_stack([np.log10(1.0 / s), np.ones_like(s)])
+        trend = np.linalg.lstsq(X, np.log(r), rcond=None)[0][0]
         rows.append(_below(f"{name} identity ratio max/min (final half)",
-                           chk.max_over_min, 2.0))
+                           r.max() / r.min(), 2.0))
         rows.append(_below(f"{name} identity trend per decade",
-                           abs(chk.trend_per_decade), math.log(1.1)))
+                           abs(trend), math.log(1.1)))
     return rows
 
 

@@ -12,6 +12,7 @@ import pytest
 from pinchlab.cli import (
     SWEEP_COLUMNS,
     SweepPlan,
+    cmd_curvature,
     cmd_fit,
     cmd_mesh_dump,
     cmd_periods,
@@ -21,8 +22,9 @@ from pinchlab.cli import (
     read_sweep_csv,
 )
 import pinchlab
+from pinchlab.curvature import min_curvature_sweep
 from pinchlab.errors import SchemaError
-from pinchlab.family import three_cycle_family
+from pinchlab.family import MetricKind, three_cycle_family, two_sphere_family
 
 
 def _numeric_lines(path):
@@ -234,6 +236,41 @@ class TestCmdVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "no-such-suite"])
         assert err.value.code == 2
+
+
+class TestCmdCurvature:
+    def _read(self, path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+        columns = lines.index("s,min_curvature,component_max")
+        rows = [[float(x) for x in ln.split(",")] for ln in lines[columns + 1:]]
+        return header, np.array(rows)
+
+    def test_header_rows_and_exponent(self, tmp_path):
+        out = tmp_path / "curvature.csv"
+        grid = np.logspace(-2, -5, 4)
+        rep = cmd_curvature("two-sphere", None, grid, out=str(out))
+        header, rows = self._read(out)
+        assert header == {"schema": "pinchlab-curvature-v1", "family": "two-sphere",
+                          "metric": "induced", "fitted_exponent": header["fitted_exponent"]}
+        assert rows.shape == (len(grid), 3)
+        assert rows[:, 0].tolist() == grid.tolist()
+        expect = min_curvature_sweep(two_sphere_family(), MetricKind.INDUCED, grid)
+        assert float(header["fitted_exponent"]) == expect.fitted_exponent == rep.fitted_exponent
+        assert rows[:, 1].tolist() == expect.min_values.tolist()
+        assert rows[:, 2].tolist() == expect.component_max.tolist()
+
+    def test_command_line_metric_and_grid(self, tmp_path, capsys):
+        out = tmp_path / "curvature.csv"
+        assert main(["curvature", "--family", "three-cycle", "--metric", "cylinder",
+                     "--s-grid", "1e-2:1e-4:3", "--out", str(out)]) == 0
+        header, rows = self._read(out)
+        assert (header["family"], header["metric"]) == ("three-cycle", "cylinder")
+        assert rows[:, 0].tolist() == np.logspace(-2, -4, 3).tolist()
+        expect = min_curvature_sweep(three_cycle_family(), MetricKind.CYLINDER,
+                                     np.logspace(-2, -4, 3))
+        assert float(header["fitted_exponent"]) == expect.fitted_exponent
+        assert f"fitted exponent {expect.fitted_exponent:.4f}" in capsys.readouterr().out
 
 
 class TestCmdMeshDump:

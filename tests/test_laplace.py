@@ -87,7 +87,17 @@ class TestAssemble:
     def test_non_finite_rejected(self):
         K = sp.eye(3, format="csr")
         with pytest.raises(NonFiniteEntry):
-            SpectralProblem(stiffness=K, mass=np.array([1.0, -1.0, 1.0]), dimension=3)
+            SpectralProblem(stiffness=K, mass=np.array([1.0, -1.0, 1.0]))
+
+    def test_dimension_is_the_stiffness_order(self, fiber_mesh):
+        pb = assemble(fiber_mesh)
+        assert pb.dimension == fiber_mesh.V == pb.stiffness.shape[0]
+
+    def test_mass_of_another_length_rejected(self):
+        K = sp.eye(3, format="csr")
+        for mass in (np.ones(2), np.ones(4), np.ones((3, 1))):
+            with pytest.raises(ValueError, match=r"laplace.SpectralProblem: mass of shape"):
+                SpectralProblem(stiffness=K, mass=mass)
 
 
 class TestSolveSmallest:
@@ -148,7 +158,7 @@ class TestSolveSmallest:
         # conformal scale a: stiffness invariant, mass scales by a
         pb = assemble(fiber_mesh)
         scaled = SpectralProblem(
-            stiffness=pb.stiffness, mass=8.0 * pb.mass, dimension=pb.dimension
+            stiffness=pb.stiffness, mass=8.0 * pb.mass
         )
         s1 = solve_smallest(pb, 4).eigenvalues[1:]
         s8 = solve_smallest(scaled, 4).eigenvalues[1:]
@@ -164,7 +174,7 @@ class TestSolveSmallest:
         # so the shift-inverted problem is the same one
         pb = assemble(fiber_mesh)
         scaled = SpectralProblem(
-            stiffness=pb.stiffness, mass=c * pb.mass, dimension=pb.dimension
+            stiffness=pb.stiffness, mass=c * pb.mass
         )
         base = solve_smallest(pb, 5, seed=4)
         spec = solve_smallest(scaled, 5, seed=4)
@@ -200,8 +210,7 @@ class TestZeroThreshold:
     @pytest.mark.parametrize("c", [1e-3, 1e3])
     def test_mass_scaling_divides_threshold(self, torus_problem, c):
         scaled = SpectralProblem(stiffness=torus_problem.stiffness,
-                                 mass=c * torus_problem.mass,
-                                 dimension=torus_problem.dimension)
+                                 mass=c * torus_problem.mass)
         base = solve_smallest(torus_problem, 2).zero_threshold
         assert solve_smallest(scaled, 2).zero_threshold == pytest.approx(base / c,
                                                                          rel=1e-14)
@@ -249,7 +258,7 @@ class TestBandCholesky:
         # K - 5 M has negative eigenvalues, so K - 5 M - sigma M is not definite
         pb = torus_problem
         shifted = SpectralProblem(stiffness=(pb.stiffness - sp.diags(5.0 * pb.mass)).tocsr(),
-                                  mass=pb.mass, dimension=pb.dimension)
+                                  mass=pb.mass)
         _, b = _band_cholesky(pb.stiffness, pb.mass, sweep_shift(pb))
         with pytest.raises(np.linalg.LinAlgError) as err:
             solve_smallest(shifted, 3)

@@ -16,7 +16,8 @@ from pinchlab.errors import (
     IllConditionedFit,
     QuadratureNotConverged,
 )
-from pinchlab.family import INF_POINT, three_cycle_family, two_sphere_family
+from pinchlab import verify
+from pinchlab.family import FAMILY_PRESETS, INF_POINT, three_cycle_family, two_sphere_family
 from pinchlab.laplace import Spectrum
 from pinchlab.periods import (
     KAPPA,
@@ -30,11 +31,11 @@ from pinchlab.periods import (
     _polar_quad,
     annulus_log_integral,
     canonical_basis,
+    check_grid,
     component_pairing,
     det_growth_fit,
     elliptic_period_gram,
     fit_log_asymptotics,
-    key_identity_check,
     node_residue,
     node_taylor,
     plumbing_gram,
@@ -780,31 +781,48 @@ def _gram_1x1(ts, values):
     )
 
 
-class TestKeyIdentity:
-    def test_synthetic_exact_inputs_pass(self):
-        ts = np.logspace(-2, -10, 9)
-        L = np.log(1.0 / ts)
-        spectra = [_spectrum([0.0, 1.0 / l, 2.0, 3.0], s) for s, l in zip(ts, L)]
-        twisted = _gram_1x1(ts, L)
-        untwisted = _gram_1x1(ts, np.ones_like(L))
-        chk = key_identity_check(spectra, twisted, untwisted, n_small=1)
-        assert chk.verdict == "PASS"
-        assert np.allclose(chk.ratio, 1.0)
+def _identity_rows(monkeypatch, twisted_det):
+    """``verify.suite_identity`` on synthetic sweeps (no mesh or solve)
+    whose N - 1 small eigenvalues are all 1/log(1/s), paired with 1x1
+    Grams: untwisted 1, twisted ``twisted_det(N, log(1/s))``."""
+    grid = verify.DEFAULT_GRID
+    L = np.log(1.0 / grid)
 
-    def test_mismatched_exponent_fails(self):
-        ts = np.logspace(-2, -10, 9)
-        L = np.log(1.0 / ts)
-        spectra = [_spectrum([0.0, 1.0 / l, 2.0, 3.0], s) for s, l in zip(ts, L)]
-        twisted = _gram_1x1(ts, L ** 2)
-        untwisted = _gram_1x1(ts, np.ones_like(L))
-        chk = key_identity_check(spectra, twisted, untwisted, n_small=1)
-        assert chk.verdict == "FAIL"
+    def solve_fibers(family, kind, grid, k, **_):
+        n = family.N
+        return [verify.FiberRecord(
+            float(s), _spectrum([0.0] + [1.0 / l] * (n - 1) + list(range(2, 2 + k - n)), s),
+            None, 0.0, None, 0.0, k) for s, l in zip(grid, np.log(1.0 / grid))]
+
+    cache = {}
+    for name in ("two-sphere", "three-cycle"):
+        n = FAMILY_PRESETS[name]().N
+        cache[("gram", name, "twisted", tuple(grid))] = _gram_1x1(grid, twisted_det(n, L))
+        cache[("gram", name, "untwisted", tuple(grid))] = _gram_1x1(grid, np.ones_like(L))
+    monkeypatch.setattr(verify, "_CACHE", cache)
+    monkeypatch.setattr(verify, "solve_fibers", solve_fibers)
+    return {row.criterion: row.verdict for row in verify.suite_identity()}
+
+
+class TestKeyIdentity:
+    def test_synthetic_exact_inputs_pass(self, monkeypatch):
+        # lambda_1 ... lambda_{N-1} = log(1/s)^-(N-1), det ratio log(1/s)^(N-1)
+        rows = _identity_rows(monkeypatch, lambda n, L: L ** (n - 1))
+        assert len(rows) == 4 and set(rows.values()) == {"PASS"}
+
+    def test_mismatched_exponent_fails(self, monkeypatch):
+        # one power of log(1/s) too many: the ratio grows like log(1/s),
+        # under 2x over the final half, but with a trend above 10% a decade
+        rows = _identity_rows(monkeypatch, lambda n, L: L ** n)
+        for name in ("two-sphere", "three-cycle"):
+            assert rows[f"{name} identity ratio max/min (final half)"] == "PASS"
+            assert rows[f"{name} identity trend per decade"] == "FAIL"
 
     def test_grid_mismatch_raises(self):
         ts = np.logspace(-2, -10, 9)
         L = np.log(1.0 / ts)
-        spectra = [_spectrum([0.0, 1.0 / l, 2.0], s) for s, l in zip(ts, L)]
-        twisted = _gram_1x1(ts * 10.0, L)
-        untwisted = _gram_1x1(ts, np.ones_like(L))
-        with pytest.raises(GridMismatch):
-            key_identity_check(spectra, twisted, untwisted, n_small=1)
+        check_grid(ts, _gram_1x1(ts, L), _gram_1x1(-ts, L))  # |t| is what counts
+        for gram in (_gram_1x1(ts * 10.0, L), _gram_1x1(ts[:-1], L[:-1]),
+                     PeriodGram(t_grid=ts.astype(complex), matrices=[])):
+            with pytest.raises(GridMismatch, match=r"periods.check_grid: Gram of \d+ matrices"):
+                check_grid(ts, _gram_1x1(ts, L), gram)

@@ -1,5 +1,8 @@
 """The fiber pipeline shared by `pinchlab sweep` and the verify suites."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,9 +20,11 @@ from pinchlab.verify import (
     _core_ring_length,
     eigen_sweep,
     solve_fibers,
+    suite_identity,
     suite_rayleigh,
     suite_thm1,
     suite_thm2,
+    suite_torsion,
 )
 
 
@@ -62,6 +67,30 @@ def test_fiber_record_times_the_mesh_and_counts_vertices():
     assert failed.mesh_seconds is None and failed.vertices is None
 
 
+@pytest.mark.parametrize("before", [None, "4"])
+def test_pool_workers_start_with_one_blas_thread(monkeypatch, before):
+    # solve_fibers starts its pool workers inside this block
+    if before is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", before)
+    with verify._one_blas_thread():
+        child = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            capture_output=True, text=True, timeout=60)
+    assert child.stdout.split() == ["1"]
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+
+
+def test_pool_leaves_the_environment_as_it_was():
+    before = dict(os.environ)
+    serial = solve_fibers(two_sphere_family(), MetricKind.INDUCED, [1e-3, 1e-4], 2)
+    pooled = solve_fibers(two_sphere_family(), MetricKind.INDUCED, [1e-3, 1e-4], 2, workers=2)
+    assert dict(os.environ) == before
+    for a, b in zip(serial, pooled):
+        assert np.array_equal(a.spectrum.eigenvalues, b.spectrum.eigenvalues)
+
+
 def _doctored_records(grid, k, doctored):
     """Sweep records with one zero mode per fiber, but two on fiber
     ``doctored``; no mesh or eigensolve behind them."""
@@ -78,16 +107,23 @@ def _doctored_records(grid, k, doctored):
 
 @pytest.mark.parametrize("suite,name", [(suite_thm1, "two-sphere"),
                                         (suite_thm2, "three-cycle"),
-                                        (suite_rayleigh, "two-sphere")])
+                                        (suite_rayleigh, "two-sphere"),
+                                        (suite_torsion, "two-sphere"),
+                                        (suite_identity, "two-sphere")])
 def test_sweep_rows_reject_a_fiber_without_exactly_one_zero_mode(monkeypatch, suite, name):
     # the rows read eigenvalue 1, 2, ... as the first nonzero ones
+    solved = []
+
+    def solve_fibers(family, kind, grid, k, **_):
+        solved.append(grid)
+        return _doctored_records(grid, k, doctored=2)
+
     monkeypatch.setattr(verify, "_CACHE", {})
-    monkeypatch.setattr(verify, "eigen_sweep",
-                        lambda name, kind, grid, k: _doctored_records(grid, k, doctored=2))
+    monkeypatch.setattr(verify, "solve_fibers", solve_fibers)
     with pytest.raises(PinchlabError) as info:
         suite()
     msg = str(info.value)
-    for part in ("verify", name, "induced", f"s={DEFAULT_GRID[2]:.6g}", "seed 2", "h0=2"):
+    for part in ("verify", name, "induced", f"s={solved[-1][2]:.6g}", "seed 2", "h0=2"):
         assert part in msg
 
 

@@ -212,6 +212,36 @@ def gauss_bonnet(mesh: TriangleMesh, values: np.ndarray) -> GaussBonnetReport:
 # Gauss-Bonnet for Fermat fibers (chart quadrature)
 # ---------------------------------------------------------------------------
 
+#: Branch-patch bump radii in the a-plane of fermat_gauss_bonnet.
+BRANCH_R0, BRANCH_R1 = 0.025, 0.05
+
+
+def _masked(weight, density):
+    """weight * density, the density evaluated only on the points `on`
+    of weight above 1e-13 (density(on)), so never at a branch point
+    (v = 0), where every weight vanishes."""
+    on = weight > 1e-13
+    out = np.zeros(weight.shape)
+    out[on] = weight[on] * density(on)
+    return out
+
+
+def _branch_patch(atlas: FermatAtlas, xb: complex):
+    """(integrand, radial breaks) of the patch around the branch point xb
+    in its sheet coordinate y, where the sheet sum is single-valued."""
+    d = atlas.d
+    x_of_y, _ = atlas.branch_chart(xb)
+
+    def fb(y):
+        x = x_of_y(y)
+        mb = _smooth_bump(np.abs(x - xb), BRANCH_R0, BRANCH_R1)
+        return _masked(mb, lambda on: _fs_density(y[on], x[on], 1.0, d))
+
+    rho = (1.25 * BRANCH_R1 * d * abs(xb) ** (d - 1)) ** (1.0 / d)
+    rho0 = (0.5 * BRANCH_R0 * d * abs(xb) ** (d - 1)) ** (1.0 / d)
+    return fb, [0.0, rho0, rho]
+
+
 def fermat_gauss_bonnet(d: int, s: complex) -> GaussBonnetReport:
     """Total curvature of the Fubini-Study metric on the Fermat fiber.
 
@@ -233,6 +263,20 @@ def fermat_gauss_bonnet(d: int, s: complex) -> GaussBonnetReport:
     turns the bracket into q |v''|^2: the density is 4F - 2 q |v''|^2/n^2
     (`family._fs_density`), with v'' = -(d-1)(c u^(d-2) + v^(d-2) v'^2)
     / v^(d-1) from differentiating v^(d-1) v' = -c u^(d-1).
+
+    The quadratures are folded onto the symmetries of the integrands.
+    For zeta^d = 1, u -> zeta u keeps u^d, so it maps the sheets of v^d =
+    const - c u^d onto themselves and scales v' by zeta^-1 and v'' by
+    zeta^-2: q, n and |v''|, hence the sheet-summed density, are
+    invariant, and so are the masks, which depend on |a| and on the
+    distance to the set of branch points x_b^d = -s.  Charts 1 and 2 are
+    therefore integrated on one sector of angle 2 pi/d.  When s is real,
+    conjugation maps that set and the sheets onto themselves too, and the
+    real density is conjugation-invariant, which halves the sector.  The
+    branch patches are rotations of one another: x(y) -> zeta x(y) takes
+    the patch of x_b to that of zeta x_b, v -> zeta v leaves the density
+    invariant by the same count, and |x - x_b| is unchanged, so one patch
+    is integrated and counted d times.
     """
     if d < 2:
         raise ValueError("chart quadrature needs degree >= 2")
@@ -240,16 +284,11 @@ def fermat_gauss_bonnet(d: int, s: complex) -> GaussBonnetReport:
     branch_pts = atlas.branch_points
     if branch_pts.size and np.abs(branch_pts).max() > 0.75:
         raise ValueError("branch points too close to the chart seam; use smaller |s|")
-    R0, R1 = 0.025, 0.05  # branch-patch bump radii in the a-plane
+    R0, R1 = BRANCH_R0, BRANCH_R1
     SPLIT0, SPLIT1 = 0.85, 0.95  # chart-1 / chart-2 transition in |a|
-
-    def masked(weight, density):
-        # weight * density, evaluated only on the points `on` of weight
-        # above 1e-13, so never at a branch point (v = 0)
-        on = weight > 1e-13
-        out = np.zeros(weight.shape)
-        out[on] = weight[on] * density(on)
-        return out
+    mirror = complex(s).imag == 0.0
+    fold = d * (2 if mirror else 1)
+    n_theta0 = -(-64 // fold) * fold  # the least multiple of the fold >= 64
 
     def bump_sum(a):
         # a bump is exactly 0 from R1 on, so only the nodes of the band
@@ -269,7 +308,7 @@ def fermat_gauss_bonnet(d: int, s: complex) -> GaussBonnetReport:
     # chart 1: mask away the branch patches and the chart seam
     def f1(a):
         m1 = (1.0 - bump_sum(a)) * _smooth_bump(np.abs(a), SPLIT0, SPLIT1)
-        return masked(m1, lambda on: atlas.sheet_density(1, a[on]))
+        return _masked(m1, lambda on: atlas.sheet_density(1, a[on]))
 
     rb = abs(s) ** (1.0 / d)  # radius of the branch-point circle
     if rb - R1 <= 0.0:
@@ -277,7 +316,7 @@ def fermat_gauss_bonnet(d: int, s: complex) -> GaussBonnetReport:
     total = _polar_quad(
         f1, 0.0 + 0.0j,
         [0.0, 0.5 * (rb - R1), rb - R1, rb + R1, SPLIT0, SPLIT1],
-        FERMAT_REL_TOL, n_theta0=64,
+        FERMAT_REL_TOL, n_theta0=n_theta0, sectors=d, mirror=mirror,
     ).real
 
     # chart 2: the transition weight in the coordinate at infinity
@@ -285,27 +324,16 @@ def fermat_gauss_bonnet(d: int, s: complex) -> GaussBonnetReport:
         r = np.abs(a2)
         m2 = 1.0 - _smooth_bump(np.where(r > 1e-12, 1.0 / np.maximum(r, 1e-12),
                                          math.inf), SPLIT0, SPLIT1)
-        return masked(m2, lambda on: atlas.sheet_density(2, a2[on]))
+        return _masked(m2, lambda on: atlas.sheet_density(2, a2[on]))
 
     total += _polar_quad(
         f2, 0.0 + 0.0j, [0.0, 0.6, 1.0 / SPLIT1, 1.0 / SPLIT0],
-        FERMAT_REL_TOL, n_theta0=64,
+        FERMAT_REL_TOL, n_theta0=n_theta0, sectors=d, mirror=mirror,
     ).real
 
-    # branch patches in the sheet coordinate y (single-valued there)
-    for xb in branch_pts:
-        x_of_y, _ = atlas.branch_chart(xb)
-
-        def fb(y):
-            x = x_of_y(y)
-            mb = _smooth_bump(np.abs(x - xb), R0, R1)
-            return masked(mb, lambda on: _fs_density(y[on], x[on], 1.0, d))
-
-        rho = (1.25 * R1 * d * abs(xb) ** (d - 1)) ** (1.0 / d)
-        rho0 = (0.5 * R0 * d * abs(xb) ** (d - 1)) ** (1.0 / d)
-        total += _polar_quad(
-            fb, 0.0 + 0.0j, [0.0, rho0, rho], FERMAT_REL_TOL, n_theta0=64
-        ).real
+    # the d branch patches, in the sheet coordinate y: one, d times
+    fb, breaks = _branch_patch(atlas, branch_pts[0])
+    total += d * _polar_quad(fb, 0.0 + 0.0j, breaks, FERMAT_REL_TOL, n_theta0=64).real
 
     return GaussBonnetReport.against_genus(total, atlas.genus())
 

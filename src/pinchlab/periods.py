@@ -13,7 +13,12 @@ component interiors are one Hermitian block per component
 (component_pairing): the pairs that share a puncture set share one set
 of doubling polar quadratures, integrands with a leading axis that
 _polar_quad evaluates in chunks of radii, each radial piece up to its own
-level.  The annulus quadrature annulus_log_integral is kept as the
+level.  _polar_quad can fold its trapezoid rule in angle onto a symmetry
+of the integrand: ``sectors`` assumes invariance under rotation by
+2 pi/sectors about the centre, ``mirror`` a real centre and fn(conj z) =
+conj fn(z).  The component quadratures set ``mirror`` when every pole,
+residue, puncture and node point on the component is real, as in every
+preset.  The annulus quadrature annulus_log_integral is kept as the
 closed form's test oracle.
 """
 from __future__ import annotations
@@ -392,8 +397,14 @@ def _smooth_bump(r: np.ndarray, r_half: float, r_full: float) -> np.ndarray:
 _CHUNK_NODES = 1 << 14
 
 
+def _mirror_sum(v: np.ndarray) -> np.ndarray:
+    """Sum over the last axis with weight 1 at both ends and 2 between."""
+    return 2.0 * v.sum(axis=-1) - v[..., 0] - v[..., -1]
+
+
 def _polar_quad(fn, center: complex, breaks: list[float], rel_tol: float,
-                n_theta0: int = 32, max_iter: int = 7):
+                n_theta0: int = 32, max_iter: int = 7, sectors: int = 1,
+                mirror: bool = False):
     """Integral of fn over the disk/annulus around center with the given
     radial panel breakpoints; doubling tensor quadrature.
 
@@ -405,7 +416,22 @@ def _polar_quad(fn, center: complex, breaks: list[float], rel_tol: float,
     the entry, and a piece whose entries are all frozen is not evaluated
     again.  The pieces' bounds add up to rel_tol times the entry's L1
     mass over the whole region, so the frozen sum meets that bound.
+
+    The trapezoid rule in angle sums each orbit of a symmetry of its
+    nodes exactly, so two folds evaluate one fundamental sector of the N
+    angles 2 pi k/N of a level.  ``sectors`` asserts that fn is invariant
+    under rotation by 2 pi/sectors about center: only k < N/sectors are
+    evaluated, and the sums are scaled by ``sectors``.  ``mirror``
+    asserts that center is real and fn(conj z) = conj fn(z): only
+    k = 0 ... N/(2 sectors) are evaluated, and their real parts are
+    summed with weight 1 at the two ends and 2 between.  N must be a
+    multiple of the fold (``ValueError``); without a fold every angle is
+    evaluated.
     """
+    fold = sectors * (2 if mirror else 1)
+    if n_theta0 % fold:
+        raise ValueError(f"n_theta0 = {n_theta0} is not a multiple of the fold {fold} "
+                         f"(sectors={sectors}, mirror={mirror})")
     pieces = list(zip(breaks, breaks[1:]))
     n = len(pieces)
     prev, value, done = [np.inf] * n, [0j] * n, [np.False_] * n
@@ -413,15 +439,19 @@ def _polar_quad(fn, center: complex, breaks: list[float], rel_tol: float,
     n_theta = n_theta0
     split = 1
     for _ in range(max_iter):
-        phase = np.exp(1j * (2.0 * math.pi * np.arange(n_theta) / n_theta))
-        dtheta = 2.0 * math.pi / n_theta
-        rows = max(1, _CHUNK_NODES // n_theta)
+        n_eval = n_theta // fold + mirror  # mirror: the sector's closing angle too
+        phase = np.exp(1j * (2.0 * math.pi * np.arange(n_eval) / n_theta))
+        dtheta = 2.0 * math.pi / n_theta * sectors
+        rows = max(1, _CHUNK_NODES // n_eval)
         for k, (a, b) in enumerate(pieces):
             if done[k].all():
                 continue
             r, wr = _gl_panels(a, b, 2 * split)
             points = (center + r[lo:lo + rows, None] * phase for lo in range(0, len(r), rows))
-            sums = [(v.sum(axis=-1), np.abs(v).sum(axis=-1)) for v in map(fn, points)]
+            if mirror:
+                sums = [(_mirror_sum(v.real), _mirror_sum(np.abs(v))) for v in map(fn, points)]
+            else:
+                sums = [(v.sum(axis=-1), np.abs(v).sum(axis=-1)) for v in map(fn, points)]
             row_sum, row_abs = (np.concatenate(s, axis=-1) * dtheta * (wr * r) for s in zip(*sums))
             total = row_sum.sum(axis=-1)
             bound[k] = rel_tol * row_abs.sum(axis=-1)  # robust to cancellation
@@ -531,6 +561,10 @@ def _group_pairing(family: DegenerationFamily, cid: int, left: list[RationalForm
     fi = [uniq.index(f) for f in left]
     fj = [uniq.index(f) for f in right]
     node_pts = [p for *_, p in family.branches(cid)]
+    # real poles, residues, punctures and node points (INF_POINT is real)
+    # make every integrand below satisfy fn(conj z) = conj fn(z)
+    points = [*node_pts, *puncs, *(x for form in uniq for pole in form.poles for x in pole)]
+    mirror = all(complex(x).imag == 0 for x in points)
 
     def density(z: np.ndarray) -> np.ndarray:
         f = np.stack([form.eval(z) for form in uniq])
@@ -565,9 +599,11 @@ def _group_pairing(family: DegenerationFamily, cid: int, left: list[RationalForm
     for k, p in enumerate(puncs):
         breaks = [0.0, RHO_0, bump_r[p]]
         if is_inf_point(p):
-            total = total + _polar_quad(in_xi(k), 0.0 + 0j, breaks, GRAM_REL_TOL)
+            total = total + _polar_quad(in_xi(k), 0.0 + 0j, breaks, GRAM_REL_TOL,
+                                        mirror=mirror)
         else:
-            total = total + _polar_quad(lambda z, k=k: piece(z, k), p, breaks, GRAM_REL_TOL)
+            total = total + _polar_quad(lambda z, k=k: piece(z, k), p, breaks, GRAM_REL_TOL,
+                                        mirror=mirror)
 
     k_rem = len(puncs)
     if len(node_pts) != 1:
@@ -578,7 +614,7 @@ def _group_pairing(family: DegenerationFamily, cid: int, left: list[RationalForm
     else:
         # node at infinity: region is the disk |z| <= 1/RHO
         remainder, breaks = (lambda z: piece(z, k_rem)), [0.0, 1.0, 1.0 / RHO]
-    return total + _polar_quad(remainder, 0.0 + 0j, breaks, GRAM_REL_TOL)
+    return total + _polar_quad(remainder, 0.0 + 0j, breaks, GRAM_REL_TOL, mirror=mirror)
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,12 @@ def solve_fibers(family: DegenerationFamily, kind: MetricKind, grid, k: int,
 
     Fiber i's solver seed is ``seed * 100003 + i``, so the records depend
     on neither the worker count nor the caller.  ``workers > 1`` runs the
-    fibers in a process pool."""
+    fibers in a process pool of at most one worker per fiber and per
+    usable core; when that leaves one worker, they run in-process."""
     tasks = [(family, kind, float(s), k, params, seed * 100003 + i, weighted)
              for i, s in enumerate(grid)]
-    if workers == 1:
+    workers = min(workers, len(tasks), _usable_cores())
+    if workers <= 1:
         return [_solve_fiber(t) for t in tasks]
     # Fresh interpreters, so each worker's BLAS starts with one thread:
     # forked workers inherit the parent's BLAS thread count and
@@ -174,6 +176,14 @@ def solve_fibers(family: DegenerationFamily, kind: MetricKind, grid, k: int,
     with _one_blas_thread(), ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(_solve_fiber, tasks))
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the
+    platform has one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @contextmanager

@@ -236,19 +236,64 @@ class TestFermatGaussBonnet:
         # with no 0/0 warning
         seen = []
 
-        def quad(fn, center, breaks, rel_tol, n_theta0):
+        def quad(fn, center, breaks, rel_tol, **kw):
             seen.append(fn(np.array([[0.5 + 0j]]))[0, 0])
-            return polar_quad(fn, center, breaks, rel_tol, n_theta0=n_theta0)
+            return polar_quad(fn, center, breaks, rel_tol, **kw)
 
         polar_quad = cv._polar_quad
         monkeypatch.setattr(cv, "_polar_quad", quad)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rep = fermat_gauss_bonnet(4, -1.0 / 16.0)
-        # chart 1, chart 2 (unramified), then the four branch charts
-        assert len(seen) == 6 and seen[0] == 0.0 and seen[2:] == [0.0] * 4
+        # chart 1, chart 2 (unramified), then one branch chart for all four
+        assert len(seen) == 3 and seen[0] == 0.0 and seen[2] == 0.0
         assert np.isfinite(seen[1])
         assert abs(rep.deviation) < 0.02 * 8.0 * math.pi
+
+
+def _recorded_folds(monkeypatch) -> list[dict]:
+    """The keywords of every _polar_quad call that curvature makes."""
+    calls = []
+    polar_quad = cv._polar_quad
+
+    def quad(fn, center, breaks, rel_tol, **kw):
+        calls.append(kw)
+        return polar_quad(fn, center, breaks, rel_tol, **kw)
+
+    monkeypatch.setattr(cv, "_polar_quad", quad)
+    return calls
+
+
+class TestFermatSymmetry:
+    """The folds of fermat_gauss_bonnet: charts 1 and 2 on one sector of
+    mu_d (halved by conjugation when s is real), one branch patch d times."""
+
+    def test_real_and_imaginary_s_agree(self, monkeypatch):
+        # z -> e^(i pi/8) z is unitary and maps x^4 + y^4 + 0.1 z^4 = 0 onto
+        # x^4 + y^4 + 0.1i z^4 = 0: the two curves are isometric
+        calls = _recorded_folds(monkeypatch)
+        real, turned = fermat_gauss_bonnet(4, 0.1), fermat_gauss_bonnet(4, 0.1j)
+        rotation = {"n_theta0": 64, "sectors": 4}
+        assert calls == [{**rotation, "mirror": True}] * 2 + [{"n_theta0": 64}] \
+            + [{**rotation, "mirror": False}] * 2 + [{"n_theta0": 64}]
+        assert turned.total == pytest.approx(real.total, rel=cv.FERMAT_REL_TOL)
+
+    @pytest.mark.parametrize("d, s", [(3, 0.1), (4, 0.1j), (5, 0.01)])
+    def test_one_branch_patch_times_d_is_their_sum(self, d, s):
+        atlas = FermatAtlas(d=d, s=s)
+        patches = []
+        for xb in atlas.branch_points:
+            fb, breaks = cv._branch_patch(atlas, xb)
+            patches.append(cv._polar_quad(fb, 0j, breaks, cv.FERMAT_REL_TOL, n_theta0=64).real)
+        assert len(patches) == d
+        assert d * patches[0] == pytest.approx(sum(patches), rel=1e-13)
+
+    @pytest.mark.parametrize("d, n_theta0", [(2, 64), (3, 66), (4, 64), (5, 70)])
+    def test_angles_are_the_least_multiple_of_the_fold_from_64(self, monkeypatch, d,
+                                                               n_theta0):
+        calls = _recorded_folds(monkeypatch)
+        fermat_gauss_bonnet(d, 0.01)
+        assert calls[:2] == [{"n_theta0": n_theta0, "sectors": d, "mirror": True}] * 2
 
 
 def _stencil_bound(factor_fn, z, h):

@@ -409,6 +409,86 @@ class TestPolarQuad:
         assert float(found[2]) == pytest.approx(1e-12 * 0.05 * math.pi, rel=0.02)
 
 
+class TestPolarQuadFolds:
+    """_polar_quad on one sector of a symmetric integrand against the
+    unfolded call over every angle."""
+
+    M = 3
+
+    @classmethod
+    def dihedral(cls, z):
+        # D_3-symmetric about 0: functions of z^3 with real coefficients
+        # times radial ones.  The wide Gaussian freezes at level 1, the
+        # narrow one and the angular wave exp(4 z^3) run on.
+        zm = z ** cls.M
+        return np.stack([np.exp(-np.abs(z) ** 2),
+                         np.exp(-np.abs(z) ** 2 / 0.01) * (1.0 + zm),
+                         np.exp(4.0 * zm) * np.abs(z) ** 2])
+
+    @staticmethod
+    def levels(fn, **kw):
+        log = []
+        value = _polar_quad(counted(fn, log), 0.3 + 0j, [0.0, 0.5, 1.0], 1e-9,
+                            n_theta0=48, **kw)
+        return value, sorted({angles for _, angles, _ in log})
+
+    @pytest.mark.parametrize("fold", [{"sectors": 3}, {"mirror": True},
+                                      {"sectors": 3, "mirror": True}])
+    def test_folded_equals_unfolded(self, fold):
+        # symmetric about the centre 0.3
+        def fn(z):
+            return self.dihedral(z - 0.3)
+
+        unfolded, full = self.levels(fn)
+        folded, angles = self.levels(fn, **fold)
+        _, l1, _ = composite_polar_quad(fn, 0.3 + 0j, [0.0, 0.5, 1.0], 1e-9, n_theta0=48)
+        assert folded.shape == (3,)
+        assert np.all(np.abs(folded - unfolded) <= 1e-9 * l1)
+        # the same levels, on one sector (and its closing angle with mirror)
+        mirror = fold.get("mirror", False)
+        per = fold.get("sectors", 1) * (2 if mirror else 1)
+        assert angles == [n // per + mirror for n in full]
+        assert len(full) > 2
+
+    def test_rotation_fold_of_a_complex_integrand(self):
+        # invariant under rotation by 2 pi/3 but not conjugation-symmetric
+        def fn(z):
+            return (1.0 + 2.0j) * self.dihedral(z)
+
+        folded = _polar_quad(fn, 0j, [0.0, 1.0], 1e-9, n_theta0=48, sectors=3)
+        unfolded = _polar_quad(fn, 0j, [0.0, 1.0], 1e-9, n_theta0=48)
+        _, l1, _ = composite_polar_quad(fn, 0j, [0.0, 1.0], 1e-9, n_theta0=48)
+        assert np.all(np.abs(folded - unfolded) <= 1e-9 * l1)
+        assert np.all(folded.imag != 0.0)  # no real part was taken
+
+    @pytest.mark.parametrize("n_theta0, fold", [(32, {"sectors": 3}),
+                                                (27, {"sectors": 3, "mirror": True}),
+                                                (33, {"mirror": True})])
+    def test_angles_not_a_multiple_of_the_fold_rejected(self, n_theta0, fold):
+        def fn(z):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match=f"n_theta0 = {n_theta0} is not a multiple"):
+            _polar_quad(fn, 0j, [0.0, 1.0], 1e-6, n_theta0=n_theta0, **fold)
+
+    def test_folded_chunks_hold_the_bound(self, monkeypatch):
+        import pinchlab.periods as pm
+
+        fold = {"n_theta0": 48, "sectors": 3, "mirror": True}
+        whole = _polar_quad(self.dihedral, 0j, [0.0, 0.5, 1.0], 1e-9, **fold)
+        monkeypatch.setattr(pm, "_CHUNK_NODES", 100)
+        seen = []
+
+        def counted_shapes(z):
+            seen.append(z.shape)
+            return self.dihedral(z)
+
+        chunked = _polar_quad(counted_shapes, 0j, [0.0, 0.5, 1.0], 1e-9, **fold)
+        assert all(rows * angles <= max(100, angles) for rows, angles in seen)
+        assert len(seen) > 4 * len({angles for _, angles in seen})
+        assert np.array_equal(whole, chunked)
+
+
 def composite_polar_quad(fn, center, breaks, rel_tol, n_theta0=32, max_iter=7):
     """Oracle for _polar_quad: the doubling tensor quadrature that freezes
     each entry on its sum over all radial pieces, so every piece runs to
@@ -461,9 +541,11 @@ class TestFrozenPieces:
     stops at its own level, within rel_tol of the integrand's L1 mass."""
 
     @staticmethod
-    def agree(fn, center, breaks, rel_tol, **kw):
+    def agree(fn, center, breaks, rel_tol, sectors=1, mirror=False, **kw):
         log = []
-        got = _polar_quad(counted(fn, log), center, breaks, rel_tol, **kw)
+        got = _polar_quad(counted(fn, log), center, breaks, rel_tol,
+                          sectors=sectors, mirror=mirror, **kw)
+        # the oracle is unfolded: it evaluates every angle
         want, l1, oracle_nodes = composite_polar_quad(fn, center, breaks, rel_tol, **kw)
         assert np.all(np.abs(got - want) <= rel_tol * l1)
         return sum(n for *_, n in log), oracle_nodes
@@ -475,8 +557,11 @@ class TestFrozenPieces:
         cv.fermat_gauss_bonnet(4, 0.1)
         fn, center, breaks, rel_tol, kw = calls[0]  # chart 1: five pieces
         assert len(breaks) == 6
-        # only the branch-bump annulus [rb - R1, rb + R1] needs level 3
-        assert self.agree(fn, center, breaks, rel_tol, **kw) == (215_040, 870_400)
+        assert kw == {"n_theta0": 64, "sectors": 4, "mirror": True}
+        # only the branch-bump annulus [rb - R1, rb + R1] needs level 3;
+        # the D_4 fold evaluates 64/8 + 1 of 64 angles at level 1, and so
+        # 27 744 of the unfolded 215 040 nodes
+        assert self.agree(fn, center, breaks, rel_tol, **kw) == (27_744, 870_400)
 
     @pytest.mark.parametrize("cid", [0, 1, 2])
     def test_three_cycle_twisted_remainder(self, monkeypatch, cid):
@@ -491,8 +576,12 @@ class TestFrozenPieces:
         assert [c[2] for c in calls] == [[RHO, 1.0, 1.0 / RHO], [0.0, RHO_0, RHO],
                                          [RHO, 1.0, 1.0 / RHO]]
         fn, center, breaks, rel_tol, kw = calls[-1]
+        # every pole, residue, puncture and node point is real: the mirror
+        # fold evaluates N/2 + 1 of N angles, 219 584 of the unfolded
+        # 436 224 nodes
+        assert all(c[4] == {"mirror": True} for c in calls)
         # [1, 2] passes at level 3, [0.5, 1] needs level 4
-        assert self.agree(fn, center, breaks, rel_tol, **kw) == (436_224, 698_368)
+        assert self.agree(fn, center, breaks, rel_tol, **kw) == (219_584, 698_368)
 
     @staticmethod
     def smooth_and_oscillatory(z):
@@ -571,6 +660,27 @@ class TestComponentPairing:
                 for j in range(i, len(diffs)):
                     pair = component_pairing(fam, [diffs[i], diffs[j]], comp.id)
                     assert block[i, j] == pair[0, 1 if j > i else 0]
+
+    def test_a_non_real_pole_takes_the_unfolded_path(self, monkeypatch):
+        # on component 0 of two-sphere (its node at 0), the form with poles
+        # at 0 and 1.2i is the one with poles at 0 and 1.2 turned by a
+        # quarter, which moves neither the node, the weight nor the bumps
+        import pinchlab.periods as pm
+
+        fam = two_sphere_family()
+
+        def pairing(p):
+            form = RationalForm(poles=((0j, 1.0 + 0j), (p, -1.0 + 0j)))
+            diff = PlumbingDifferential(forms={0: form}, punctures=((0, p),))
+            return component_pairing(fam, [diff], 0)[0, 0]
+
+        calls = recorded_quads(monkeypatch, pm)
+        real, turned = pairing(1.2 + 0j), pairing(1.2j)
+        assert [c[4] for c in calls] == [{"mirror": True}] * 2 + [{"mirror": False}] * 2
+        assert turned == pytest.approx(real, rel=1e-6)
+        # the unfolded path is the quadrature without a fold, value for value
+        monkeypatch.setattr(pm, "_polar_quad", lambda *args, mirror: _polar_quad(*args))
+        assert pairing(1.2j) == turned
 
     def test_zero_when_form_absent(self):
         fam = three_cycle_family()

@@ -91,6 +91,40 @@ def test_pool_leaves_the_environment_as_it_was():
         assert np.array_equal(a.spectrum.eigenvalues, b.spectrum.eigenvalues)
 
 
+def test_pool_is_capped_at_the_fibers_and_the_usable_cores(monkeypatch):
+    started = []
+    pool = verify.ProcessPoolExecutor
+
+    def recorded(max_workers, **kw):
+        started.append(max_workers)
+        return pool(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", recorded)
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 2)
+    fam, grid = two_sphere_family(), [1e-3, 1e-4, 1e-5]
+    serial = solve_fibers(fam, MetricKind.INDUCED, grid, 2)
+    pooled = solve_fibers(fam, MetricKind.INDUCED, grid, 2, workers=8)
+    assert started == [2]
+    for a, b in zip(serial, pooled, strict=True):
+        assert np.array_equal(a.spectrum.eigenvalues, b.spectrum.eigenvalues)
+    # one fiber, or one usable core, leaves one worker: no pool starts
+    alone = solve_fibers(fam, MetricKind.INDUCED, grid[:1], 2, workers=8)
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 1)
+    in_process = solve_fibers(fam, MetricKind.INDUCED, grid, 2, workers=8)
+    assert started == [2]
+    assert np.array_equal(alone[0].spectrum.eigenvalues, serial[0].spectrum.eigenvalues)
+    for a, b in zip(serial, in_process, strict=True):
+        assert np.array_equal(a.spectrum.eigenvalues, b.spectrum.eigenvalues)
+
+
+def test_usable_cores_reads_the_affinity_set_else_the_core_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert verify._usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert verify._usable_cores() == 3
+
+
 def _doctored_records(grid, k, doctored):
     """Sweep records with one zero mode per fiber, but two on fiber
     ``doctored``; no mesh or eigensolve behind them."""

@@ -4,11 +4,19 @@ Assembles the intrinsic Dirichlet form from per-triangle edge lengths
 (law of cosines, no embedding needed), a lumped mass matrix, and solves
 the generalized pencil for the smallest eigenvalues by shift-invert
 Lanczos at a spectrum-scaled shift from a deterministic start vector,
-checked by residuals and an inertia count.  The definite shift-invert
-operator is a banded Cholesky factor in Cuthill-McKee (breadth-first)
-order: a fiber is a stack of rings of one size, so its band is one ring
-wide on a path of components and three on a cycle, at any depth.  The
-indefinite inertia count is a symmetric-mode LU.
+checked by residuals and an inertia count.
+
+A pencil assembled on a ring stack (every fiber, the round sphere, the
+annulus) carries the mesh's ``RingLayout``.  Its K and M commute with the
+ring shift, so the unitary FFT along the rings splits them into n // 2 + 1
+ring-Fourier blocks, each tridiagonal over the rings (one corner entry on
+a cycle).  There the definite shift-invert operator is one Hermitian band
+of all blocks, half-bandwidth 1 on a path and 2 on a cycle, factored by
+``zpbtrf`` and applied as FFT, band solve, inverse FFT; the indefinite
+inertia count is a Sturm (LDL^H) count per block.  Any other pencil, or a
+layout its entries do not confirm, takes the generic operator: a banded
+Cholesky factor in Cuthill-McKee (breadth-first) order and a
+symmetric-mode LU count.
 
 Reported eigenvalues follow the Hodge-Kodaira convention: half the
 Hodge-de Rham (geometer's) Laplacian on functions.  The flat-torus and
@@ -22,19 +30,24 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, zpbtrf, zpbtrs, zpttrs
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import NoConvergence, NonFiniteEntry
-from .mesh import TriangleMesh
+from .mesh import RingLayout, TriangleMesh
 
 
 @dataclass
 class SpectralProblem:
-    """Generalized symmetric pencil K u = lambda M u with diagonal M."""
+    """Generalized symmetric pencil K u = lambda M u with diagonal M.
+
+    ``rings`` is the ``RingLayout`` of the mesh it was assembled on, or
+    None; ``solve_smallest`` uses it only where the entries confirm it.
+    """
 
     stiffness: sp.csr_matrix
     mass: np.ndarray  # diagonal entries
+    rings: RingLayout | None = None
 
     def __post_init__(self) -> None:
         if self.mass.shape != (self.dimension,):
@@ -67,6 +80,7 @@ class Spectrum:
     shift: float = 0.0  # sigma of the shift-invert operator
     opinv_solves: int = 0  # applications of (K - sigma M)^-1, all rungs
     factor_bandwidth: int = 0  # half-bandwidth of that factor
+    operator: str = ""  # "ring blocks n=.. R=.. path|cycle" or "band b=.."
 
     def __post_init__(self) -> None:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
@@ -202,7 +216,7 @@ def _assemble(mesh: TriangleMesh, weights: np.ndarray,
     mass = np.zeros(mesh.V)
     share = np.repeat(weights * mesh.triangle_areas / 3.0, 3)
     np.add.at(mass, tri.ravel(), share)
-    return SpectralProblem(stiffness=K, mass=mass)
+    return SpectralProblem(stiffness=K, mass=mass, rings=mesh.rings)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +243,9 @@ def solve_smallest(
     a hundredth of the Weyl spacing of the Hodge-Kodaira spectrum below
     zero: the shift sits at the scale of the wanted eigenvalues whatever
     the mesh resolution, and sigma * sum(M) is invariant under scaling the
-    metric.  K - sigma M is positive definite; it is factored once, as a
-    banded Cholesky in Cuthill-McKee order, and every rung applies that
+    metric.  K - sigma M is positive definite; it is factored once, by
+    ring-Fourier blocks where ``problem.rings`` holds and as a banded
+    Cholesky in Cuthill-McKee order otherwise, and every rung applies that
     factor.  The Lanczos basis holds ``max(3 k // 2 + 1, 40)``
     vectors (at most the dimension): 40 resolves the exactly degenerate
     pairs of small k, and 1.5 k takes fewer solves, less time and less
@@ -248,10 +263,11 @@ def solve_smallest(
 
     An ARPACK exception and a failed check both move on to the next rung;
     ``Spectrum.solver_path`` names the rung that passed, ``shift`` the
-    shift, ``opinv_solves`` the applications of the factor over all rungs
-    and ``factor_bandwidth`` its half-bandwidth.  If none passes,
-    ``NoConvergence`` names the dimension, k, seed, the rungs tried and
-    what failed on the last one; a K - sigma M that is not definite
+    shift, ``opinv_solves`` the applications of the factor over all rungs,
+    ``operator`` the operator (ring blocks with n, R and path or cycle, or
+    the band factor) and ``factor_bandwidth`` its half-bandwidth.  If none
+    passes, ``NoConvergence`` names the dimension, k, seed, the rungs tried
+    and what failed on the last one; a K - sigma M that is not definite
     raises ``LinAlgError`` before any rung.
 
     Eigenvalues below ``zero_threshold = 1e-10 * 2 pi / sum(M)``, the
@@ -266,6 +282,7 @@ def solve_smallest(
     zero_threshold = 2e-10 * math.pi / total_mass
     sigma = -0.02 * math.pi / total_mass
     rng = np.random.default_rng(seed)
+    blocks = _ring_blocks(problem)
     factor, solves = None, 0
 
     def apply_inverse(x):
@@ -280,7 +297,12 @@ def solve_smallest(
     ]
     for path, k_try, maxiter in rungs:
         if factor is None:
-            factor, bandwidth = _band_cholesky(K, problem.mass, sigma)
+            if blocks is None:
+                factor, bandwidth = _band_cholesky(K, problem.mass, sigma)
+                operator = f"band b={bandwidth}"
+            else:
+                factor, bandwidth = blocks.factor(sigma)
+                operator = blocks.label
         try:
             vals, vecs = spla.eigsh(
                 K, k=k_try, M=M, sigma=sigma, which="LM", OPinv=opinv,
@@ -305,7 +327,8 @@ def solve_smallest(
         # never held at once; a later rung factors it again
         factor = None
         mu = vals[-1] - (1e-8 * abs(vals[-1]) + zero_threshold)
-        below = _count_below(K, problem.mass, mu)
+        below = (_count_below(K, problem.mass, mu) if blocks is None
+                 else blocks.count_below(mu))
         found = int((vals < mu).sum())
         if below != found:
             outcome += f", Sylvester count {below} below {mu:.9g}, {found} found"
@@ -320,6 +343,7 @@ def solve_smallest(
             shift=sigma,
             opinv_solves=solves,
             factor_bandwidth=bandwidth,
+            operator=operator,
         )
     raise NoConvergence(
         f"laplace.solve_smallest(V={n}, k={k}, seed={seed}, tol={RESIDUAL_TOL}): "
@@ -411,3 +435,230 @@ def _residuals(K, mass, vals, vecs) -> np.ndarray:
         r = K @ u - vals[i] * (mass * u)
         out[i] = np.linalg.norm(r) / math.sqrt(float(u @ (mass * u)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# ring-Fourier blocks
+# ---------------------------------------------------------------------------
+
+#: Largest deviation of a pencil entry from the average of its ring orbit
+#: for which a ring-stack pencil is solved by blocks: relative to the
+#: largest stiffness entry for K, to the ring's average for M.
+RING_ORBIT_TOL = 1e-12
+
+
+@dataclass
+class _RingBlocks:
+    """A ring-stack pencil in the ring-Fourier basis.
+
+    K and M commute with the ring shift j -> j + 1, so the unitary
+    ``rfft`` (``norm="ortho"``) along every ring splits K - mu M into
+    blocks m = 0 .. n // 2, each Hermitian tridiagonal over the rings
+    (with one corner entry on a cycle); the fan centers join block 0 at
+    the two ends of the path.  Block m stands for m and n - m, so it
+    counts twice unless m = 0 or 2 m = n.
+    """
+
+    layout: RingLayout
+    diag: np.ndarray  # (blocks, R) K_m[k, k], real
+    link: np.ndarray  # (blocks, R) K_m[k, k + 1 mod R]; 0 past the last ring of a path
+    ring_mass: np.ndarray  # (R,)
+    fan_diag: np.ndarray  # (fans,)
+    fan_link: np.ndarray  # (fans,) sqrt(n) K[center, ring vertex]
+    fan_mass: np.ndarray  # (fans,)
+
+    @property
+    def label(self) -> str:
+        n, R, _, cycle = self.layout
+        return f"ring blocks n={n} R={R} {'cycle' if cycle else 'path'}"
+
+    def _weights(self) -> np.ndarray:
+        w = np.full(self.diag.shape[0], 2)
+        w[0] = 1
+        if self.layout.n % 2 == 0:
+            w[-1] = 1
+        return w
+
+    def _slots(self):
+        """Ring and fan positions within a block, the block size and the
+        half-bandwidth: on a path the rings in order between the fans, on a
+        cycle folded as 0, R - 1, 1, R - 2, ... so that ring R - 1 sits
+        beside ring 0 and every coupling within two positions."""
+        _, R, F, cycle = self.layout
+        k = np.arange(R)
+        if cycle:
+            return np.where(k <= (R - 1) // 2, 2 * k, 2 * (R - 1 - k) + 1), k[:0], R, 2
+        return k + F // 2, np.array([0, R + 1])[:F], R + F, 1
+
+    def factor(self, shift: float):
+        """Cholesky factor of the definite K - shift M over all blocks, as a
+        solve and its half-bandwidth: one Hermitian band of every block,
+        ``zpbtrf`` once, then ``rfft`` -> ``zpbtrs`` -> ``irfft`` per
+        application.  Block m > 0 has no fan centers; their positions hold
+        an identity row."""
+        n, R, F, cycle = self.layout
+        ring, fan, S, b = self._slots()
+        nb, nR = self.diag.shape[0], n * R
+        ab = np.zeros((b + 1, nb, S), dtype=complex)  # ab[b + i - j, m, j] = A_m[i, j], i <= j
+        ab[b][:, ring] = self.diag - shift * self.ring_mass
+        ab[b][:, fan] = 1.0
+        ab[b][0, fan] = self.fan_diag - shift * self.fan_mass
+        k = np.arange(R if cycle else R - 1)
+        i, j = ring[k], ring[(k + 1) % R]
+        up = i < j
+        ab[b + i[up] - j[up], :, j[up]] = self.link[:, k[up]].T
+        ab[b + j[~up] - i[~up], :, i[~up]] = self.link[:, k[~up]].conj().T
+        if F:
+            ab[b - 1, 0, ring[0]] = self.fan_link[0]
+            ab[b - 1, 0, fan[1]] = self.fan_link[1]
+        chol, info = zpbtrf(ab.reshape(b + 1, nb * S), lower=0, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"laplace.solve_smallest(V={nR + F}): {self.label}: Cholesky of "
+                f"K - sigma M at sigma = {shift:.6g} failed at pivot {info} of "
+                f"{nb * S}: not positive definite"
+            )
+
+        def solve(x):
+            x = np.ravel(x)
+            z = np.zeros((nb, S), dtype=complex)
+            z[:, ring] = np.fft.rfft(x[:nR].reshape(R, n), axis=1, norm="ortho").T
+            z[0, fan] = x[nR:]
+            y = zpbtrs(chol, z.reshape(-1), lower=0, overwrite_b=1)[0].reshape(nb, S)
+            out = np.empty(nR + F)
+            out[:nR] = np.fft.irfft(y[:, ring].T, n, axis=1, norm="ortho").reshape(-1)
+            out[nR:] = y[0, fan].real
+            return out
+
+        return solve, b
+
+    def count_below(self, mu: float) -> int | None:
+        """Number of eigenvalues below mu, as ``_count_below``: Sylvester's
+        law over the blocks of A = K - mu M.  A block of a path is a
+        tridiagonal, with the fan centers of block 0 at its two ends, whose
+        LDL^H pivots depend on |off-diagonal| only.  On a cycle, rings
+        1 .. R - 1 form such a path T, and ring 0 adds the sign of its
+        Schur complement A_m[0, 0] - u^H T^-1 u (Haynsworth's inertia
+        formula).  None at an exactly zero pivot."""
+        _, R, F, cycle = self.layout
+        nb = self.diag.shape[0]
+        a = self.diag - mu * self.ring_mass
+        if not cycle:
+            ring, fan, S, _ = self._slots()
+            d, e = np.ones((nb, S)), np.zeros((nb, S))  # e[:, i] joins positions i, i + 1
+            d[:, ring] = a
+            d[0, fan] = self.fan_diag - mu * self.fan_mass
+            e[:, ring[:-1]] = np.abs(self.link[:, :-1])
+            if F:
+                e[0, fan[0]], e[0, ring[-1]] = np.abs(self.fan_link)
+            d = _ldl_pivots(d.reshape(-1), e.reshape(-1)[:-1])
+            if d is None:
+                return None
+            negative = (d.reshape(nb, S) < 0).sum(axis=1)
+        else:
+            e = np.zeros((nb, R - 1))
+            e[:, :-1] = np.abs(self.link[:, 1:-1])
+            d = _ldl_pivots(a[:, 1:].reshape(-1), e.reshape(-1)[:-1])
+            if d is None:
+                return None
+            d = d.reshape(nb, R - 1)
+            u = np.zeros((nb, R - 1), dtype=complex)  # K_m[k, 0] over T
+            u[:, 0] = self.link[:, 0].conj()
+            u[:, -1] += self.link[:, -1]
+            sub = np.zeros((nb, R - 1), dtype=complex)  # L[k + 1, k] = K_m[k + 1, k] / d_k
+            sub[:, :-1] = self.link[:, 1:-1].conj() / d[:, :-1]
+            y = zpttrs(d.reshape(-1), sub.reshape(-1)[:-1], u.reshape(-1, 1), lower=1)[0]
+            schur = a[:, 0] - np.einsum("mk,mk->m", u.conj(), y.reshape(nb, R - 1)).real
+            if not (np.isfinite(schur) & (schur != 0)).all():
+                return None
+            negative = (d < 0).sum(axis=1) + (schur < 0)
+        return int(self._weights() @ negative)
+
+
+def _ldl_pivots(d: np.ndarray, e: np.ndarray) -> np.ndarray | None:
+    """Pivots of the LDL^T factorization, without pivoting, of the real
+    symmetric tridiagonal with diagonal d and off-diagonal e, or None at a
+    pivot that is zero or not finite.
+
+    ``dpttrf`` runs the recurrence d_i -= e_{i-1}^2 / d_{i-1} up to the
+    first pivot that is not positive; the march goes on past it, one call
+    per negative pivot, with that step's own arithmetic."""
+    d, e = d.copy(), e.copy()
+    start = 0
+    while start < d.size - 1:
+        d[start:], e[start:], info = dpttrf(d[start:], e[start:])
+        if info == 0:
+            break
+        i = start + info - 1
+        if not d[i] < 0:
+            return None
+        if i == d.size - 1:
+            break
+        step = e[i]
+        e[i] = step / d[i]
+        d[i + 1] -= e[i] * step
+        start = i + 1
+    if not (np.isfinite(d).all() and (d != 0).all()):
+        return None
+    return d
+
+
+def _ring_blocks(problem: SpectralProblem) -> _RingBlocks | None:
+    """The ring-Fourier blocks of a pencil assembled on a ring stack, or
+    None for a pencil with no ``RingLayout`` or whose entries do not
+    confirm it.
+
+    Each entry of K between ring k and ring l (l = k - 1, k, k + 1, mod R
+    on a cycle) at offset d = j' - j (mod n) joins an orbit of n entries
+    under the ring shift; the blocks are K_m[k, l] = sum over d of the
+    orbit average times e^(2 pi i d m / n), an unnormalized ``ifft`` over
+    d.  A fan center's n links to its ring carry the coupling sqrt(n)
+    times their average, to block 0 only.  Every entry must lie within
+    ``RING_ORBIT_TOL`` of its orbit's average (an absent entry counting as
+    zero), M's entries of their
+    ring's average, and every coupling must fit the layout; otherwise
+    the pencil takes the generic band Cholesky and SuperLU count."""
+    layout = problem.rings
+    if layout is None:
+        return None
+    n, R, F, cycle = layout
+    nR, V = n * R, problem.dimension
+    if V != nR + F or F not in (0, 2) or (cycle and (F or R < 3)):
+        return None
+    K = problem.stiffness.tocsr()
+    rows = np.repeat(np.arange(V), np.diff(K.indptr))
+    cols, vals = K.indices, K.data
+    tol = RING_ORBIT_TOL * np.abs(vals).max()
+
+    on = (rows < nR) & (cols < nR)
+    (k, j), (l, jj), v = np.divmod(rows[on], n), np.divmod(cols[on], n), vals[on]
+    t = (l - k + 1) % R if cycle else l - k + 1  # 0, 1, 2: ring below, same, above
+    if not ((t >= 0) & (t <= 2)).all():
+        return None
+    key = (3 * k + t) * n + (jj - j) % n
+    count = np.bincount(key, minlength=3 * nR)
+    avg = np.bincount(key, v, minlength=3 * nR) / n
+    # an orbit with missing entries holds exact zeros that sparse sums dropped
+    if not (((count == n) | (np.abs(avg) <= tol)).all() and (np.abs(v - avg[key]) <= tol).all()):
+        return None
+    blocks = np.fft.ifft(avg.reshape(R, 3, n)[:, 1:], axis=2, norm="forward")[..., :n // 2 + 1]
+
+    fan_diag, fan_link = np.zeros(F), np.zeros(F)
+    for f in range(F):
+        center, ring = nR + f, (0, R - 1)[f]
+        touch = (rows == center) | (cols == center)
+        partner, v = rows[touch] + cols[touch] - center, vals[touch]
+        fan_diag[f] = v[partner == center].sum()
+        partner, v = partner[partner != center], v[partner != center]
+        if not ((partner // n == ring).all()
+                and (np.bincount(partner % n, minlength=n) == 2).all()
+                and (np.abs(v - v.mean()) <= tol).all()):
+            return None
+        fan_link[f] = math.sqrt(n) * v.mean()
+
+    mass = problem.mass[:nR].reshape(R, n)
+    ring_mass = mass.mean(axis=1)
+    if not (np.abs(mass - ring_mass[:, None]) <= RING_ORBIT_TOL * ring_mass[:, None]).all():
+        return None
+    return _RingBlocks(layout, blocks[:, 0].real.T.copy(), blocks[:, 1].T.copy(), ring_mass,
+                       fan_diag, fan_link, problem.mass[nR:].copy())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,6 +111,18 @@ class RoundSphereFactor:
     edge_midpoint = staticmethod(FiberMetric.edge_midpoint)
 
 
+class RingLayout(NamedTuple):
+    """Vertex layout of a ``_ring_stack`` mesh: ``rings`` rings of ``n``
+    vertices, vertex k * n + j at angle 2 pi j / n on ring k, then
+    ``fans`` fan centers, of ring 0 and of ring rings - 1 in that order;
+    on a ``cycle`` ring rings - 1 also joins ring 0."""
+
+    n: int
+    rings: int
+    fans: int
+    cycle: bool
+
+
 class TriangleMesh:
     """Immutable triangulated surface with intrinsic metric lengths.
 
@@ -134,6 +146,7 @@ class TriangleMesh:
         metric: Callable[[tuple, np.ndarray], np.ndarray],
         closed: bool = True,
         genus: int | None = None,
+        rings: RingLayout | None = None,
     ):
         self.V = int(vertex_count)
         self.triangles = np.asarray(triangles, dtype=np.int64)
@@ -144,6 +157,7 @@ class TriangleMesh:
         self.metric = metric
         self.closed = closed
         self.genus = genus
+        self.rings = rings
         self.F = self.triangles.shape[0]
         if self.tri_coords.shape != (self.F, 3):
             raise ValueError("tri_coords must have shape (F, 3)")
@@ -329,7 +343,8 @@ def _ring_stack(
     the segment's chart.  In a cycle the last ring is the first; a closed
     stack that is not a cycle gets one fan per end.  Ring k holds vertex
     k * n + j at angle 2 pi j / n, and the fan centers follow.  Triangles
-    go band by band, then fan by fan, position j's consecutive.
+    go band by band, then fan by fan, position j's consecutive; the
+    mesh records that layout as its ``RingLayout``.
     """
     radius = np.concatenate([segments[0][1][:1]] + [r[1:] for _, r in segments])
     if cycle:
@@ -366,7 +381,7 @@ def _ring_stack(
             corner(tris[rows, i][None], coords[rows, i][None], np.array([ring]), shift)
         tri_chart[rows] = charts.setdefault(chart, len(charts))
     return TriangleMesh(n * R + len(fans), tris, list(charts), tri_chart, coords, metric,
-                        closed=closed, genus=genus)
+                        closed=closed, genus=genus, rings=RingLayout(n, R, len(fans), cycle))
 
 
 #: Target arc length between latitude rings on a cap.

@@ -1,10 +1,12 @@
 """Tests for the cotangent FEM pencil, eigensolver, and weighted variant."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,8 @@ from pinchlab.laplace import (
     SpectralProblem,
     WeightField,
     _band_cholesky,
+    _count_below,
+    _ring_blocks,
     assemble,
     assemble_weighted,
     component_bundle_weight,
@@ -23,6 +27,7 @@ from pinchlab.laplace import (
 )
 from pinchlab.mesh import (
     FiberMetric,
+    RingLayout,
     TriangleMesh,
     disjoint_union,
     flat_torus_mesh,
@@ -268,11 +273,149 @@ class TestBandCholesky:
             assert part in msg
 
     def test_spectrum_records_bandwidth(self, fiber_mesh):
-        pb = assemble(fiber_mesh)
+        # a pencil without a ring layout takes the band Cholesky
+        pb = replace(assemble(fiber_mesh), rings=None)
         spec = solve_smallest(pb, 3)
         _, b = _band_cholesky(pb.stiffness, pb.mass, spec.shift)
         assert spec.factor_bandwidth == b
+        assert spec.operator == f"band b={b}"
         assert 0 < b <= 3 * 16 + 1  # default MeshParams.angular_count
+
+    def test_spectrum_names_ring_blocks(self, fiber_mesh):
+        n, R, fans, cycle = fiber_mesh.rings
+        assert (n, fans, cycle) == (16, 2, False)
+        spec = solve_smallest(assemble(fiber_mesh), 3)
+        assert spec.operator == f"ring blocks n=16 R={R} path"
+        assert spec.factor_bandwidth == 1
+        cycle_mesh = mesh_fiber(three_cycle_family(), MetricKind.INDUCED, 1e-4)
+        spec = solve_smallest(assemble(cycle_mesh), 3)
+        assert spec.operator == f"ring blocks n=16 R={cycle_mesh.rings.rings} cycle"
+        assert spec.factor_bandwidth == 2
+
+
+def grid_pencil(n, R, cycle):
+    """Shift-invariant pencil on n x R ring positions with integer entries:
+    4 on the diagonal, -1 to the four grid neighbours (mod R on a cycle),
+    unit mass.  Its block m = 0 has diagonal 4 - 2 = 2 exactly."""
+    idx = np.arange(n * R).reshape(R, n)
+    pairs = [(idx, np.roll(idx, 1, axis=1))]
+    pairs.append((idx, np.roll(idx, 1, axis=0)) if cycle else (idx[:-1], idx[1:]))
+    rows = np.concatenate([a.ravel() for a, _ in pairs])
+    cols = np.concatenate([b.ravel() for _, b in pairs])
+    off = sp.coo_matrix((-np.ones(rows.size), (rows, cols)), shape=(n * R, n * R))
+    K = (off + off.T + 4.0 * sp.eye(n * R)).tocsr()
+    return SpectralProblem(stiffness=K, mass=np.ones(n * R),
+                           rings=RingLayout(n, R, 0, cycle))
+
+
+@pytest.fixture(scope="module")
+def torsion_ends():
+    """The benchmark's torsion pencils: two-sphere at scale 4, both ends
+    of the torsion grid, scalar and bundle-weighted."""
+    pencils = {}
+    for i in (0, 11):
+        s = float(TORSION_GRID[i])
+        m = mesh_fiber(two_sphere_family(4.0), MetricKind.INDUCED, s, SWEEP_PARAMS)
+        pencils[f"s{i}-scalar"] = assemble(m)
+        pencils[f"s{i}-weighted"] = assemble_weighted(m, component_bundle_weight(m))
+    return pencils
+
+
+class TestRingBlocks:
+    """The shift-invert operator and inertia count of a ring-stack pencil,
+    by its ring-Fourier blocks, against dense solves, the SuperLU count
+    and the generic path."""
+
+    @pytest.mark.parametrize("which", ["two-sphere", "three-cycle"])
+    def test_solve_matches_dense(self, which):
+        fam = two_sphere_family() if which == "two-sphere" else three_cycle_family()
+        m = mesh_fiber(fam, MetricKind.INDUCED, 1e-6)
+        pb = assemble(m)
+        sigma = sweep_shift(pb)
+        solve, b = _ring_blocks(pb).factor(sigma)
+        assert b == (1 if which == "two-sphere" else 2)
+        rhs = np.random.default_rng(0).standard_normal((m.V, 2))
+        dense = np.linalg.solve(pb.stiffness.toarray() - sigma * np.diag(pb.mass), rhs)
+        for j in range(2):
+            x = solve(rhs[:, j])
+            assert np.linalg.norm(x - dense[:, j]) <= 1e-10 * np.linalg.norm(dense[:, j])
+
+    @pytest.mark.parametrize("which", ["two-sphere", "three-cycle", "s0-scalar",
+                                       "s0-weighted", "s11-scalar", "s11-weighted"])
+    def test_count_matches_sylvester_lu(self, which, torsion_ends):
+        # at every midpoint between separated eigenvalues of the lowest 41
+        if which in torsion_ends:
+            pb = torsion_ends[which]
+        else:
+            fam = two_sphere_family() if which == "two-sphere" else three_cycle_family()
+            pb = assemble(mesh_fiber(fam, MetricKind.INDUCED, 1e-6))
+        blocks = _ring_blocks(pb)
+        vals = solve_smallest(pb, 41).eigenvalues
+        checked = 0
+        for i in range(40):
+            if vals[i + 1] - vals[i] <= 1e-6 * vals[i + 1]:
+                continue  # inside a cluster
+            mu = 0.5 * (vals[i] + vals[i + 1])
+            count = blocks.count_below(mu)
+            assert count == _count_below(pb.stiffness, pb.mass, mu) == i + 1, (i, mu)
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("entry", ["stiffness", "mass"])
+    def test_off_orbit_entry_takes_band_path(self, fiber_mesh, entry):
+        pb = assemble(fiber_mesh)
+        if entry == "stiffness":  # one edge weight, by 1e-10 of the largest entry
+            delta = 1e-10 * abs(pb.stiffness).max()
+            edge = sp.coo_matrix((delta * np.array([1.0, 1.0, -1.0, -1.0]),
+                                  ([20, 21, 20, 21], [21, 20, 20, 21])), shape=pb.stiffness.shape)
+            off = replace(pb, stiffness=(pb.stiffness + edge).tocsr())
+        else:
+            mass = pb.mass.copy()
+            mass[20] *= 1.0 + 1e-10
+            off = replace(pb, mass=mass)
+        assert _ring_blocks(pb) is not None and _ring_blocks(off) is None
+        ring, band = solve_smallest(pb, 6, seed=1), solve_smallest(off, 6, seed=1)
+        assert ring.operator.startswith("ring blocks")
+        assert band.operator.startswith("band b=")
+        np.testing.assert_allclose(band.eigenvalues, ring.eigenvalues, rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
+    def test_zero_pivot_yields_none(self, cycle):
+        # block 0's first pivot is 2 - mu, exactly zero at mu = 2
+        pb = grid_pencil(16, 7, cycle)
+        blocks = _ring_blocks(pb)
+        assert blocks.count_below(2.0) is None
+        for mu in (0.3, 1.7, 2.9, 4.5, 7.1):
+            assert blocks.count_below(mu) == _count_below(pb.stiffness, pb.mass, mu)
+
+    def test_indefinite_ring_pencil_names_operator(self, fiber_mesh):
+        pb = assemble(fiber_mesh)
+        shifted = replace(pb, stiffness=(pb.stiffness - sp.diags(5.0 * pb.mass)).tocsr())
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            solve_smallest(shifted, 3)
+        msg = str(err.value)
+        for part in (f"laplace.solve_smallest(V={fiber_mesh.V})", "ring blocks n=16",
+                     "failed at pivot "):
+            assert part in msg
+
+    def test_returns_what_eigsh_returned(self, monkeypatch):
+        # the benchmark recomputes residuals from the raw eigsh pairs: argsort
+        # and clamp of the last call's output must give the eigenvalues
+        calls = []
+        eigsh = spla.eigsh
+
+        def recorder(*args, **kwargs):
+            out = eigsh(*args, **kwargs)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(spla, "eigsh", recorder)
+        m = mesh_fiber(three_cycle_family(), MetricKind.INDUCED, 1e-6)
+        for k in (3, 5, 12):
+            spec = solve_smallest(assemble(m), k, seed=k)
+            assert spec.operator.startswith("ring blocks")
+            vals = calls[-1][0]
+            assert np.array_equal(np.maximum(vals[np.argsort(vals)[:k]], 0.0), spec.eigenvalues)
 
 
 class TestShiftInvertWork:

@@ -107,19 +107,25 @@ def curvature_samples(
 ) -> np.ndarray:
     """Curvature at the chart centroid of every mesh triangle, as an array.
 
-    Every plumbing factor depends on the chart radius only, so each
-    chart's centroid radii are rounded to 14 decimals, and the stencil
-    runs once, as one array, on the first radius of each distinct value.
+    Every plumbing factor depends on the chart radius only, and on a ring
+    stack the n triangles of a band's type, or of a fan, are one rotation
+    orbit in one chart.  So the stencil runs once per orbit, at the
+    centroid radius of its position-0 triangle, as one array per chart.
+    On a mesh without a ``RingLayout`` it runs once per triangle.
     """
     radius = np.abs(mesh.tri_coords.mean(axis=1))
+    rep = np.arange(mesh.F)  # the triangle whose stencil each one takes
+    if mesh.rings:
+        n, R, fans, cycle = mesh.rings
+        bands = 2 * n * (R if cycle else R - 1)
+        for orbits in (rep[:bands].reshape(-1, n, 2), rep[bands:].reshape(fans, n)):
+            orbits[:] = orbits[:, :1]
+    own = rep == np.arange(mesh.F)
     values = np.empty(mesh.F)
     for c, chart in enumerate(mesh.charts):
-        faces = np.flatnonzero(mesh.tri_chart == c)
-        _, first, inverse = np.unique(np.round(radius[faces], 14),
-                                      return_index=True, return_inverse=True)
-        r = radius[faces[first]] + 0j
-        values[faces] = gauss_curvature(family, kind, chart, r, s)[inverse]
-    return values
+        on = np.flatnonzero(own & (mesh.tri_chart == c))
+        values[on] = gauss_curvature(family, kind, chart, radius[on] + 0j, s)
+    return values[rep]
 
 
 # ---------------------------------------------------------------------------

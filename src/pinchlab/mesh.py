@@ -13,8 +13,10 @@ log steps, with a halving ladder only where the factor changes too fast
 place into preallocated arrays.  Edge lengths are intrinsic: chart chord
 length times the square root of the conformal factor at the chord's
 log-polar midpoint.  A mesh keeps a chart table: the distinct charts,
-and one int64 index into them per triangle.  Edges are numbered by one
-stable sort of their keys min * V + max and measured per chart: one
+and one int64 index into them per triangle.  Edges are numbered in order
+of first incidence.  On a ring stack the layout fixes where each edge
+first occurs, so the table is index arithmetic; other meshes sort their
+keys min * V + max once (stable).  Edges are measured per chart: one
 metric call per chart, on the edges whose first incident triangle lies
 in that chart.
 
@@ -132,8 +134,10 @@ class TriangleMesh:
     may disagree about a shared vertex (seams, wraparound) without any
     global embedding.  Edges are numbered in order of first incidence
     (triangle f, then corner j; edge j of a triangle is opposite vertex
-    j).  Each edge gets one canonical intrinsic length, evaluated in the
-    chart of its first incident triangle, with one metric call per chart.
+    j): from ``rings``, the triangle order of ``_ring_stack``, by index
+    arithmetic, and otherwise from one stable sort of the edge keys.  Each
+    edge gets one canonical intrinsic length, evaluated in the chart of
+    its first incident triangle, with one metric call per chart.
     """
 
     def __init__(
@@ -170,6 +174,23 @@ class TriangleMesh:
     # --- construction ----------------------------------------------------
 
     def _build_edges(self) -> None:
+        # first[p]: the flat (f, j) index f * 3 + j of the first incidence
+        # of the edge at flat position p; an edge is new where first[p] == p
+        first = self._ring_first() if self.rings else None
+        if first is None:
+            first = self._sorted_first()
+        new = first == np.arange(first.size)
+        self._edge_first = np.flatnonzero(new)
+        self.E = self._edge_first.size
+        rank = np.cumsum(new)
+        rank -= 1
+        self.tri_edge = rank[first].reshape(self.F, 3)
+        del first, rank
+        f, j = np.divmod(self._edge_first, 3)
+        u, v = self.triangles[f, (j + 1) % 3], self.triangles[f, (j + 2) % 3]
+        self.edges = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+
+    def _sorted_first(self) -> np.ndarray:
         tri, V = self.triangles, self.V
         keys = np.empty((self.F, 3), dtype=np.int64)  # min * V + max per edge
         for j in range(3):
@@ -178,24 +199,46 @@ class TriangleMesh:
             keys[:, j] += np.maximum(u, v)
         keys = keys.ravel()
         # a stable sort keeps each key's first (f, j) position at the head
-        # of its run; ranking those positions numbers the edges by first
-        # incidence, as np.unique(return_index=True) would
+        # of its run
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        new = np.empty(keys.size, dtype=bool)
-        new[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        keys, first = keys[new], order[new]
-        by_first = np.argsort(first)
-        self.E = first.size
-        self._edge_first = first[by_first]  # flat (f, j) index f * 3 + j
-        self.edges = np.stack(np.divmod(keys[by_first], V), axis=1)
-        del keys, first
-        rank = np.empty_like(by_first)
-        rank[by_first] = np.arange(self.E)
-        tri_edge = np.empty(3 * self.F, dtype=np.int64)
-        tri_edge[order] = rank[np.cumsum(new) - 1]  # each key's run, then its rank
-        self.tri_edge = tri_edge.reshape(self.F, 3)
+        head = np.empty(keys.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        del keys
+        first = np.empty_like(order)
+        first[order] = order[head][np.cumsum(head) - 1]  # the head of each run
+        return first
+
+    def _ring_first(self) -> np.ndarray | None:
+        """``first`` by index arithmetic, for the triangle order that
+        ``_ring_stack`` writes for the ``rings`` layout.  None where the
+        layout has no band, fewer than three positions, or a cycle of fewer
+        than three rings: edges may then repeat between bands."""
+        n, R, fans, cycle = self.rings
+        B = R if cycle else R - 1
+        if n < 3 or B < 1 or (cycle and R < 3):
+            return None
+        first = np.arange(3 * self.F)
+        # (band, position j, triangle type, edge): type 0 has edges
+        # (diagonal, radial j, lower ring at j), type 1 (upper ring at j,
+        # diagonal, radial j + 1)
+        band = first[:6 * n * B].reshape(B, n, 2, 3)
+        band[:, :, 1, 1] = band[:, :, 0, 0]
+        band[:, 1:, 0, 1] = band[:, :-1, 1, 2]
+        band[:, -1, 1, 2] = band[:, 0, 0, 1]
+        band[1:, :, 0, 2] = band[:-1, :, 1, 0]  # the band below's upper ring
+        if cycle:
+            band[-1, :, 1, 0] = band[0, :, 0, 2]
+        # (fan, position j, edge): edge 0 on the ring, spoke j opposite the
+        # corner at j + 1 and spoke j + 1 opposite the corner at j
+        ring_edges = (band[0, :, 0, 2], band[-1, :, 1, 0])
+        for fan, ring_edge, (spoke, next_spoke) in zip(
+                first[6 * n * B:].reshape(fans, n, 3), ring_edges, ((1, 2), (2, 1))):
+            fan[:, 0] = ring_edge
+            fan[1:, spoke] = fan[:-1, next_spoke]
+            fan[-1, next_spoke] = fan[0, spoke]
+        return first
 
     def _compute_lengths(self) -> None:
         midpoint = getattr(self.metric, "edge_midpoint", None)

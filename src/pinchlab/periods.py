@@ -13,7 +13,9 @@ component interiors are one Hermitian block per component
 (component_pairing): the pairs that share a puncture set share one set
 of doubling polar quadratures, integrands with a leading axis that
 _polar_quad evaluates in chunks of radii, each radial piece up to its own
-level.  _polar_quad can fold its trapezoid rule in angle onto a symmetry
+level.  The blocks of one Gram share a memo of those entries, so each
+distinct integrand (node points, punctures, fold and the two forms) is
+integrated once per Gram.  _polar_quad can fold its trapezoid rule in angle onto a symmetry
 of the integrand: ``sectors`` assumes invariance under rotation by
 2 pi/sectors about the centre, ``mirror`` a real centre and fn(conj z) =
 conj fn(z).  The component quadratures set ``mirror`` when every pole,
@@ -518,6 +520,7 @@ def component_pairing(
     family: DegenerationFamily,
     diffs: list[PlumbingDifferential],
     cid: int,
+    memo: dict | None = None,
 ) -> np.ndarray:
     """Hermitian (n, n) block of sqrt(-1) Int_{component region}
     omega_i ^ conj(omega_j) * weight over the n differentials.
@@ -531,10 +534,15 @@ def component_pairing(
 
     The pairs i <= j are grouped by their puncture set on cid, which fixes
     the weight and the partition.  Each group runs one set of patch and
-    remainder quadratures with one entry per pair, evaluating every
-    distinct form once per node; each entry of each radial piece stops at
-    the level where it would alone.  Forms absent on cid give zero rows,
-    and the diagonal keeps the real part.
+    remainder quadratures with one entry per distinct integrand,
+    evaluating every distinct form once per node; each entry of each
+    radial piece stops at the level where it would alone, so an entry's
+    value depends only on its integrand and the group's fold.  ``memo``
+    maps (node points, punctures, fold, form, form) to entries already
+    computed, by this call or by another on a component with the same
+    node points; only entries not in it are computed, and it is filled in
+    place.  Forms absent on cid give zero rows, and the diagonal keeps the
+    real part.
     """
     n = len(diffs)
     forms = [d.form(cid) for d in diffs]
@@ -544,27 +552,36 @@ def component_pairing(
             puncs = tuple(p for c, p in set(diffs[i].punctures) | set(diffs[j].punctures)
                           if c == cid)
             groups.setdefault(puncs, []).append((i, j))
+    node_pts = [p for *_, p in family.branches(cid)]
+    memo = {} if memo is None else memo
     block = np.zeros((n, n), dtype=complex)
     for puncs, pairs in groups.items():
         rows, cols = np.array(pairs).T
-        block[rows, cols] = _group_pairing(family, cid, [forms[i] for i in rows],
-                                           [forms[j] for j in cols], puncs)
+        # real poles, residues, punctures and node points (INF_POINT is
+        # real) make every integrand of the group conjugation-symmetric;
+        # the whole group sets the fold, before known entries drop out
+        points = [*node_pts, *puncs, *(x for i in {*rows, *cols}
+                                       for pole in forms[i].poles for x in pole)]
+        mirror = all(complex(x).imag == 0 for x in points)
+        keys = [(frozenset(node_pts), puncs, mirror, forms[i], forms[j]) for i, j in pairs]
+        todo = [key for key in dict.fromkeys(keys) if key not in memo]
+        if todo:
+            memo.update(zip(todo, _group_pairing(node_pts, [k[3] for k in todo],
+                                                 [k[4] for k in todo], puncs, mirror)))
+        block[rows, cols] = [memo[key] for key in keys]
     upper = np.triu(block, 1)
     return upper + upper.conj().T + np.diag(block.diagonal().real)
 
 
-def _group_pairing(family: DegenerationFamily, cid: int, left: list[RationalForm],
-                   right: list[RationalForm], puncs: tuple[complex, ...]) -> np.ndarray:
+def _group_pairing(node_pts: list[complex], left: list[RationalForm],
+                   right: list[RationalForm], puncs: tuple[complex, ...],
+                   mirror: bool) -> np.ndarray:
     """component_pairing of the pairs (left[k], right[k]), which share the
-    punctures puncs on component cid."""
+    punctures puncs on a component with the given node points, with the
+    angular rule folded by conjugation when ``mirror``."""
     uniq = list(dict.fromkeys(left + right))
     fi = [uniq.index(f) for f in left]
     fj = [uniq.index(f) for f in right]
-    node_pts = [p for *_, p in family.branches(cid)]
-    # real poles, residues, punctures and node points (INF_POINT is real)
-    # make every integrand below satisfy fn(conj z) = conj fn(z)
-    points = [*node_pts, *puncs, *(x for form in uniq for pole in form.poles for x in pole)]
-    mirror = all(complex(x).imag == 0 for x in points)
 
     def density(z: np.ndarray) -> np.ndarray:
         f = np.stack([form.eval(z) for form in uniq])
@@ -667,7 +684,8 @@ def plumbing_gram(
     if bad.size:
         raise ValueError(f"|t| = {abs(bad[0])} outside the plumbing range")
     n = len(diffs)
-    base = sum(component_pairing(family, diffs, comp.id) for comp in family.components)
+    memo: dict = {}  # entries shared by components with the same node points
+    base = sum(component_pairing(family, diffs, comp.id, memo) for comp in family.components)
 
     # taylor[b, q, i]: branch b of node q for diffs[i]; h_0 is not in alpha
     scale = RHO ** np.arange(GRAM_DEGREE + 1)

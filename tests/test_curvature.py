@@ -33,8 +33,9 @@ from pinchlab.family import (
     three_cycle_family,
     two_sphere_family,
 )
-from pinchlab.mesh import MeshParams, mesh_fiber
+from pinchlab.mesh import MeshParams, TriangleMesh, mesh_fiber
 from pinchlab.periods import _gl_panels
+from pinchlab.verify import SWEEP_PARAMS
 
 
 class TestFactorCurvature:
@@ -169,6 +170,51 @@ class TestCurvatureField:
         values = curvature_samples(fam, MetricKind.INDUCED, s, mesh)
         assert values.shape == (mesh.F,)
         assert np.isfinite(values).all()
+
+    @staticmethod
+    def per_face(fam, s, mesh):
+        """The stencil at every triangle's own centroid radius."""
+        radius = np.abs(mesh.tri_coords.mean(axis=1))
+        out = np.empty(mesh.F)
+        for c, chart in enumerate(mesh.charts):
+            on = np.flatnonzero(mesh.tri_chart == c)
+            out[on] = gauss_curvature(fam, MetricKind.INDUCED, chart, radius[on] + 0j, s)
+        return out
+
+    def test_deep_neck_orbits_stay_apart(self):
+        # at s = 1e-30 thousands of neck centroids lie within 5e-15 of the
+        # core; each ring orbit keeps its own value (rounding the radii
+        # to 14 decimals gave them one, 1.2e3 times off)
+        fam, s = two_sphere_family(), 1e-30
+        mesh = mesh_fiber(fam, MetricKind.INDUCED, s, SWEEP_PARAMS)
+        values = curvature_samples(fam, MetricKind.INDUCED, s, mesh)
+        np.testing.assert_allclose(values, self.per_face(fam, s, mesh), rtol=1e-6, atol=0)
+
+    def test_one_stencil_per_orbit(self, monkeypatch):
+        fam, s = three_cycle_family(), 1e-3
+        mesh = mesh_fiber(fam, MetricKind.INDUCED, s)
+        sizes = []
+
+        def counted(*args):
+            sizes.append(np.size(args[3]))
+            return gauss_curvature(*args)
+
+        monkeypatch.setattr(cv, "gauss_curvature", counted)
+        values = curvature_samples(fam, MetricKind.INDUCED, s, mesh)
+        n, R, fans, cycle = mesh.rings
+        assert cycle and sum(sizes) == 2 * R
+        # the orbit of each band's type takes its position-0 value
+        own = self.per_face(fam, s, mesh).reshape(R, n, 2)
+        assert (values.reshape(R, n, 2) == own[:, :1]).all()
+
+    def test_per_face_without_a_layout(self):
+        fam, s = two_sphere_family(), 1e-4
+        m = mesh_fiber(fam, MetricKind.INDUCED, s)
+        bare = TriangleMesh(m.V, m.triangles, m.charts, m.tri_chart, m.tri_coords,
+                            m.metric, genus=m.genus)
+        assert bare.rings is None
+        values = curvature_samples(fam, MetricKind.INDUCED, s, bare)
+        assert values.tobytes() == self.per_face(fam, s, bare).tobytes()
 
 
 class TestGaussBonnet:

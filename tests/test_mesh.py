@@ -631,6 +631,13 @@ def _assert_same_edges(got):
 EDGE_PARAMS = {"sweep": SWEEP_PARAMS, "curvature": CURVATURE_PARAMS}
 
 
+def _plane_cycle(R):
+    """A flat ring stack of R rings of 5 vertices, closed into a cycle."""
+    return mesh_module._ring_stack(5, [(("plane",), np.linspace(1.0, 2.0, R + 1))],
+                                   mesh_module.ConstantFactor(1.0), closed=True,
+                                   genus=1, cycle=True)
+
+
 class TestEdgeTableMatchesUnique:
     """Byte-equal edge tables, lengths and areas from the stable sort and
     the per-chart gathers as from np.unique and whole-array gathers."""
@@ -665,6 +672,29 @@ class TestEdgeTableMatchesUnique:
     def test_reference_meshes(self, fn, args):
         _assert_same_edges(fn(*args))
         _assert_same_edges(fn(*args).refine())
+
+    @pytest.mark.parametrize("fn,args", [
+        (unit_sphere_mesh, (2, 3)),
+        (unit_sphere_mesh, (3, 4)),
+        (annulus_mesh, (0.5, 1.0, 3)),
+        (_plane_cycle, (3,)),
+        (_plane_cycle, (4,)),
+        (mesh_fiber, (three_cycle_family(), MetricKind.INDUCED, 1e-5, SWEEP_PARAMS)),
+    ])
+    def test_ring_stack_tables_without_a_sort(self, monkeypatch, fn, args):
+        # the closed form covers every ring stack with a band: the sort of
+        # the edge keys never runs on one
+        def no_sort(self):
+            raise AssertionError("edge keys sorted on a ring stack")
+
+        monkeypatch.setattr(TriangleMesh, "_sorted_first", no_sort)
+        _assert_same_edges(fn(*args))
+
+    def test_two_ring_cycle_is_rejected(self):
+        # both bands join rings 0 and 1, so each radial edge has four
+        # triangles; the sorted table sees it
+        with pytest.raises(DegenerateTriangle, match="boundary edge"):
+            _plane_cycle(2)
 
     def test_failing_factor_names_the_same_edge(self):
         # bad on the north fan's spokes and on the first south bands: the

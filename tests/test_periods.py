@@ -615,6 +615,32 @@ class TestFrozenPieces:
         assert np.all(np.abs(got - want) <= 1e-9 * l1)
 
 
+def memo_case(name):
+    """(family, differentials) of the entry-sharing tests."""
+    if name == "two-sphere residue-free":
+        fam = two_sphere_family()
+        return fam, canonical_basis(fam)[0] + [residue_free_differential(fam)]
+    fam = three_cycle_family()
+    if name in ("three-cycle twisted", "three-cycle untwisted"):
+        return fam, canonical_basis(fam)[name.endswith("untwisted")]
+    if name == "three-cycle punctured cycle":
+        # the cycle's forms twice, the second time with a puncture on
+        # component 0: the same two forms under two puncture sets
+        cyc = canonical_basis(fam)[1][0]
+        return fam, [cyc, PlumbingDifferential(forms=cyc.forms, punctures=((0, -1 + 0j),))]
+    # "three-cycle fold": C has a complex residue.  Component 0 computes
+    # (A, C) in the puncture group {1, -1}; on component 1 that group is
+    # (A, B) and (A, C), so only the all-real (A, B) is new there, and its
+    # fold must still be the whole group's (none)
+    f_a = RationalForm(poles=((0j, 1 + 0j), (-1 + 0j, -1 + 0j)))
+    f_b = RationalForm(poles=((0j, 1 + 0j), (1 + 0j, -1 + 0j)))
+    f_c = RationalForm(poles=((0j, 1j), (1 + 0j, -1j)))
+    a = PlumbingDifferential(forms={0: f_a, 1: f_a}, punctures=((0, -1 + 0j), (1, -1 + 0j)))
+    b = PlumbingDifferential(forms={1: f_b}, punctures=((1, 1 + 0j),))
+    c = PlumbingDifferential(forms={0: f_c, 1: f_c}, punctures=((0, 1 + 0j), (1, 1 + 0j)))
+    return fam, [a, b, c]
+
+
 class TestComponentPairing:
     def test_radial_oracle_for_cap_form(self):
         # f = dz/z on a one-node component with puncture at infinity: the
@@ -644,22 +670,56 @@ class TestComponentPairing:
         b = component_pairing(fam, tw[1::-1], 0)
         assert a[0, 1] == pytest.approx(b[1, 0], abs=1e-4)
 
-    @pytest.mark.parametrize("name", ["three-cycle twisted", "two-sphere residue-free"])
+    @pytest.mark.parametrize("name", ["three-cycle twisted", "two-sphere residue-free",
+                                      "three-cycle punctured cycle"])
     def test_entries_equal_pair_blocks(self, name):
         # batching the pairs of a puncture set mixes no entries: each entry
         # equals the off-diagonal of the block of its own pair
-        if name == "three-cycle twisted":
-            fam = three_cycle_family()
-            diffs = canonical_basis(fam)[0]
-        else:
-            fam = two_sphere_family()
-            diffs = canonical_basis(fam)[0] + [residue_free_differential(fam)]
+        fam, diffs = memo_case(name)
         for comp in fam.components:
             block = component_pairing(fam, diffs, comp.id)
             for i in range(len(diffs)):
                 for j in range(i, len(diffs)):
                     pair = component_pairing(fam, [diffs[i], diffs[j]], comp.id)
                     assert block[i, j] == pair[0, 1 if j > i else 0]
+
+    def test_three_cycle_twisted_gram_quadratures(self, monkeypatch):
+        import pinchlab.periods as pm
+
+        calls = recorded_quads(monkeypatch, pm)
+        plumbing_twisted_gram(three_cycle_family(), np.logspace(-3, -8, 4))
+        # (breaks, entries) per quadrature: on component 0 the plain
+        # remainder of (cycle, cycle), then the puncture patch and the
+        # heavy remainder of its 2 distinct integrands (twisted-1 and -2
+        # agree there); on component 1 the 3 new ones with its puncture.
+        # Component 2 repeats component 1's integrands and runs none.
+        probe = np.array([[0.7 + 0j]])
+        got = [(breaks, fn(probe).shape[0]) for fn, _, breaks, *_ in calls]
+        rem, patch = [RHO, 1.0, 1.0 / RHO], [0.0, RHO_0, RHO]
+        assert got == [(rem, 1), (patch, 2), (rem, 2), (patch, 3), (rem, 3)]
+
+    @pytest.mark.parametrize("name", ["three-cycle twisted", "three-cycle untwisted",
+                                      "two-sphere residue-free", "three-cycle fold"])
+    def test_gram_equals_unshared_blocks(self, monkeypatch, name):
+        # sharing entries between components changes no bit of the Gram;
+        # the two-sphere basis mixes folded and unfolded puncture groups
+        import pinchlab.periods as pm
+
+        fam, diffs = memo_case(name)
+        ts = np.logspace(-3, -8, 4)
+        shared = np.stack(plumbing_gram(fam, ts, diffs).matrices)
+        memos = []
+
+        def alone(family, diffs, cid, memo=None):
+            memos.append(memo)
+            return component_pairing(family, diffs, cid)
+
+        monkeypatch.setattr(pm, "component_pairing", alone)
+        unshared = np.stack(plumbing_gram(fam, ts, diffs).matrices)
+        # one call per component, all with the Gram's one memo
+        assert len(memos) == len(fam.components)
+        assert all(m is memos[0] for m in memos) and memos[0] == {}
+        assert shared.tobytes() == unshared.tobytes()
 
     def test_a_non_real_pole_takes_the_unfolded_path(self, monkeypatch):
         # on component 0 of two-sphere (its node at 0), the form with poles

@@ -14,10 +14,15 @@ place into preallocated arrays.  Edge lengths are intrinsic: chart chord
 length times the square root of the conformal factor at the chord's
 log-polar midpoint.  A mesh keeps a chart table: the distinct charts,
 and one int64 index into them per triangle.  Edges are numbered in order
-of first incidence.  On a ring stack the layout fixes where each edge
-first occurs, so the table is index arithmetic; other meshes sort their
-keys min * V + max once (stable).  Edges are measured per chart: one
-metric call per chart, on the edges whose first incident triangle lies
+of first incidence.  The metric is radial in every fiber chart, so a
+ring stack is invariant under the ring shift j -> j + 1, and
+``RingOrbits``, its one orbit map, measures it once per orbit: one edge
+per edge orbit and one triangle per triangle orbit get the length, the
+area, the validity checks (and, in ``curvature``, the curvature sample),
+and every member takes its orbit's values; the same map writes the edge
+table by index arithmetic.  Other meshes sort their keys min * V + max
+once (stable) and measure every edge.  Either way the metric is called
+once per chart, on the measured edges whose first incident triangle lies
 in that chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
@@ -125,6 +130,175 @@ class RingLayout(NamedTuple):
     cycle: bool
 
 
+#: The corners of one position j of a ring-stack block, as (edge type,
+#: shift): the edge opposite corner c is member j + shift of its type.  A
+#: band's two triangles have types 0 diagonal, 1 radial, 2 lower ring and
+#: 3 upper ring; a fan's one triangle has its ring and type 4, the spokes.
+_BAND_CORNERS = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 0), (1, 1))
+_FAN_CORNERS = (((2, 0), (4, 0), (4, 1)), ((3, 0), (4, 1), (4, 0)))
+
+
+class _Block(NamedTuple):
+    """The edges that one kind of block owns, numbered in order of first
+    incidence in the block: ``local`` (n, corners) at each owned corner,
+    ``first`` the flat corner j * corners + c of each edge's first
+    incidence, ``lanes`` each edge's orbit among the block's, ``orbit``
+    (1, corners) each owned corner's orbit, ``rep`` each orbit's first
+    edge."""
+
+    corners: int
+    local: np.ndarray
+    first: np.ndarray
+    lanes: np.ndarray
+    orbit: np.ndarray
+    rep: np.ndarray
+
+
+def _block(n: int, corners: Sequence[tuple[int, int]], owned: set[int]) -> _Block:
+    m, i = len(corners), np.arange(n)
+    types = list(dict.fromkeys(t for t, _ in corners if t in owned))
+    # member i of a type first occurs at the least flat corner j * m + c
+    # among the type's corners c, where j + shift = i (mod n)
+    first = np.full((len(types), n), n * m)
+    for c, (t, shift) in enumerate(corners):
+        if t in owned:
+            row = first[types.index(t)]
+            np.minimum(row, (i - shift) % n * m + c, out=row)
+    order = np.argsort(first, axis=None)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rank = rank.reshape(first.shape)
+    local, orbit = np.zeros((n, m), dtype=np.int64), np.zeros((1, m), dtype=np.int64)
+    for c, (t, shift) in enumerate(corners):
+        if t in owned:
+            orbit[0, c] = types.index(t)
+            local[:, c] = rank[orbit[0, c], (i + shift) % n]
+    return _Block(m, local, first.ravel()[order], order // n, orbit, rank.min(axis=1))
+
+
+class RingOrbits:
+    """The orbits of a ring stack's triangles and edges under the ring
+    shift j -> j + 1, which maps the layout onto itself, and, under a
+    radial metric, each triangle and edge onto one of the same lengths.
+
+    The stack is a run of blocks, each band and then each fan, whose n
+    positions repeat the same corners (``_BAND_CORNERS``,
+    ``_FAN_CORNERS``).  A triangle orbit is one triangle of a block's
+    position, represented by its position-0 member.  An edge orbit is one
+    edge type of the block where it first occurs, represented by its first
+    edge in the numbering and measured in that block's chart.  A radial
+    edge or spoke first occurs at two corners of a block (member 0 at
+    position 0, member j + 1 at position j), but its orbit has one
+    representative.  Orbits are numbered in the order of their
+    representatives, ``tri_rep`` (triangles) and ``edge_rep`` (edge ids);
+    ``tri_edge_orbits`` holds the edge orbit at each corner of each
+    triangle orbit.  Edges are numbered in order of first incidence, block by
+    block, so blocks of one kind number theirs alike, and ``tri_edge``
+    and ``edge_first`` write the edge table by index arithmetic.
+    """
+
+    def __init__(self, layout: RingLayout):
+        n, R, fans, cycle = self.layout = layout
+        self.bands = R if cycle else R - 1
+        # band 0 owns both its rings, a later band its upper ring, the last
+        # band of a cycle neither; a fan owns its spokes
+        band = [_block(n, _BAND_CORNERS, owned) for owned in ({0, 1, 2, 3}, {0, 1, 3}, {0, 1})]
+        kinds = [(band[0], 1), (band[1], self.bands - 1 - cycle), (band[2], int(cycle))]
+        kinds += [(_block(n, _FAN_CORNERS[f], {4}), 1) for f in range(fans)]
+        # (block, count, first edge, first edge orbit, corners per position before)
+        self.runs = []
+        e = o = c = 0
+        for block, count in kinds:
+            if count:
+                self.runs.append((block, count, e, o, c))
+                e, o = e + count * block.first.size, o + count * block.rep.size
+                c += count * block.corners
+        self.E, self.F, self.corners = e, n * c // 3, c
+        self.tri_rep = np.concatenate([
+            ((n * (c // 3) + n * (b.corners // 3) * np.arange(k))[:, None]
+             + np.arange(b.corners // 3)).ravel() for b, k, e, o, c in self.runs])
+        self.edge_rep = np.concatenate([
+            ((e + b.first.size * np.arange(k))[:, None] + b.rep).ravel() for b, k, e, o, c in self.runs])
+        self.tri_edge_orbits = self._corners(orbits=True)
+
+    def _corners(self, orbits: bool) -> np.ndarray:
+        """Per corner of every triangle, its edge id, or with ``orbits``
+        per corner of every triangle orbit, its edge orbit.  Each block
+        writes the corners it owns; the others copy from the owner."""
+        n = 1 if orbits else self.layout.n
+        out = np.empty(n * self.corners, dtype=np.int64)
+        for b, k, e, o, c in self.runs:
+            base, step, local = (o, b.rep.size, b.orbit) if orbits else (e, b.first.size, b.local)
+            np.add((base + step * np.arange(k))[:, None, None], local,
+                   out=out[n * c:n * (c + k * b.corners)].reshape(k, n, b.corners))
+        bands = out[:6 * n * self.bands].reshape(self.bands, n, 6)
+        bands[1:, :, 2] = bands[:-1, :, 3]  # the band below's upper ring
+        if self.layout.cycle:
+            bands[-1, :, 3] = bands[0, :, 2]
+        rings = (bands[0, :, 2], bands[-1, :, 3])
+        for fan, ring in zip(out[6 * n * self.bands:].reshape(-1, n, 3), rings):
+            fan[:, 0] = ring
+        return out.reshape(-1, 3)
+
+    def tri_edge(self) -> np.ndarray:
+        """The edge id at every corner, (F, 3)."""
+        return self._corners(orbits=False)
+
+    def edge_first(self, turn: int = 0) -> np.ndarray:
+        """Per edge, the flat corner f * 3 + (j + turn) % 3 of its first
+        incidence (f, j): its own corner, or with turn 1 and 2 its ends."""
+        n, out = self.layout.n, np.empty(self.E, dtype=np.int64)
+        for b, k, e, o, c in self.runs:
+            start = n * (c + b.corners * np.arange(k))
+            first = b.first + (b.first + turn) % 3 - b.first % 3
+            out[e:e + k * b.first.size].reshape(k, -1)[:] = start[:, None] + first
+        return out
+
+    def tile_edges(self, values: np.ndarray) -> np.ndarray:
+        """Per edge, the value of its orbit."""
+        out = np.empty(self.E, dtype=values.dtype)
+        for b, k, e, o, c in self.runs:
+            per = values[o:o + k * b.rep.size].reshape(k, -1)
+            out[e:e + k * b.first.size].reshape(k, -1)[:] = per[:, b.lanes]
+        return out
+
+    def tile_triangles(self, values: np.ndarray) -> np.ndarray:
+        """Per triangle, the row of its orbit."""
+        n, rest = self.layout.n, values.shape[1:]
+        out = np.empty((self.F,) + rest, dtype=values.dtype)
+        for b, k, e, o, c in self.runs:
+            t, per = c // 3, b.corners // 3
+            out[n * t:n * (t + k * per)].reshape(k, n, per, *rest)[:] = \
+                values[t:t + k * per].reshape(k, 1, per, *rest)
+        return out
+
+    @classmethod
+    def of(cls, layout: RingLayout | None) -> "RingOrbits | None":
+        """The orbits of a layout, or None where it has no band, fewer than
+        three positions, or is a cycle of fewer than three rings: edges may
+        then repeat between bands."""
+        if layout is None:
+            return None
+        n, R, fans, cycle = layout
+        if n < 3 or (R if cycle else R - 1) < 1 or (cycle and R < 3):
+            return None
+        return cls(layout)
+
+
+class _Singletons:
+    """Every triangle and every edge its own orbit (no ring layout)."""
+
+    def __init__(self, tri_edge: np.ndarray, E: int):
+        self.tri_rep, self.edge_rep = np.arange(len(tri_edge)), np.arange(E)
+        self.tri_edge_orbits = tri_edge
+
+    @staticmethod
+    def tile_edges(values: np.ndarray) -> np.ndarray:
+        return values
+
+    tile_triangles = tile_edges
+
+
 class TriangleMesh:
     """Immutable triangulated surface with intrinsic metric lengths.
 
@@ -134,10 +308,15 @@ class TriangleMesh:
     may disagree about a shared vertex (seams, wraparound) without any
     global embedding.  Edges are numbered in order of first incidence
     (triangle f, then corner j; edge j of a triangle is opposite vertex
-    j): from ``rings``, the triangle order of ``_ring_stack``, by index
-    arithmetic, and otherwise from one stable sort of the edge keys.  Each
-    edge gets one canonical intrinsic length, evaluated in the chart of
-    its first incident triangle, with one metric call per chart.
+    j).  ``orbits`` holds the mesh's rotation orbits: a ``RingOrbits``
+    from ``rings``, the layout of ``_ring_stack``, which also writes the
+    edge table by index arithmetic; otherwise every triangle and edge is
+    its own orbit and the edge table comes from one stable sort of the
+    edge keys.  Each edge orbit's representative gets one canonical
+    intrinsic length, evaluated in the chart of its first incident
+    triangle, with one metric call per chart; the representatives of the
+    triangle orbits get Heron's area and the validity checks, and every
+    member takes its orbit's values.
     """
 
     def __init__(
@@ -174,21 +353,30 @@ class TriangleMesh:
     # --- construction ----------------------------------------------------
 
     def _build_edges(self) -> None:
-        # first[p]: the flat (f, j) index f * 3 + j of the first incidence
-        # of the edge at flat position p; an edge is new where first[p] == p
-        first = self._ring_first() if self.rings else None
-        if first is None:
+        self.orbits = RingOrbits.of(self.rings)
+        if self.orbits is not None:
+            self.tri_edge, self._edge_first = self.orbits.tri_edge(), self.orbits.edge_first()
+            self.E = self._edge_first.size
+            u, v = (self.triangles.ravel()[self.orbits.edge_first(turn)] for turn in (1, 2))
+        else:
+            # first[p]: the flat (f, j) index f * 3 + j of the first
+            # incidence of the edge at flat position p; an edge is new where
+            # first[p] == p
             first = self._sorted_first()
-        new = first == np.arange(first.size)
-        self._edge_first = np.flatnonzero(new)
-        self.E = self._edge_first.size
-        rank = np.cumsum(new)
-        rank -= 1
-        self.tri_edge = rank[first].reshape(self.F, 3)
-        del first, rank
-        f, j = np.divmod(self._edge_first, 3)
-        u, v = self.triangles[f, (j + 1) % 3], self.triangles[f, (j + 2) % 3]
-        self.edges = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+            new = first == np.arange(first.size)
+            self._edge_first = np.flatnonzero(new)
+            self.E = self._edge_first.size
+            rank = np.cumsum(new)
+            rank -= 1
+            self.tri_edge = rank[first].reshape(self.F, 3)
+            del first, rank
+            self.orbits = _Singletons(self.tri_edge, self.E)
+            f, j = np.divmod(self._edge_first, 3)
+            u, v = self.triangles[f, (j + 1) % 3], self.triangles[f, (j + 2) % 3]
+            del f, j
+        self.edges = np.empty((self.E, 2), dtype=np.int64)
+        np.minimum(u, v, out=self.edges[:, 0])
+        np.maximum(u, v, out=self.edges[:, 1])
 
     def _sorted_first(self) -> np.ndarray:
         tri, V = self.triangles, self.V
@@ -210,77 +398,47 @@ class TriangleMesh:
         first[order] = order[head][np.cumsum(head) - 1]  # the head of each run
         return first
 
-    def _ring_first(self) -> np.ndarray | None:
-        """``first`` by index arithmetic, for the triangle order that
-        ``_ring_stack`` writes for the ``rings`` layout.  None where the
-        layout has no band, fewer than three positions, or a cycle of fewer
-        than three rings: edges may then repeat between bands."""
-        n, R, fans, cycle = self.rings
-        B = R if cycle else R - 1
-        if n < 3 or B < 1 or (cycle and R < 3):
-            return None
-        first = np.arange(3 * self.F)
-        # (band, position j, triangle type, edge): type 0 has edges
-        # (diagonal, radial j, lower ring at j), type 1 (upper ring at j,
-        # diagonal, radial j + 1)
-        band = first[:6 * n * B].reshape(B, n, 2, 3)
-        band[:, :, 1, 1] = band[:, :, 0, 0]
-        band[:, 1:, 0, 1] = band[:, :-1, 1, 2]
-        band[:, -1, 1, 2] = band[:, 0, 0, 1]
-        band[1:, :, 0, 2] = band[:-1, :, 1, 0]  # the band below's upper ring
-        if cycle:
-            band[-1, :, 1, 0] = band[0, :, 0, 2]
-        # (fan, position j, edge): edge 0 on the ring, spoke j opposite the
-        # corner at j + 1 and spoke j + 1 opposite the corner at j
-        ring_edges = (band[0, :, 0, 2], band[-1, :, 1, 0])
-        for fan, ring_edge, (spoke, next_spoke) in zip(
-                first[6 * n * B:].reshape(fans, n, 3), ring_edges, ((1, 2), (2, 1))):
-            fan[:, 0] = ring_edge
-            fan[1:, spoke] = fan[:-1, next_spoke]
-            fan[-1, next_spoke] = fan[0, spoke]
-        return first
-
     def _compute_lengths(self) -> None:
-        midpoint = getattr(self.metric, "edge_midpoint", None)
-        edge_chart = self.tri_chart[self._edge_first // 3]
-        fac, lengths = np.empty(self.E), np.empty(self.E)
+        """Measure the orbit representatives, check them, tile the orbits."""
+        orbits, midpoint = self.orbits, getattr(self.metric, "edge_midpoint", None)
+        f, j = np.divmod(self._edge_first[orbits.edge_rep], 3)
+        edge_chart = self.tri_chart[f]
+        fac, lengths = np.empty(f.size), np.empty(f.size)
         for c, chart in enumerate(self.charts):
             on = np.flatnonzero(edge_chart == c)
-            f, j = np.divmod(self._edge_first[on], 3)
-            p, q = self.tri_coords[f, (j + 1) % 3], self.tri_coords[f, (j + 2) % 3]
+            p, q = self.tri_coords[f[on], (j[on] + 1) % 3], self.tri_coords[f[on], (j[on] + 2) % 3]
             mid = midpoint(chart, p, q) if midpoint else 0.5 * (p + q)
             fac[on] = self.metric(chart, mid)
             lengths[on] = np.abs(p - q)
-        del edge_chart
+        del f, j, edge_chart
         bad = ~((fac > 0.0) & np.isfinite(fac))
         if bad.any():
             e = int(np.flatnonzero(bad)[0])
             raise DegenerateTriangle(
-                f"non-positive conformal factor {fac[e]} at edge {e}"
+                f"non-positive conformal factor {fac[e]} at edge {orbits.edge_rep[e]}"
             )
         lengths *= np.sqrt(fac, out=fac)
-        self.edge_lengths = lengths
-        tl = lengths[self.tri_edge]  # (F, 3), edge j opposite vertex j
+        tl = lengths[orbits.tri_edge_orbits]  # (orbits, 3), edge j opposite vertex j
         a, b, c = tl[:, 0], tl[:, 1], tl[:, 2]
         sp = 0.5 * (a + b + c)
         h2 = sp * (sp - a) * (sp - b) * (sp - c)
-        self._tri_lengths = tl
-        self.triangle_areas = np.sqrt(np.maximum(h2, 0.0))
-
-    def _validate(self) -> None:
-        tl = self._tri_lengths
-        a, b, c = tl[:, 0], tl[:, 1], tl[:, 2]
+        areas = np.sqrt(np.maximum(h2, 0.0))
         bad = ~((a + b > c) & (b + c > a) & (c + a > b))
         if bad.any():
-            f = int(np.flatnonzero(bad)[0])
+            t = int(np.flatnonzero(bad)[0])
+            f = int(orbits.tri_rep[t])
             raise DegenerateTriangle(
                 f"triangle {f} violates the strict triangle inequality: "
-                f"lengths {tl[f].tolist()} in chart {self.charts[self.tri_chart[f]]}"
+                f"lengths {tl[t].tolist()} in chart {self.charts[self.tri_chart[f]]}"
             )
-        if not (self.triangle_areas > 0.0).all():
+        if not (areas > 0.0).all():
             raise DegenerateTriangle("zero-area triangle")
-        counts = np.zeros(self.E, dtype=np.int64)
-        np.add.at(counts, self.tri_edge.ravel(), 1)
+        self.edge_lengths = orbits.tile_edges(lengths)
+        self._tri_lengths = orbits.tile_triangles(tl)
+        self.triangle_areas = orbits.tile_triangles(areas)
+
+    def _validate(self) -> None:
+        counts = np.bincount(self.tri_edge.ravel(), minlength=self.E)
         if self.closed:
             if not (counts == 2).all():
                 raise DegenerateTriangle("closed mesh has a boundary edge")

@@ -131,6 +131,10 @@ class FiberRecord:
     error: str | None  # "Type: message"; strings cross a process pool
     mesh_seconds: float | None  # mesh_fiber's share of seconds
     vertices: int | None  # None, as mesh_seconds, when mesh_fiber raised
+    # the shares of the pencils' assembly (bundle weight included) and of
+    # their eigensolves; None until one of them has returned
+    assemble_seconds: float | None = None
+    solve_seconds: float | None = None
 
 
 def _solve_fiber(args) -> FiberRecord:
@@ -139,19 +143,29 @@ def _solve_fiber(args) -> FiberRecord:
     family, kind, s, k, params, seed, weighted = args
     t0 = time.perf_counter()
     mesh_seconds = vertices = None
+    stages = {}  # stage -> seconds, summed over the pencils
+
+    def timed(stage, fn):
+        t = time.perf_counter()
+        out = fn()
+        stages[stage] = stages.get(stage, 0.0) + time.perf_counter() - t
+        return out
+
     try:
         mesh = mesh_fiber(family, kind, s, params)
         mesh_seconds, vertices = time.perf_counter() - t0, mesh.V
-        spectrum = solve_smallest(assemble(mesh), k, s=s, seed=seed)
+        problem = timed("assemble", lambda: assemble(mesh))
+        spectrum = timed("solve", lambda: solve_smallest(problem, k, s=s, seed=seed))
         bundle = None
         if weighted:
-            pbw = assemble_weighted(mesh, component_bundle_weight(mesh))
-            bundle = solve_smallest(pbw, k, s=s, seed=seed)
-        return FiberRecord(s, spectrum, bundle, time.perf_counter() - t0, None,
-                           mesh_seconds, vertices)
+            pbw = timed("assemble", lambda: assemble_weighted(mesh, component_bundle_weight(mesh)))
+            bundle = timed("solve", lambda: solve_smallest(pbw, k, s=s, seed=seed))
+        error = None
     except Exception as exc:  # recorded; the caller decides
-        return FiberRecord(s, None, None, time.perf_counter() - t0,
-                           f"{type(exc).__name__}: {exc}", mesh_seconds, vertices)
+        spectrum = bundle = None
+        error = f"{type(exc).__name__}: {exc}"
+    return FiberRecord(s, spectrum, bundle, time.perf_counter() - t0, error, mesh_seconds,
+                       vertices, stages.get("assemble"), stages.get("solve"))
 
 
 def solve_fibers(family: DegenerationFamily, kind: MetricKind, grid, k: int,

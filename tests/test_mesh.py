@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from pinchlab import mesh as mesh_module
+from pinchlab.curvature import curvature_samples
 from pinchlab.errors import ChartOverlapConflict, DegenerateTriangle, PointOffFiber
 from pinchlab.family import (
     INF_POINT,
@@ -19,6 +20,7 @@ from pinchlab.family import (
     three_cycle_family,
     two_sphere_family,
 )
+from pinchlab.laplace import assemble
 from pinchlab.mesh import (
     MeshParams,
     RoundSphereFactor,
@@ -486,6 +488,48 @@ def _reference(fn, *args):
     return _build(_REFERENCE[fn], *args)
 
 
+def _orbit_first(mesh):
+    """Per edge of a ring stack with a band, the least edge id in its orbit
+    under the ring shift (vertex k * n + j to k * n + (j + 1) % n on every
+    ring, fan centers fixed); None for a mesh measured edge by edge: no
+    layout, fewer than three positions, no band, or a cycle of fewer than
+    three rings."""
+    if mesh.rings is None:
+        return None
+    n, R, fans, cycle = mesh.rings
+    if n < 3 or (R if cycle else R - 1) < 1 or (cycle and R < 3):
+        return None
+    # an orbit is (ring of each end, the angular step between them); a fan
+    # center counts as ring R + its index and step 0
+    (ku, ju), (kv, jv) = np.divmod(mesh.edges[:, 0], n), np.divmod(mesh.edges[:, 1], n)
+    step = (jv - ju) % n
+    step = np.where(ku == kv, np.minimum(step, n - step), step)  # (k, n - 1)-(k, 0) too
+    spoke = kv >= R
+    kv[spoke], step[spoke] = R + mesh.edges[spoke, 1] - n * R, 0
+    _, orbit = np.unique((ku * (R + fans) + kv) * n + step, return_inverse=True)
+    first = np.full(orbit.max() + 1, mesh.E)
+    np.minimum.at(first, orbit, np.arange(mesh.E))
+    return first[orbit]
+
+
+def _heron(tri_lengths):
+    a, b, c = tri_lengths[:, 0], tri_lengths[:, 1], tri_lengths[:, 2]
+    sp = 0.5 * (a + b + c)
+    return np.sqrt(np.maximum(sp * (sp - a) * (sp - b) * (sp - c), 0.0))
+
+
+def _orbit_lengths(got, per_edge):
+    """The per-edge lengths of an oracle as ``got`` holds them: on a ring
+    stack each orbit takes the length of its first edge."""
+    first = _orbit_first(got)
+    return per_edge if first is None else per_edge[first]
+
+
+def _assert_bytes(got, expect, name):
+    assert got.dtype == expect.dtype and got.shape == expect.shape, name
+    assert got.tobytes() == expect.tobytes(), name
+
+
 def _assert_same_mesh(got, expect):
     if isinstance(expect, Exception):
         assert (type(got), str(got)) == (type(expect), str(expect))
@@ -493,10 +537,11 @@ def _assert_same_mesh(got, expect):
     assert not isinstance(got, Exception), got
     assert got.V == expect.V
     assert got.charts == expect.charts
-    for name in ("triangles", "tri_chart", "tri_coords", "edge_lengths"):
-        a, b = getattr(got, name), getattr(expect, name)
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes(), name
+    for name in ("triangles", "tri_chart", "tri_coords"):
+        _assert_bytes(getattr(got, name), getattr(expect, name), name)
+    lengths = _orbit_lengths(got, expect.edge_lengths)
+    _assert_bytes(got.edge_lengths, lengths, "edge_lengths")
+    _assert_bytes(got.triangle_areas, _heron(lengths[got.tri_edge]), "triangle_areas")
 
 
 ORACLE_FAMILIES = {
@@ -512,7 +557,10 @@ ORACLE_PARAMS = {"sweep": SWEEP_PARAMS, "default": MeshParams()}
 class TestArrayMesherMatchesLoop:
     """Byte-equal meshes (or the same error) from the run-wise neck march,
     the segment walk and the in-place ring stack as from the sequential
-    reference: rings, bands and fans one at a time."""
+    reference: rings, bands and fans one at a time.  The reference has no
+    layout and measures every edge; the ring stack measures one edge per
+    ring orbit, so each orbit's lengths are the reference's at the
+    orbit's first edge, and the areas Heron's formula on them."""
 
     @pytest.mark.parametrize("params", ORACLE_PARAMS)
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -622,10 +670,13 @@ def _mesh_args(mesh):
 def _assert_same_edges(got):
     expect = _UniqueEdgeMesh(*_mesh_args(got))
     assert got.E == expect.E
-    for name in ("tri_edge", "edges", "_edge_first", "edge_lengths", "triangle_areas"):
-        a, b = getattr(got, name), getattr(expect, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
+    for name in ("tri_edge", "edges", "_edge_first"):
+        _assert_bytes(getattr(got, name), getattr(expect, name), name)
+    lengths = _orbit_lengths(got, expect.edge_lengths)
+    _assert_bytes(got.edge_lengths, lengths, "edge_lengths")
+    _assert_bytes(got.triangle_areas, _heron(lengths[got.tri_edge]), "triangle_areas")
+    if lengths is expect.edge_lengths:
+        _assert_bytes(got.triangle_areas, expect.triangle_areas, "triangle_areas")
 
 
 EDGE_PARAMS = {"sweep": SWEEP_PARAMS, "curvature": CURVATURE_PARAMS}
@@ -639,8 +690,11 @@ def _plane_cycle(R):
 
 
 class TestEdgeTableMatchesUnique:
-    """Byte-equal edge tables, lengths and areas from the stable sort and
-    the per-chart gathers as from np.unique and whole-array gathers."""
+    """Byte-equal edge tables from the closed form of a ring stack and the
+    stable sort as from np.unique, and byte-equal lengths and areas from
+    the per-chart gathers as from whole-array gathers: per edge on a mesh
+    without a layout, at the first edge of each ring orbit, tiled over the
+    orbit, on a ring stack."""
 
     @pytest.mark.parametrize("params", EDGE_PARAMS)
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -696,7 +750,8 @@ class TestEdgeTableMatchesUnique:
         with pytest.raises(DegenerateTriangle, match="boundary edge"):
             _plane_cycle(2)
 
-    def test_failing_factor_names_the_same_edge(self):
+    @staticmethod
+    def _assert_names_the_same_edge(layout):
         # bad on the north fan's spokes and on the first south bands: the
         # lowest bad edge is in the second chart, not in the first
         sphere = RoundSphereFactor()
@@ -706,19 +761,62 @@ class TestEdgeTableMatchesUnique:
             bad = r < 0.04 if chart == ("capN",) else r > 0.9
             return np.where(bad, -sphere(chart, coord), sphere(chart, coord))
 
-        args = list(_mesh_args(unit_sphere_mesh(12, 32)))
+        mesh = unit_sphere_mesh(12, 32)
+        args = list(_mesh_args(mesh))
         args[5] = factor
         with pytest.raises(DegenerateTriangle) as got:
-            TriangleMesh(*args)
+            TriangleMesh(*args, rings=mesh.rings if layout else None)
         with pytest.raises(DegenerateTriangle) as expect:
             _UniqueEdgeMesh(*args)
         assert str(got.value) == str(expect.value)
 
+    def test_failing_factor_names_the_same_edge(self):
+        self._assert_names_the_same_edge(layout=False)
+
+    def test_failing_factor_names_the_same_edge_by_orbit(self):
+        # only orbit representatives are measured: the first bad one is
+        # the lowest bad edge
+        self._assert_names_the_same_edge(layout=True)
+
+
+class TestRingOrbitInvariants:
+    """On a fiber the metric is radial in every chart, so the ring shift
+    maps the mesh onto itself: lengths, areas and curvature samples are
+    exactly constant on each ring orbit, and the lumped mass and the
+    diagonal of K, sums of orbit-constant terms in orbit-dependent order,
+    lie within 1e-15 relative of each ring's position-0 value (3e-15 to
+    1e-14 when every edge was measured on its own)."""
+
+    @staticmethod
+    def _triangle_orbits(mesh, values):
+        # one row per band triangle type, then per fan
+        n, R, fans, cycle = mesh.rings
+        B = R if cycle else R - 1
+        bands = values[:2 * n * B].reshape(B, n, 2).transpose(0, 2, 1).reshape(2 * B, n)
+        return np.concatenate([bands, values[2 * n * B:].reshape(fans, n)])
+
+    @pytest.mark.parametrize("params", EDGE_PARAMS)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family])
+    def test_constant_on_ring_orbits(self, make_family, kind, params):
+        fam, s = make_family(), 1e-3
+        mesh = mesh_fiber(fam, kind, s, EDGE_PARAMS[params])
+        assert (mesh.edge_lengths == mesh.edge_lengths[_orbit_first(mesh)]).all()
+        for values in (mesh.triangle_areas, curvature_samples(fam, kind, s, mesh)):
+            orbits = self._triangle_orbits(mesh, values)
+            assert (orbits == orbits[:, :1]).all()
+        n, R = mesh.rings.n, mesh.rings.rings
+        for values in (mesh.lumped_vertex_mass(), assemble(mesh).stiffness.diagonal()):
+            rings = values[:n * R].reshape(R, n)
+            assert (np.abs(rings - rings[:, :1]) <= 1e-15 * rings[:, :1]).all()
+
 
 class TestMeshBuildMemory:
-    def test_traced_peak_within_one_and_a_half_mesh_sizes(self):
+    def test_traced_peak_within_1_15_mesh_sizes(self):
         # the densest mesh of the curvature rows; at the np.unique edge
-        # table with the ring-stack blocks held the ratio was 2.3
+        # table with the ring-stack blocks held the ratio was 2.3, with
+        # the sorted edge table and per-edge lengths 1.30, and measuring
+        # one edge and triangle per ring orbit 1.08 (bound: that plus 0.07)
         args = (three_cycle_family(), MetricKind.INDUCED, 1e-3, CURVATURE_PARAMS)
         tracemalloc.start()
         try:
@@ -727,4 +825,4 @@ class TestMeshBuildMemory:
         finally:
             tracemalloc.stop()
         held = sum(a.nbytes for a in vars(mesh).values() if isinstance(a, np.ndarray))
-        assert peak <= 1.5 * held, (peak, held)
+        assert peak <= 1.15 * held, (peak, held)

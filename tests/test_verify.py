@@ -67,6 +67,16 @@ def test_fiber_record_times_the_mesh_and_counts_vertices():
     assert failed.mesh_seconds is None and failed.vertices is None
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fiber_record_stage_times_fit_in_its_seconds(workers):
+    records = solve_fibers(two_sphere_family(), MetricKind.INDUCED, [1e-3, 1e-4], 2,
+                           workers=workers, weighted=True)
+    for rec in records:
+        stages = (rec.mesh_seconds, rec.assemble_seconds, rec.solve_seconds)
+        assert rec.error is None and min(stages) >= 0.0
+        assert sum(stages) <= rec.seconds
+
+
 @pytest.mark.parametrize("before", [None, "4"])
 def test_pool_workers_start_with_one_blas_thread(monkeypatch, before):
     # solve_fibers starts its pool workers inside this block

@@ -13,17 +13,15 @@ log steps, with a halving ladder only where the factor changes too fast
 place into preallocated arrays.  Edge lengths are intrinsic: chart chord
 length times the square root of the conformal factor at the chord's
 log-polar midpoint.  A mesh keeps a chart table: the distinct charts,
-and one int64 index into them per triangle.  Edges are numbered in order
-of first incidence.  The metric is radial in every fiber chart, so a
-ring stack is invariant under the ring shift j -> j + 1, and
-``RingOrbits``, its one orbit map, measures it once per orbit: one edge
-per edge orbit and one triangle per triangle orbit get the length, the
-area, the validity checks (and, in ``curvature``, the curvature sample),
-and every member takes its orbit's values; the same map writes the edge
-table by index arithmetic.  Other meshes sort their keys min * V + max
-once (stable) and measure every edge.  Either way the metric is called
-once per chart, on the measured edges whose first incident triangle lies
-in that chart.
+and one int64 index into them per triangle.  The metric is radial in
+every fiber chart, so a ring stack is invariant under the ring shift
+j -> j + 1.  ``RingOrbits``, its one orbit map, numbers its edges by
+orbit, n consecutive ids each, and measures it once per orbit: one edge
+and one triangle per orbit get the length, the area, the checks (and,
+in ``curvature``, the curvature sample), and every member takes its
+orbit's values.  Other meshes sort their keys min * V + max once
+(stable), number edges in order of first incidence and measure each.
+Either way the metric is called once per chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
 meshes used to pin down conventions.
@@ -130,50 +128,11 @@ class RingLayout(NamedTuple):
     cycle: bool
 
 
-#: The corners of one position j of a ring-stack block, as (edge type,
-#: shift): the edge opposite corner c is member j + shift of its type.  A
-#: band's two triangles have types 0 diagonal, 1 radial, 2 lower ring and
-#: 3 upper ring; a fan's one triangle has its ring and type 4, the spokes.
-_BAND_CORNERS = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 0), (1, 1))
-_FAN_CORNERS = (((2, 0), (4, 0), (4, 1)), ((3, 0), (4, 1), (4, 0)))
-
-
-class _Block(NamedTuple):
-    """The edges that one kind of block owns, numbered in order of first
-    incidence in the block: ``local`` (n, corners) at each owned corner,
-    ``first`` the flat corner j * corners + c of each edge's first
-    incidence, ``lanes`` each edge's orbit among the block's, ``orbit``
-    (1, corners) each owned corner's orbit, ``rep`` each orbit's first
-    edge."""
-
-    corners: int
-    local: np.ndarray
-    first: np.ndarray
-    lanes: np.ndarray
-    orbit: np.ndarray
-    rep: np.ndarray
-
-
-def _block(n: int, corners: Sequence[tuple[int, int]], owned: set[int]) -> _Block:
-    m, i = len(corners), np.arange(n)
-    types = list(dict.fromkeys(t for t, _ in corners if t in owned))
-    # member i of a type first occurs at the least flat corner j * m + c
-    # among the type's corners c, where j + shift = i (mod n)
-    first = np.full((len(types), n), n * m)
-    for c, (t, shift) in enumerate(corners):
-        if t in owned:
-            row = first[types.index(t)]
-            np.minimum(row, (i - shift) % n * m + c, out=row)
-    order = np.argsort(first, axis=None)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    rank = rank.reshape(first.shape)
-    local, orbit = np.zeros((n, m), dtype=np.int64), np.zeros((1, m), dtype=np.int64)
-    for c, (t, shift) in enumerate(corners):
-        if t in owned:
-            orbit[0, c] = types.index(t)
-            local[:, c] = rank[orbit[0, c], (i + shift) % n]
-    return _Block(m, local, first.ravel()[order], order // n, orbit, rank.min(axis=1))
+#: Per corner of a band's two triangles and of each fan's triangle, the
+#: shift of the edge opposite it: at position j it is member (j + shift) % n
+#: of its orbit.
+_BAND_SHIFTS = np.array([[0, 0, 0], [0, 0, 1]])
+_FAN_SHIFTS = np.array([[0, 0, 1], [0, 1, 0]])
 
 
 class RingOrbits:
@@ -181,95 +140,77 @@ class RingOrbits:
     shift j -> j + 1, which maps the layout onto itself, and, under a
     radial metric, each triangle and edge onto one of the same lengths.
 
-    The stack is a run of blocks, each band and then each fan, whose n
-    positions repeat the same corners (``_BAND_CORNERS``,
-    ``_FAN_CORNERS``).  A triangle orbit is one triangle of a block's
-    position, represented by its position-0 member.  An edge orbit is one
-    edge type of the block where it first occurs, represented by its first
-    edge in the numbering and measured in that block's chart.  A radial
-    edge or spoke first occurs at two corners of a block (member 0 at
-    position 0, member j + 1 at position j), but its orbit has one
-    representative.  Orbits are numbered in the order of their
-    representatives, ``tri_rep`` (triangles) and ``edge_rep`` (edge ids);
+    A triangle orbit is one triangle type of a band, or a fan; its
+    representative (``tri_rep``) is its position-0 member.  An edge orbit
+    is a row of n ids, member j at row * n + j: the ring edges
+    (k n + j, k n + j + 1) of each ring k, then per band from lower ring
+    L to upper ring U the diagonals (L_{j+1}, U_j) and the radial edges
+    (L_j, U_j), then the spokes (center, ring vertex j) of each fan.  It
+    is measured at its first corner f * 3 + c in triangle order
+    (``edge_corner``): ring 0 at band 0, triangle 0, corner 2; ring k > 0
+    at band k - 1, triangle 1, corner 0; a diagonal or radial edge at its
+    band's triangle 0, corner 0 or 1; a spoke at its fan's corner 1.
     ``tri_edge_orbits`` holds the edge orbit at each corner of each
-    triangle orbit.  Edges are numbered in order of first incidence, block by
-    block, so blocks of one kind number theirs alike, and ``tri_edge``
-    and ``edge_first`` write the edge table by index arithmetic.
+    triangle orbit.
     """
 
     def __init__(self, layout: RingLayout):
         n, R, fans, cycle = self.layout = layout
-        self.bands = R if cycle else R - 1
-        # band 0 owns both its rings, a later band its upper ring, the last
-        # band of a cycle neither; a fan owns its spokes
-        band = [_block(n, _BAND_CORNERS, owned) for owned in ({0, 1, 2, 3}, {0, 1, 3}, {0, 1})]
-        kinds = [(band[0], 1), (band[1], self.bands - 1 - cycle), (band[2], int(cycle))]
-        kinds += [(_block(n, _FAN_CORNERS[f], {4}), 1) for f in range(fans)]
-        # (block, count, first edge, first edge orbit, corners per position before)
-        self.runs = []
-        e = o = c = 0
-        for block, count in kinds:
-            if count:
-                self.runs.append((block, count, e, o, c))
-                e, o = e + count * block.first.size, o + count * block.rep.size
-                c += count * block.corners
-        self.E, self.F, self.corners = e, n * c // 3, c
-        self.tri_rep = np.concatenate([
-            ((n * (c // 3) + n * (b.corners // 3) * np.arange(k))[:, None]
-             + np.arange(b.corners // 3)).ravel() for b, k, e, o, c in self.runs])
-        self.edge_rep = np.concatenate([
-            ((e + b.first.size * np.arange(k))[:, None] + b.rep).ravel() for b, k, e, o, c in self.runs])
-        self.tri_edge_orbits = self._corners(orbits=True)
+        B = self.bands = R if cycle else R - 1
+        self.F = n * (2 * B + fans)
+        band, diag = np.arange(B), R + 2 * np.arange(B)
+        spokes = R + 2 * B + np.arange(fans)
+        self.tri_edge_orbits = np.concatenate([
+            np.stack([diag, diag + 1, band, (band + 1) % R, diag, diag + 1], 1).reshape(-1, 3),
+            np.stack([np.array([0, R - 1])[:fans], spokes, spokes], axis=1)])
+        self.tri_rep = np.concatenate([(2 * n * band[:, None] + [0, 1]).ravel(),
+                                       n * (2 * B + np.arange(fans))])
+        t = 3 * self.tri_rep
+        self.edge_corner = np.concatenate([t[:1] + 2, t[1:2 * R - 1:2],
+                                           (t[:2 * B:2, None] + [0, 1]).ravel(), t[2 * B:] + 1])
 
-    def _corners(self, orbits: bool) -> np.ndarray:
-        """Per corner of every triangle, its edge id, or with ``orbits``
-        per corner of every triangle orbit, its edge orbit.  Each block
-        writes the corners it owns; the others copy from the owner."""
-        n = 1 if orbits else self.layout.n
-        out = np.empty(n * self.corners, dtype=np.int64)
-        for b, k, e, o, c in self.runs:
-            base, step, local = (o, b.rep.size, b.orbit) if orbits else (e, b.first.size, b.local)
-            np.add((base + step * np.arange(k))[:, None, None], local,
-                   out=out[n * c:n * (c + k * b.corners)].reshape(k, n, b.corners))
-        bands = out[:6 * n * self.bands].reshape(self.bands, n, 6)
-        bands[1:, :, 2] = bands[:-1, :, 3]  # the band below's upper ring
-        if self.layout.cycle:
-            bands[-1, :, 3] = bands[0, :, 2]
-        rings = (bands[0, :, 2], bands[-1, :, 3])
-        for fan, ring in zip(out[6 * n * self.bands:].reshape(-1, n, 3), rings):
-            fan[:, 0] = ring
-        return out.reshape(-1, 3)
+    def _positions(self, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """A per-triangle array (n = the layout's n) or a per-triangle-orbit
+        array (n = 1) as its bands, (B, n, 2, ...), and its fans, (fans, n, ...)."""
+        rest, cut = a.shape[1:], 2 * n * self.bands
+        return a[:cut].reshape(self.bands, n, 2, *rest), a[cut:].reshape(-1, n, *rest)
 
     def tri_edge(self) -> np.ndarray:
         """The edge id at every corner, (F, 3)."""
-        return self._corners(orbits=False)
-
-    def edge_first(self, turn: int = 0) -> np.ndarray:
-        """Per edge, the flat corner f * 3 + (j + turn) % 3 of its first
-        incidence (f, j): its own corner, or with turn 1 and 2 its ends."""
-        n, out = self.layout.n, np.empty(self.E, dtype=np.int64)
-        for b, k, e, o, c in self.runs:
-            start = n * (c + b.corners * np.arange(k))
-            first = b.first + (b.first + turn) % 3 - b.first % 3
-            out[e:e + k * b.first.size].reshape(k, -1)[:] = start[:, None] + first
+        n, fans = self.layout.n, self.layout.fans
+        j, out = np.arange(n), np.empty((self.F, 3), dtype=np.int64)
+        rows = self._positions(n * self.tri_edge_orbits, 1)
+        member = (j[:, None, None] + _BAND_SHIFTS) % n, (j[:, None] + _FAN_SHIFTS[:fans, None]) % n
+        for part, row, m in zip(self._positions(out, n), rows, member):
+            np.add(row, m, out=part)
         return out
+
+    def edges(self) -> np.ndarray:
+        """The vertex pair (min, max) of every edge, (E, 2)."""
+        n, R, fans, cycle = self.layout
+        B, j = self.bands, np.arange(n)
+        out = np.empty((R + 2 * B + fans, n, 2), dtype=np.int64)
+        np.add(n * np.arange(R)[:, None, None], np.sort([j, (j + 1) % n], axis=0).T, out=out[:R])
+        # per band (L, U): the diagonals (L_{j+1}, U_j), then the radial edges (L_j, U_j)
+        bands = out[R:R + 2 * B].reshape(B, 2, n, 2)
+        np.add(n * np.arange(B)[:, None, None], [(j + 1) % n, j], out=bands[..., 0])
+        np.add(n * (np.arange(1, B + 1) % R)[:, None, None], j, out=bands[..., 1])
+        if cycle:  # the last band's upper ring is ring 0
+            bands[-1] = bands[-1, ..., ::-1].copy()
+        spokes = out[R + 2 * B:]
+        np.add(n * np.array([0, R - 1])[:fans, None], j, out=spokes[..., 0])
+        spokes[..., 1] = n * R + np.arange(fans)[:, None]
+        return out.reshape(-1, 2)
 
     def tile_edges(self, values: np.ndarray) -> np.ndarray:
         """Per edge, the value of its orbit."""
-        out = np.empty(self.E, dtype=values.dtype)
-        for b, k, e, o, c in self.runs:
-            per = values[o:o + k * b.rep.size].reshape(k, -1)
-            out[e:e + k * b.first.size].reshape(k, -1)[:] = per[:, b.lanes]
-        return out
+        return np.repeat(values, self.layout.n)
 
     def tile_triangles(self, values: np.ndarray) -> np.ndarray:
         """Per triangle, the row of its orbit."""
-        n, rest = self.layout.n, values.shape[1:]
-        out = np.empty((self.F,) + rest, dtype=values.dtype)
-        for b, k, e, o, c in self.runs:
-            t, per = c // 3, b.corners // 3
-            out[n * t:n * (t + k * per)].reshape(k, n, per, *rest)[:] = \
-                values[t:t + k * per].reshape(k, 1, per, *rest)
+        out = np.empty((self.F,) + values.shape[1:], dtype=values.dtype)
+        for part, per in zip(self._positions(out, self.layout.n), self._positions(values, 1)):
+            part[:] = per
         return out
 
     @classmethod
@@ -286,10 +227,12 @@ class RingOrbits:
 
 
 class _Singletons:
-    """Every triangle and every edge its own orbit (no ring layout)."""
+    """Every triangle and every edge its own orbit (no ring layout), each
+    edge measured at ``edge_corner``, the flat corner of its first
+    incidence."""
 
-    def __init__(self, tri_edge: np.ndarray, E: int):
-        self.tri_rep, self.edge_rep = np.arange(len(tri_edge)), np.arange(E)
+    def __init__(self, tri_edge: np.ndarray, edge_corner: np.ndarray):
+        self.tri_rep, self.edge_corner = np.arange(len(tri_edge)), edge_corner
         self.tri_edge_orbits = tri_edge
 
     @staticmethod
@@ -306,14 +249,13 @@ class TriangleMesh:
     (``charts`` in order of first use, ``tri_chart`` read-only int64) and
     ``tri_coords[f]`` holds the three vertex coordinates there, so charts
     may disagree about a shared vertex (seams, wraparound) without any
-    global embedding.  Edges are numbered in order of first incidence
-    (triangle f, then corner j; edge j of a triangle is opposite vertex
-    j).  ``orbits`` holds the mesh's rotation orbits: a ``RingOrbits``
-    from ``rings``, the layout of ``_ring_stack``, which also writes the
-    edge table by index arithmetic; otherwise every triangle and edge is
-    its own orbit and the edge table comes from one stable sort of the
-    edge keys.  Each edge orbit's representative gets one canonical
-    intrinsic length, evaluated in the chart of its first incident
+    global embedding.  Edge j of a triangle is opposite vertex j.
+    ``orbits`` holds the mesh's rotation orbits: a ``RingOrbits`` from
+    ``rings``, the layout of ``_ring_stack``, which numbers the edges by
+    orbit; otherwise every triangle and edge is its own orbit, and one
+    stable sort of the edge keys numbers the edges in order of first
+    incidence (triangle f, then corner j).  Each edge orbit's
+    representative gets one intrinsic length, in the chart of its
     triangle, with one metric call per chart; the representatives of the
     triangle orbits get Heron's area and the validity checks, and every
     member takes its orbit's values.
@@ -355,28 +297,22 @@ class TriangleMesh:
     def _build_edges(self) -> None:
         self.orbits = RingOrbits.of(self.rings)
         if self.orbits is not None:
-            self.tri_edge, self._edge_first = self.orbits.tri_edge(), self.orbits.edge_first()
-            self.E = self._edge_first.size
-            u, v = (self.triangles.ravel()[self.orbits.edge_first(turn)] for turn in (1, 2))
+            self.tri_edge, self.edges = self.orbits.tri_edge(), self.orbits.edges()
         else:
             # first[p]: the flat (f, j) index f * 3 + j of the first
             # incidence of the edge at flat position p; an edge is new where
             # first[p] == p
             first = self._sorted_first()
             new = first == np.arange(first.size)
-            self._edge_first = np.flatnonzero(new)
-            self.E = self._edge_first.size
+            edge_first = np.flatnonzero(new)
             rank = np.cumsum(new)
             rank -= 1
             self.tri_edge = rank[first].reshape(self.F, 3)
             del first, rank
-            self.orbits = _Singletons(self.tri_edge, self.E)
-            f, j = np.divmod(self._edge_first, 3)
-            u, v = self.triangles[f, (j + 1) % 3], self.triangles[f, (j + 2) % 3]
-            del f, j
-        self.edges = np.empty((self.E, 2), dtype=np.int64)
-        np.minimum(u, v, out=self.edges[:, 0])
-        np.maximum(u, v, out=self.edges[:, 1])
+            self.orbits = _Singletons(self.tri_edge, edge_first)
+            f, j = np.divmod(edge_first, 3)
+            self.edges = np.sort(self.triangles[f[:, None], (j[:, None] + [1, 2]) % 3], axis=1)
+        self.E = len(self.edges)
 
     def _sorted_first(self) -> np.ndarray:
         tri, V = self.triangles, self.V
@@ -401,7 +337,7 @@ class TriangleMesh:
     def _compute_lengths(self) -> None:
         """Measure the orbit representatives, check them, tile the orbits."""
         orbits, midpoint = self.orbits, getattr(self.metric, "edge_midpoint", None)
-        f, j = np.divmod(self._edge_first[orbits.edge_rep], 3)
+        f, j = np.divmod(orbits.edge_corner, 3)
         edge_chart = self.tri_chart[f]
         fac, lengths = np.empty(f.size), np.empty(f.size)
         for c, chart in enumerate(self.charts):
@@ -410,13 +346,15 @@ class TriangleMesh:
             mid = midpoint(chart, p, q) if midpoint else 0.5 * (p + q)
             fac[on] = self.metric(chart, mid)
             lengths[on] = np.abs(p - q)
-        del f, j, edge_chart
         bad = ~((fac > 0.0) & np.isfinite(fac))
         if bad.any():
             e = int(np.flatnonzero(bad)[0])
+            u, v = sorted(self.triangles[f[e], [(j[e] + 1) % 3, (j[e] + 2) % 3]].tolist())
             raise DegenerateTriangle(
-                f"non-positive conformal factor {fac[e]} at edge {orbits.edge_rep[e]}"
+                f"non-positive conformal factor {fac[e]} at edge ({u}, {v}) "
+                f"in chart {self.charts[edge_chart[e]]}"
             )
+        del f, j, edge_chart
         lengths *= np.sqrt(fac, out=fac)
         tl = lengths[orbits.tri_edge_orbits]  # (orbits, 3), edge j opposite vertex j
         a, b, c = tl[:, 0], tl[:, 1], tl[:, 2]
@@ -438,7 +376,9 @@ class TriangleMesh:
         self.triangle_areas = orbits.tile_triangles(areas)
 
     def _validate(self) -> None:
-        counts = np.bincount(self.tri_edge.ravel(), minlength=self.E)
+        # per edge orbit: each corner of a triangle orbit meets each member once
+        orbits = self.orbits
+        counts = np.bincount(orbits.tri_edge_orbits.ravel(), minlength=len(orbits.edge_corner))
         if self.closed:
             if not (counts == 2).all():
                 raise DegenerateTriangle("closed mesh has a boundary edge")
@@ -462,17 +402,12 @@ class TriangleMesh:
         return self._tri_lengths
 
     def min_angle_deg(self) -> float:
-        """Smallest intrinsic corner angle, via the law of cosines."""
-        tl = self._tri_lengths
-        worst = 180.0
-        for j in range(3):
-            opp = tl[:, j]
-            l1 = tl[:, (j + 1) % 3]
-            l2 = tl[:, (j + 2) % 3]
-            cosang = (l1 ** 2 + l2 ** 2 - opp ** 2) / (2.0 * l1 * l2)
-            ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-            worst = min(worst, float(ang.min()))
-        return worst
+        """Smallest intrinsic corner angle, via the law of cosines, on one
+        triangle per orbit."""
+        tl = self._tri_lengths[self.orbits.tri_rep]
+        l1, l2 = tl[:, [1, 2, 0]], tl[:, [2, 0, 1]]
+        cosang = (l1 ** 2 + l2 ** 2 - tl ** 2) / (2.0 * l1 * l2)
+        return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).min())
 
     def vertex_chart_index(self) -> tuple[tuple[tuple, ...], np.ndarray, np.ndarray]:
         """The chart table, each vertex's index into it and its coordinate
@@ -494,8 +429,10 @@ class TriangleMesh:
     def refine(self) -> "TriangleMesh":
         """Uniform 1-to-4 midpoint subdivision.
 
-        New vertices at edge midpoints (one per edge, shared across
-        charts); lengths are re-evaluated from the metric.
+        New vertices at edge midpoints (vertex V + e on edge e, shared
+        across charts); lengths are re-evaluated from the metric.  No
+        verify row refines; it stays for refinement convergence, whose
+        meshes have no layout and take the generic path.
         """
         midpoint = getattr(self.metric, "edge_midpoint", None)
         p = self.tri_coords
@@ -767,7 +704,8 @@ class _UnionMetric:
 
 
 def disjoint_union(meshes: Sequence[TriangleMesh]) -> TriangleMesh:
-    """Disjoint union of meshes (models nodal fibers at s = 0)."""
+    """Disjoint union of meshes, the nodal model at s = 0.  No verify row
+    builds one; it stays as the generic path's input for the nodal limit."""
     tris, charts, tri_chart = [], [], []
     offset = 0
     for i, m in enumerate(meshes):

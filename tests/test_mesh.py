@@ -150,7 +150,11 @@ class TestEdges:
                 assert tuple(mesh.edges[mesh.tri_edge[f, j]]) == (min(u, v), max(u, v))
 
     def test_edge_ids_in_order_of_first_incidence(self, mesh, first_incidence):
-        assert list(first_incidence) == list(range(mesh.E))
+        # by key: the edges in order of first incidence are the oracle's,
+        # which numbers them in that order
+        expect = _UniqueEdgeMesh(*_mesh_args(mesh))
+        assert sorted(first_incidence) == list(range(mesh.E))
+        _assert_bytes(_keys(mesh)[list(first_incidence)], _keys(expect), "edge keys")
 
     def test_length_from_first_triangle_chart(self, mesh, first_incidence):
         fam = two_sphere_family()
@@ -488,28 +492,43 @@ def _reference(fn, *args):
     return _build(_REFERENCE[fn], *args)
 
 
-def _orbit_first(mesh):
-    """Per edge of a ring stack with a band, the least edge id in its orbit
+def _orbit_first(edges, layout):
+    """Per edge of a ring stack with a band (its sorted vertex pairs
+    ``edges``, in any order), the least index into ``edges`` in its orbit
     under the ring shift (vertex k * n + j to k * n + (j + 1) % n on every
     ring, fan centers fixed); None for a mesh measured edge by edge: no
     layout, fewer than three positions, no band, or a cycle of fewer than
     three rings."""
-    if mesh.rings is None:
+    if layout is None:
         return None
-    n, R, fans, cycle = mesh.rings
+    n, R, fans, cycle = layout
     if n < 3 or (R if cycle else R - 1) < 1 or (cycle and R < 3):
         return None
     # an orbit is (ring of each end, the angular step between them); a fan
     # center counts as ring R + its index and step 0
-    (ku, ju), (kv, jv) = np.divmod(mesh.edges[:, 0], n), np.divmod(mesh.edges[:, 1], n)
+    (ku, ju), (kv, jv) = np.divmod(edges[:, 0], n), np.divmod(edges[:, 1], n)
     step = (jv - ju) % n
     step = np.where(ku == kv, np.minimum(step, n - step), step)  # (k, n - 1)-(k, 0) too
     spoke = kv >= R
-    kv[spoke], step[spoke] = R + mesh.edges[spoke, 1] - n * R, 0
+    kv[spoke], step[spoke] = R + edges[spoke, 1] - n * R, 0
     _, orbit = np.unique((ku * (R + fans) + kv) * n + step, return_inverse=True)
-    first = np.full(orbit.max() + 1, mesh.E)
-    np.minimum.at(first, orbit, np.arange(mesh.E))
+    first = np.full(orbit.max() + 1, len(edges))
+    np.minimum.at(first, orbit, np.arange(len(edges)))
     return first[orbit]
+
+
+def _keys(mesh):
+    """Per edge, its key min * V + max."""
+    return mesh.edges[:, 0] * mesh.V + mesh.edges[:, 1]
+
+
+def _by_key(got, expect):
+    """Per edge of ``got``, the id that ``expect`` gives the edge of the
+    same key; both must hold the same keys."""
+    got_keys, expect_keys = _keys(got), _keys(expect)
+    order = np.argsort(expect_keys)
+    _assert_bytes(np.sort(got_keys), expect_keys[order], "edge keys")
+    return order[np.searchsorted(expect_keys, got_keys, sorter=order)]
 
 
 def _heron(tri_lengths):
@@ -518,11 +537,17 @@ def _heron(tri_lengths):
     return np.sqrt(np.maximum(sp * (sp - a) * (sp - b) * (sp - c), 0.0))
 
 
-def _orbit_lengths(got, per_edge):
-    """The per-edge lengths of an oracle as ``got`` holds them: on a ring
-    stack each orbit takes the length of its first edge."""
-    first = _orbit_first(got)
-    return per_edge if first is None else per_edge[first]
+def _oracle_lengths(got, expect):
+    """The per-edge lengths of an oracle ``expect``, which numbers edges in
+    order of first incidence and measures each, as ``got`` holds them: by
+    key, and on a ring stack each orbit at its representative, the member
+    whose first incidence comes first.  A mesh measured edge by edge must
+    number its edges as the oracle does."""
+    at, first = _by_key(got, expect), _orbit_first(expect.edges, got.rings)
+    if first is None:
+        _assert_bytes(at, np.arange(expect.E), "edge ids")
+        return expect.edge_lengths
+    return expect.edge_lengths[first][at]
 
 
 def _assert_bytes(got, expect, name):
@@ -539,7 +564,8 @@ def _assert_same_mesh(got, expect):
     assert got.charts == expect.charts
     for name in ("triangles", "tri_chart", "tri_coords"):
         _assert_bytes(getattr(got, name), getattr(expect, name), name)
-    lengths = _orbit_lengths(got, expect.edge_lengths)
+    lengths = _oracle_lengths(got, expect)
+    _assert_bytes(_keys(got)[got.tri_edge], _keys(expect)[expect.tri_edge], "tri_edge keys")
     _assert_bytes(got.edge_lengths, lengths, "edge_lengths")
     _assert_bytes(got.triangle_areas, _heron(lengths[got.tri_edge]), "triangle_areas")
 
@@ -558,9 +584,11 @@ class TestArrayMesherMatchesLoop:
     """Byte-equal meshes (or the same error) from the run-wise neck march,
     the segment walk and the in-place ring stack as from the sequential
     reference: rings, bands and fans one at a time.  The reference has no
-    layout and measures every edge; the ring stack measures one edge per
-    ring orbit, so each orbit's lengths are the reference's at the
-    orbit's first edge, and the areas Heron's formula on them."""
+    layout, numbers its edges in order of first incidence and measures
+    every edge; the ring stack numbers them by orbit and measures one edge
+    per ring orbit, so edges are compared by key, each orbit's lengths are
+    the reference's at the orbit's first incidence, and the areas Heron's
+    formula on them."""
 
     @pytest.mark.parametrize("params", ORACLE_PARAMS)
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -638,6 +666,7 @@ class _UniqueEdgeMesh(TriangleMesh):
         self.tri_edge = rank[inverse].reshape(self.F, 3)
         self._edge_first = first[order]
         self.edges = np.stack([lo[self._edge_first], hi[self._edge_first]], axis=1)
+        self.orbits = mesh_module._Singletons(self.tri_edge, self._edge_first)  # for _validate
 
     def _compute_lengths(self):
         midpoint = getattr(self.metric, "edge_midpoint", None)
@@ -652,7 +681,9 @@ class _UniqueEdgeMesh(TriangleMesh):
         bad = ~((fac > 0.0) & np.isfinite(fac))
         if bad.any():
             e = int(np.flatnonzero(bad)[0])
-            raise DegenerateTriangle(f"non-positive conformal factor {fac[e]} at edge {e}")
+            u, v = self.edges[e]
+            raise DegenerateTriangle(f"non-positive conformal factor {fac[e]} at edge "
+                                     f"({u}, {v}) in chart {self.charts[self.tri_chart[f[e]]]}")
         lengths = np.abs(p - q) * np.sqrt(fac)
         self.edge_lengths = lengths
         tl = lengths[self.tri_edge]
@@ -670,13 +701,15 @@ def _mesh_args(mesh):
 def _assert_same_edges(got):
     expect = _UniqueEdgeMesh(*_mesh_args(got))
     assert got.E == expect.E
-    for name in ("tri_edge", "edges", "_edge_first"):
-        _assert_bytes(getattr(got, name), getattr(expect, name), name)
-    lengths = _orbit_lengths(got, expect.edge_lengths)
+    lengths = _oracle_lengths(got, expect)
+    _assert_bytes(_keys(got)[got.tri_edge], _keys(expect)[expect.tri_edge], "tri_edge keys")
+    if lengths is expect.edge_lengths:  # no layout: the oracle's ids
+        for name in ("tri_edge", "edges"):
+            _assert_bytes(getattr(got, name), getattr(expect, name), name)
+        _assert_bytes(got.orbits.edge_corner, expect._edge_first, "edge_corner")
+        _assert_bytes(got.triangle_areas, expect.triangle_areas, "triangle_areas")
     _assert_bytes(got.edge_lengths, lengths, "edge_lengths")
     _assert_bytes(got.triangle_areas, _heron(lengths[got.tri_edge]), "triangle_areas")
-    if lengths is expect.edge_lengths:
-        _assert_bytes(got.triangle_areas, expect.triangle_areas, "triangle_areas")
 
 
 EDGE_PARAMS = {"sweep": SWEEP_PARAMS, "curvature": CURVATURE_PARAMS}
@@ -690,11 +723,11 @@ def _plane_cycle(R):
 
 
 class TestEdgeTableMatchesUnique:
-    """Byte-equal edge tables from the closed form of a ring stack and the
-    stable sort as from np.unique, and byte-equal lengths and areas from
-    the per-chart gathers as from whole-array gathers: per edge on a mesh
-    without a layout, at the first edge of each ring orbit, tiled over the
-    orbit, on a ring stack."""
+    """Byte-equal edge tables from the closed form of a ring stack (by key)
+    and the stable sort (by id) as from np.unique, and byte-equal lengths
+    and areas from the per-chart gathers as from whole-array gathers: per
+    edge on a mesh without a layout, at the first incidence of each ring
+    orbit, tiled over the orbit, on a ring stack."""
 
     @pytest.mark.parametrize("params", EDGE_PARAMS)
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -706,9 +739,14 @@ class TestEdgeTableMatchesUnique:
     @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family])
     def test_refine(self, make_family):
         m = mesh_fiber(make_family(), MetricKind.HYPERBOLIC_MODEL, 1e-6, SWEEP_PARAMS)
-        fine = m.refine()
+        fine, oracle = m.refine(), _UniqueEdgeMesh(*_mesh_args(m))
         _assert_same_edges(fine)
-        assert fine.triangles.tobytes() == _UniqueEdgeMesh(*_mesh_args(m)).refine().triangles.tobytes()
+        expect = oracle.refine()
+        # the midpoint of edge e is vertex V + e: read it by key
+        vertex = np.concatenate([np.arange(m.V), m.V + _by_key(m, oracle)])
+        _assert_bytes(vertex[fine.triangles], expect.triangles, "triangles")
+        for name in ("tri_chart", "tri_coords"):
+            _assert_bytes(getattr(fine, name), getattr(expect, name), name)
 
     def test_disjoint_union(self):
         parts = [mesh_fiber(two_sphere_family(), MetricKind.INDUCED, 1e-4),
@@ -774,8 +812,8 @@ class TestEdgeTableMatchesUnique:
         self._assert_names_the_same_edge(layout=False)
 
     def test_failing_factor_names_the_same_edge_by_orbit(self):
-        # only orbit representatives are measured: the first bad one is
-        # the lowest bad edge
+        # only orbit representatives are measured, in orbit order: the
+        # first bad one is here the first bad edge in triangle order
         self._assert_names_the_same_edge(layout=True)
 
 
@@ -801,7 +839,7 @@ class TestRingOrbitInvariants:
     def test_constant_on_ring_orbits(self, make_family, kind, params):
         fam, s = make_family(), 1e-3
         mesh = mesh_fiber(fam, kind, s, EDGE_PARAMS[params])
-        assert (mesh.edge_lengths == mesh.edge_lengths[_orbit_first(mesh)]).all()
+        assert (mesh.edge_lengths == mesh.edge_lengths[_orbit_first(mesh.edges, mesh.rings)]).all()
         for values in (mesh.triangle_areas, curvature_samples(fam, kind, s, mesh)):
             orbits = self._triangle_orbits(mesh, values)
             assert (orbits == orbits[:, :1]).all()
@@ -809,6 +847,35 @@ class TestRingOrbitInvariants:
         for values in (mesh.lumped_vertex_mass(), assemble(mesh).stiffness.diagonal()):
             rings = values[:n * R].reshape(R, n)
             assert (np.abs(rings - rings[:, :1]) <= 1e-15 * rings[:, :1]).all()
+
+    @pytest.mark.parametrize("params", EDGE_PARAMS)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family])
+    def test_edge_ids_by_orbit(self, make_family, kind, params):
+        # ids row * n .. row * n + n - 1 are one orbit, member j the ring
+        # shift by j of member 0
+        for s in (1e-3, 1e-9):
+            mesh = mesh_fiber(make_family(), kind, s, EDGE_PARAMS[params])
+            n, R = mesh.rings.n, mesh.rings.rings
+            ids = np.arange(mesh.E)
+            first = ids - ids % n
+            _assert_bytes(_orbit_first(mesh.edges, mesh.rings), first, "orbit blocks")
+            ring, j = np.divmod(mesh.edges[first], n)  # fan centers: ring >= R, fixed
+            shifted = np.where(ring < R, ring * n + (j + ids[:, None] % n) % n, mesh.edges[first])
+            _assert_bytes(np.sort(shifted, axis=1), mesh.edges, "ring shifts")
+
+    @pytest.mark.parametrize("params", EDGE_PARAMS)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("make_family", [two_sphere_family, three_cycle_family])
+    def test_min_angle_by_orbit(self, make_family, kind, params):
+        for s in (1e-3, 1e-9):
+            mesh = mesh_fiber(make_family(), kind, s, EDGE_PARAMS[params])
+            tl, worst = mesh.triangle_lengths(), 180.0
+            for j in range(3):
+                opp, l1, l2 = tl[:, j], tl[:, (j + 1) % 3], tl[:, (j + 2) % 3]
+                cosang = (l1 ** 2 + l2 ** 2 - opp ** 2) / (2.0 * l1 * l2)
+                worst = min(worst, float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).min()))
+            assert mesh.min_angle_deg() == worst
 
 
 class TestMeshBuildMemory:

@@ -3,8 +3,16 @@
 Assembles the intrinsic Dirichlet form from per-triangle edge lengths
 (law of cosines, no embedding needed), a lumped mass matrix, and solves
 the generalized pencil for the smallest eigenvalues by shift-invert
-Lanczos at a spectrum-scaled shift from a deterministic start vector,
-checked by residuals and an inertia count.
+Lanczos at a spectrum-scaled shift from seeded start and restart vectors,
+checked by residuals and an inertia count.  ARPACK's B-product is the
+mass diagonal times the vector.
+
+The solve makes no call into numpy's BLAS.  numpy and scipy each load
+their own OpenBLAS, and ARPACK runs on scipy's; a threaded numpy call
+(OpenBLAS threads ``ddot`` above 10 000 entries) leaves numpy's worker
+spinning, and it takes a core from the ARPACK solves that follow.  So
+the residuals are sparse products and ``einsum`` sums over blocks of
+columns.
 
 A pencil assembled on a ring stack (every fiber, the round sphere, the
 annulus) carries the mesh's ``RingLayout``.  Its K and M commute with the
@@ -239,11 +247,11 @@ def solve_smallest(
 ) -> Spectrum:
     """k smallest eigenpairs of K u = lambda M u.
 
-    Shift-invert Lanczos (ARPACK ``eigsh``) at sigma = -0.01 * 2 pi / sum(M),
-    a hundredth of the Weyl spacing of the Hodge-Kodaira spectrum below
-    zero: the shift sits at the scale of the wanted eigenvalues whatever
-    the mesh resolution, and sigma * sum(M) is invariant under scaling the
-    metric.  K - sigma M is positive definite; it is factored once, by
+    Shift-invert Lanczos (ARPACK ``eigsh``, B-product ``mass * x``) at
+    sigma = -0.01 * 2 pi / sum(M), a hundredth of the Weyl spacing of the
+    Hodge-Kodaira spectrum below zero: the shift sits at the scale of the
+    wanted eigenvalues whatever the mesh resolution, and sigma * sum(M) is
+    invariant under scaling the metric.  K - sigma M is positive definite; it is factored once, by
     ring-Fourier blocks where ``problem.rings`` holds and as a banded
     Cholesky in Cuthill-McKee order otherwise, and every rung applies that
     factor.  The Lanczos basis holds ``max(3 k // 2 + 1, 40)``
@@ -261,6 +269,10 @@ def solve_smallest(
        pairs from the next seeded start vector, truncated to the k lowest,
        so that the window edge moves away from a cluster it may cut.
 
+    The random vectors ARPACK asks for on a restart come from a generator
+    spawned from ``seed`` as well, so a rerun gives the same bits.  The
+    residual check calls no numpy BLAS (see the module docstring).
+
     An ARPACK exception and a failed check both move on to the next rung;
     ``Spectrum.solver_path`` names the rung that passed, ``shift`` the
     shift, ``opinv_solves`` the applications of the factor over all rungs,
@@ -277,11 +289,13 @@ def solve_smallest(
         raise ValueError("need 0 < k < dimension")
     n = problem.dimension
     K = problem.stiffness
-    M = sp.diags(problem.mass).tocsr()
+    # M x is the mass diagonal times x: the same numbers a csr product gives
+    M = spla.LinearOperator((n, n), matvec=lambda x: problem.mass * np.ravel(x), dtype=float)
     total_mass = float(problem.mass.sum())
     zero_threshold = 2e-10 * math.pi / total_mass
     sigma = -0.02 * math.pi / total_mass
     rng = np.random.default_rng(seed)
+    restarts = rng.spawn(1)[0]  # ARPACK's fresh vectors; the v0 stream is unchanged
     blocks = _ring_blocks(problem)
     factor, solves = None, 0
 
@@ -307,7 +321,7 @@ def solve_smallest(
             vals, vecs = spla.eigsh(
                 K, k=k_try, M=M, sigma=sigma, which="LM", OPinv=opinv,
                 ncv=min(max(3 * k_try // 2 + 1, 40), n),
-                v0=rng.standard_normal(n), tol=0.0, maxiter=maxiter,
+                v0=rng.standard_normal(n), tol=0.0, maxiter=maxiter, rng=restarts,
             )
         except _SOLVER_ERRORS as exc:
             outcome = f"{type(exc).__name__}: {exc}"
@@ -429,11 +443,18 @@ def _count_below(K, mass, mu: float) -> int | None:
 
 
 def _residuals(K, mass, vals, vecs) -> np.ndarray:
+    """||K u - lambda M u|| / ||u||_M per pair, 16 columns at a time so
+    that the temporaries stay small.  One sparse product per block and
+    ``einsum`` sums: no numpy BLAS call (see the module docstring)."""
     out = np.empty(vals.shape[0])
-    for i in range(vals.shape[0]):
-        u = vecs[:, i]
-        r = K @ u - vals[i] * (mass * u)
-        out[i] = np.linalg.norm(r) / math.sqrt(float(u @ (mass * u)))
+    for j in range(0, vals.shape[0], 16):
+        u = vecs[:, j:j + 16]
+        mu = mass[:, None] * u
+        norm2 = np.einsum("ij,ij->j", u, mu)
+        mu *= vals[None, j:j + 16]
+        r = K @ u
+        r -= mu
+        out[j:j + 16] = np.sqrt(np.einsum("ij,ij->j", r, r) / norm2)
     return out
 
 

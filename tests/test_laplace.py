@@ -1,4 +1,5 @@
 """Tests for the cotangent FEM pencil, eigensolver, and weighted variant."""
+import copy
 import math
 from dataclasses import replace
 
@@ -121,6 +122,31 @@ class TestSolveSmallest:
         a = solve_smallest(pb, 5, seed=7).eigenvalues
         b = solve_smallest(pb, 5, seed=7).eigenvalues
         assert np.array_equal(a, b)
+
+    def test_restart_vectors_seeded(self, monkeypatch):
+        # default two-sphere sweep fiber 4 (s = 1.23e-5, V = 2978) at seed 12:
+        # ARPACK asks for a fresh random vector (ido == 4) in every solve.
+        # Drawn from an unseeded generator, its last bits changed between
+        # reruns
+        restarts = []
+        eigsh = spla.eigsh
+
+        def recorder(*args, **kwargs):
+            rng = kwargs.get("rng")
+            before = None if rng is None else rng.bit_generator.state
+            out = eigsh(*args, **kwargs)
+            restarts.append(rng is not None and rng.bit_generator.state != before)
+            return out
+
+        monkeypatch.setattr(spla, "eigsh", recorder)
+        plan = SweepPlan()
+        s = float(plan.s_grid[4])
+        pb = assemble(mesh_fiber(two_sphere_family(), MetricKind.INDUCED, s, plan.mesh_params))
+        runs = [solve_smallest(pb, 3, s=s, seed=12) for _ in range(3)]
+        assert all(restarts)
+        for spec in runs[1:]:
+            assert np.array_equal(spec.eigenvalues, runs[0].eigenvalues)
+            assert np.array_equal(spec.residual_norms, runs[0].residual_norms)
 
     def test_nodal_limit_has_component_count_zero_modes(self):
         # two disjoint spheres: exactly N = 2 numerically zero eigenvalues
@@ -416,6 +442,110 @@ class TestRingBlocks:
             assert spec.operator.startswith("ring blocks")
             vals = calls[-1][0]
             assert np.array_equal(np.maximum(vals[np.argsort(vals)[:k]], 0.0), spec.eigenvalues)
+
+
+class TestResiduals:
+    """``_residuals`` in blocks of columns against the per-pair formula
+    ||K u - lambda M u|| / sqrt(u . M u)."""
+
+    @staticmethod
+    def per_pair(pb, vals, vecs):
+        return np.array([
+            np.linalg.norm(pb.stiffness @ u - lam * (pb.mass * u))
+            / math.sqrt(u @ (pb.mass * u))
+            for lam, u in zip(vals, vecs.T)
+        ])
+
+    @staticmethod
+    def perturbed_pairs(pb, k, seed):
+        # solved pairs, each vector moved by 1e-6 of its size: residuals
+        # of order 1e-4, far above rounding
+        eigsh = spla.eigsh
+        pairs = []
+
+        def recorder(*args, **kwargs):
+            pairs.append(eigsh(*args, **kwargs))
+            return pairs[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spla, "eigsh", recorder)
+            solve_smallest(pb, k, seed=seed)
+        vals, vecs = pairs[-1]
+        noise = np.random.default_rng(seed).standard_normal(vecs.shape)
+        return vals, vecs + 1e-6 * np.abs(vecs).max(axis=0) * noise
+
+    @pytest.fixture(scope="class")
+    def sweep_pencil(self):
+        # the deepest three-cycle sweep fiber of the benchmark: V > 10 000
+        plan = SweepPlan(family="three-cycle", num_ev=5)
+        m = mesh_fiber(three_cycle_family(), MetricKind.INDUCED, 1e-10, plan.mesh_params)
+        assert m.V == 15360
+        return assemble(m)
+
+    def test_matches_per_pair_above_ten_thousand_vertices(self, sweep_pencil):
+        vals, vecs = self.perturbed_pairs(sweep_pencil, 5, seed=3)
+        res = laplace._residuals(sweep_pencil.stiffness, sweep_pencil.mass, vals, vecs)
+        assert (res > 1e-8).all()
+        np.testing.assert_allclose(res, self.per_pair(sweep_pencil, vals, vecs), rtol=1e-12)
+
+    def test_matches_per_pair_k150_torsion_pencil(self):
+        # k = 150 is not a multiple of the block of 16 columns
+        m = mesh_fiber(two_sphere_family(4.0), MetricKind.INDUCED,
+                       float(TORSION_GRID[11]), SWEEP_PARAMS)
+        assert m.V == 8546
+        pb = assemble(m)
+        vals, vecs = self.perturbed_pairs(pb, 150, seed=11)
+        assert len(vals) == 150
+        res = laplace._residuals(pb.stiffness, pb.mass, vals, vecs)
+        assert (res > 1e-8).all()
+        np.testing.assert_allclose(res, self.per_pair(pb, vals, vecs), rtol=1e-12)
+
+    def test_nan_column_is_nan(self, sweep_pencil):
+        vals, vecs = self.perturbed_pairs(sweep_pencil, 5, seed=3)
+        vecs[7, 2] = np.nan
+        res = laplace._residuals(sweep_pencil.stiffness, sweep_pencil.mass, vals, vecs)
+        assert np.isnan(res[2]) and np.isfinite(np.delete(res, 2)).all()
+
+    def test_nan_pair_fails_every_rung(self, fiber_mesh, monkeypatch):
+        eigsh = spla.eigsh
+
+        def poisoned(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            vecs[0, np.argmin(vals)] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(spla, "eigsh", poisoned)
+        with pytest.raises(NoConvergence, match="1 of 3 pairs above tol"):
+            solve_smallest(assemble(fiber_mesh), 3)
+
+
+class TestDiagonalMass:
+    """ARPACK's B-product is the mass diagonal times x, as a
+    ``LinearOperator``: it gives the eigenvalues a csr diagonal gives, from
+    the same start and restart vectors."""
+
+    @pytest.mark.parametrize("family, shape", [(two_sphere_family, "path"),
+                                               (three_cycle_family, "cycle")])
+    def test_same_eigenvalues_as_csr_diagonal(self, monkeypatch, family, shape):
+        pb = assemble(mesh_fiber(family(), MetricKind.INDUCED, 1e-6))
+        csr = sp.diags(pb.mass).tocsr()
+        eigsh = spla.eigsh
+        pairs = []
+
+        def both(A, k, M, **kwargs):
+            assert isinstance(M, spla.LinearOperator) and not sp.issparse(M)
+            reference = eigsh(A, k, M=csr, **{**kwargs, "rng": copy.deepcopy(kwargs["rng"])})
+            out = eigsh(A, k, M=M, **kwargs)
+            pairs.append((reference, out))
+            return out
+
+        monkeypatch.setattr(spla, "eigsh", both)
+        spec = solve_smallest(pb, 5, seed=5)
+        assert spec.operator.endswith(shape)
+        assert pairs
+        for (ref_vals, ref_vecs), (vals, vecs) in pairs:
+            assert np.array_equal(vals, ref_vals)
+            assert np.array_equal(vecs, ref_vecs)
 
 
 class TestShiftInvertWork:

@@ -22,9 +22,10 @@ a cycle).  There the definite shift-invert operator is one Hermitian band
 of all blocks, half-bandwidth 1 on a path and 2 on a cycle, factored by
 ``zpbtrf`` and applied as FFT, band solve, inverse FFT; the indefinite
 inertia count is a Sturm (LDL^H) count per block.  Any other pencil, or a
-layout its entries do not confirm, takes the generic operator: a banded
-Cholesky factor in Cuthill-McKee (breadth-first) order and a
-symmetric-mode LU count.
+layout its entries do not confirm, takes the generic operator: one
+SuperLU in symmetric mode with diagonal pivots (``_sym_lu``), whose
+solve applies the inverse at the shift and whose negative pivots give
+the inertia count.
 
 Reported eigenvalues follow the Hodge-Kodaira convention: half the
 Hodge-de Rham (geometer's) Laplacian on functions.  The flat-torus and
@@ -38,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, zpbtrf, zpbtrs, zpttrs
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.linalg.lapack import dpttrf, zpbtrf, zpbtrs, zpttrs
 
 from .errors import NoConvergence, NonFiniteEntry
 from .mesh import RingLayout, TriangleMesh
@@ -87,8 +87,7 @@ class Spectrum:
     solver_path: str = "eigsh"  # the solve_smallest rung that produced it
     shift: float = 0.0  # sigma of the shift-invert operator
     opinv_solves: int = 0  # applications of (K - sigma M)^-1, all rungs
-    factor_bandwidth: int = 0  # half-bandwidth of that factor
-    operator: str = ""  # "ring blocks n=.. R=.. path|cycle" or "band b=.."
+    operator: str = ""  # "ring blocks n=.. R=.. path|cycle" or "symmetric LU"
 
     def __post_init__(self) -> None:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
@@ -251,13 +250,13 @@ def solve_smallest(
     sigma = -0.01 * 2 pi / sum(M), a hundredth of the Weyl spacing of the
     Hodge-Kodaira spectrum below zero: the shift sits at the scale of the
     wanted eigenvalues whatever the mesh resolution, and sigma * sum(M) is
-    invariant under scaling the metric.  K - sigma M is positive definite; it is factored once, by
-    ring-Fourier blocks where ``problem.rings`` holds and as a banded
-    Cholesky in Cuthill-McKee order otherwise, and every rung applies that
-    factor.  The Lanczos basis holds ``max(3 k // 2 + 1, 40)``
-    vectors (at most the dimension): 40 resolves the exactly degenerate
-    pairs of small k, and 1.5 k takes fewer solves, less time and less
-    memory than 2 k at k = 150.  A rung passes if every residual
+    invariant under scaling the metric.  K - sigma M is positive definite;
+    it is factored once, before the first rung, by ring-Fourier blocks
+    where ``problem.rings`` holds and by ``_sym_lu`` otherwise, and every
+    rung applies that factor.  The Lanczos basis holds
+    ``max(3 k // 2 + 1, 40)`` vectors (at most the dimension): 40 resolves
+    the exactly degenerate pairs of small k, and 1.5 k takes fewer solves,
+    less time and less memory than 2 k at k = 150.  A rung passes if every residual
     ||K u - lambda M u|| / ||u||_M of its k lowest pairs is at most
     ``RESIDUAL_TOL`` (absolute), and a Sylvester inertia count of K - mu M,
     with mu just below the top computed cluster, equals the number of pairs
@@ -276,11 +275,11 @@ def solve_smallest(
     An ARPACK exception and a failed check both move on to the next rung;
     ``Spectrum.solver_path`` names the rung that passed, ``shift`` the
     shift, ``opinv_solves`` the applications of the factor over all rungs,
-    ``operator`` the operator (ring blocks with n, R and path or cycle, or
-    the band factor) and ``factor_bandwidth`` its half-bandwidth.  If none
-    passes, ``NoConvergence`` names the dimension, k, seed, the rungs tried
-    and what failed on the last one; a K - sigma M that is not definite
-    raises ``LinAlgError`` before any rung.
+    and ``operator`` the operator (ring blocks with n, R and path or
+    cycle, or "symmetric LU").  If none passes, ``NoConvergence`` names
+    the dimension, k, seed, the rungs tried and what failed on the last
+    one; a K - sigma M that is not definite raises ``LinAlgError``, naming
+    V, sigma and the failed factor, before any rung.
 
     Eigenvalues below ``zero_threshold = 1e-10 * 2 pi / sum(M)``, the
     Weyl spacing's scale like the shift, are numerically zero.
@@ -297,7 +296,18 @@ def solve_smallest(
     rng = np.random.default_rng(seed)
     restarts = rng.spawn(1)[0]  # ARPACK's fresh vectors; the v0 stream is unchanged
     blocks = _ring_blocks(problem)
-    factor, solves = None, 0
+    if blocks is not None:
+        operator, factor = blocks.label, blocks.factor(sigma)
+    else:
+        operator, lu = "symmetric LU", _sym_lu(K, problem.mass, sigma)
+        if lu is None or lu[1]:
+            what = "pivoted off the diagonal" if lu is None else f"{lu[1]} of {n} pivots negative"
+            raise np.linalg.LinAlgError(
+                f"laplace.solve_smallest(V={n}): symmetric LU of K - sigma M at "
+                f"sigma = {sigma:.6g}: {what}, not positive definite"
+            )
+        factor = lu[0].solve
+    solves = 0
 
     def apply_inverse(x):
         nonlocal solves
@@ -310,13 +320,6 @@ def solve_smallest(
         for k_try in sorted({min(k + g, n - 1) for g in _GUARD_BANDS} - {k})
     ]
     for path, k_try, maxiter in rungs:
-        if factor is None:
-            if blocks is None:
-                factor, bandwidth = _band_cholesky(K, problem.mass, sigma)
-                operator = f"band b={bandwidth}"
-            else:
-                factor, bandwidth = blocks.factor(sigma)
-                operator = blocks.label
         try:
             vals, vecs = spla.eigsh(
                 K, k=k_try, M=M, sigma=sigma, which="LM", OPinv=opinv,
@@ -336,13 +339,13 @@ def solve_smallest(
             continue
         # accurate pairs can still skip one copy of a multiple eigenvalue.
         # mu lies below the top computed cluster by far more than solver
-        # noise; the zero threshold keeps +-1e-13 zero modes one cluster.
-        # The shift-invert factor is freed first, so that two factors are
-        # never held at once; a later rung factors it again
-        factor = None
+        # noise; the zero threshold keeps +-1e-13 zero modes one cluster
         mu = vals[-1] - (1e-8 * abs(vals[-1]) + zero_threshold)
-        below = (_count_below(K, problem.mass, mu) if blocks is None
-                 else blocks.count_below(mu))
+        if blocks is not None:
+            below = blocks.count_below(mu)
+        else:
+            at_mu = _sym_lu(K, problem.mass, mu)
+            below = None if at_mu is None else at_mu[1]
         found = int((vals < mu).sum())
         if below != found:
             outcome += f", Sylvester count {below} below {mu:.9g}, {found} found"
@@ -356,7 +359,6 @@ def solve_smallest(
             solver_path=path,
             shift=sigma,
             opinv_solves=solves,
-            factor_bandwidth=bandwidth,
             operator=operator,
         )
     raise NoConvergence(
@@ -366,80 +368,25 @@ def solve_smallest(
     )
 
 
-def _band_order(A) -> np.ndarray:
-    """Breadth-first order of each connected component of A's graph from
-    a pseudo-peripheral vertex, the level structure of Cuthill and McKee
-    (1969): the last vertex reached from the last vertex reached from any
-    vertex lies at one end of the component (George and Liu, 1979).  On a
-    fiber that end is a pole; scipy's ``reverse_cuthill_mckee`` starts at
-    a lowest-degree vertex instead, which may sit mid-neck and double the
-    band.
-    """
-    count, labels = connected_components(A, directed=False)
-    parts = []
-    for c in range(count):
-        vertex = int(np.argmax(labels == c))
-        for _ in range(2):
-            vertex = int(breadth_first_order(A, vertex, directed=False,
-                                             return_predecessors=False)[-1])
-        parts.append(breadth_first_order(A, vertex, directed=False,
-                                         return_predecessors=False))
-    return np.concatenate(parts)
+def _sym_lu(K, mass, shift: float):
+    """SuperLU of K - shift M and its number of negative pivots, or None
+    if SuperLU had to pivot off the diagonal (an exactly zero pivot).
 
-
-def _band_cholesky(K, mass, shift: float):
-    """Cholesky factor of the definite K - shift M, as a solve and its
-    half-bandwidth b.
-
-    With the rows in ``_band_order``, LAPACK's ``dpbtrf`` factors the
-    upper band in O(V b^2) and ``dpbtrs`` applies it in O(V b).  A
-    non-positive pivot raises ``LinAlgError`` naming V, b, the shift and
-    the pivot.
-    """
-    n = K.shape[0]
-    A = (K - sp.diags(shift * mass)).tocsr()
-    perm = _band_order(A)
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(n, dtype=perm.dtype)
-    coo = A.tocoo()
-    rows, cols = rank[coo.row], rank[coo.col]
-    upper = rows <= cols
-    rows, cols = rows[upper], cols[upper]
-    b = int((cols - rows).max())
-    band = np.zeros((b + 1, n), order="F")
-    band[b + rows - cols, cols] = coo.data[upper]
-    chol, info = dpbtrf(band, lower=0, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"laplace.solve_smallest(V={n}): band Cholesky (half-bandwidth {b}) "
-            f"of K - sigma M at sigma = {shift:.6g} failed at pivot {info} of {n}: "
-            "not positive definite"
-        )
-
-    def solve(x):
-        return dpbtrs(chol, x[perm], lower=0, overwrite_b=1)[0][rank]
-
-    return solve, b
-
-
-def _count_below(K, mass, mu: float) -> int | None:
-    """Number of eigenvalues of K u = lambda M u below mu.
-
-    Sylvester's law of inertia: factor P (K - mu M) P^T = L D L^T, a
-    SuperLU with a symmetric fill-reducing permutation and diagonal pivots
-    only, and count the negative pivots.  Returns None if SuperLU had to
-    pivot off the diagonal (an exactly zero pivot), where the count does
-    not hold.
+    A symmetric fill-reducing permutation and diagonal pivots only give
+    P (K - shift M) P^T = L D L^T with D the diagonal of U, so by
+    Sylvester's law of inertia the negative pivots count the eigenvalues
+    of K u = lambda M u below the shift; at a shift below the spectrum
+    there are none, and the factor's ``solve`` applies the inverse.
     """
     lu = spla.splu(
-        (K - sp.diags(mu * mass)).tocsc(),
+        (K - sp.diags(shift * mass)).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
-    return int((lu.U.diagonal() < 0).sum())
+    return lu, int((lu.U.diagonal() < 0).sum())
 
 
 def _residuals(K, mass, vals, vecs) -> np.ndarray:
@@ -513,10 +460,10 @@ class _RingBlocks:
 
     def factor(self, shift: float):
         """Cholesky factor of the definite K - shift M over all blocks, as a
-        solve and its half-bandwidth: one Hermitian band of every block,
-        ``zpbtrf`` once, then ``rfft`` -> ``zpbtrs`` -> ``irfft`` per
-        application.  Block m > 0 has no fan centers; their positions hold
-        an identity row."""
+        solve: one Hermitian band of every block (``label`` names its
+        half-bandwidth, 1 on a path, 2 on a cycle), ``zpbtrf`` once, then
+        ``rfft`` -> ``zpbtrs`` -> ``irfft`` per application.  Block m > 0
+        has no fan centers; their positions hold an identity row."""
         n, R, F, cycle = self.layout
         ring, fan, S, b = self._slots()
         nb, nR = self.diag.shape[0], n * R
@@ -551,10 +498,10 @@ class _RingBlocks:
             out[nR:] = y[0, fan].real
             return out
 
-        return solve, b
+        return solve
 
     def count_below(self, mu: float) -> int | None:
-        """Number of eigenvalues below mu, as ``_count_below``: Sylvester's
+        """Number of eigenvalues below mu, as ``_sym_lu`` counts: Sylvester's
         law over the blocks of A = K - mu M.  A block of a path is a
         tridiagonal, with the fan centers of block 0 at its two ends, whose
         LDL^H pivots depend on |off-diagonal| only.  On a cycle, rings
@@ -638,7 +585,7 @@ def _ring_blocks(problem: SpectralProblem) -> _RingBlocks | None:
     ``RING_ORBIT_TOL`` of its orbit's average (an absent entry counting as
     zero), M's entries of their
     ring's average, and every coupling must fit the layout; otherwise
-    the pencil takes the generic band Cholesky and SuperLU count."""
+    the pencil takes the generic symmetric LU."""
     layout = problem.rings
     if layout is None:
         return None

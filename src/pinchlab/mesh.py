@@ -19,9 +19,9 @@ j -> j + 1.  ``RingOrbits``, its one orbit map, numbers its edges by
 orbit, n consecutive ids each, and measures it once per orbit: one edge
 and one triangle per orbit get the length, the area, the checks (and,
 in ``curvature``, the curvature sample), and every member takes its
-orbit's values.  Other meshes sort their keys min * V + max once
-(stable), number edges in order of first incidence and measure each.
-Either way the metric is called once per chart.
+orbit's values.  Other meshes number their edges in order of first
+incidence, from ``np.unique`` of the keys min * V + max, and measure
+each.  Either way the metric is called once per chart.
 
 Also provides the flat-torus, round-sphere and flat-annulus reference
 meshes used to pin down conventions.
@@ -185,23 +185,6 @@ class RingOrbits:
             np.add(row, m, out=part)
         return out
 
-    def edges(self) -> np.ndarray:
-        """The vertex pair (min, max) of every edge, (E, 2)."""
-        n, R, fans, cycle = self.layout
-        B, j = self.bands, np.arange(n)
-        out = np.empty((R + 2 * B + fans, n, 2), dtype=np.int64)
-        np.add(n * np.arange(R)[:, None, None], np.sort([j, (j + 1) % n], axis=0).T, out=out[:R])
-        # per band (L, U): the diagonals (L_{j+1}, U_j), then the radial edges (L_j, U_j)
-        bands = out[R:R + 2 * B].reshape(B, 2, n, 2)
-        np.add(n * np.arange(B)[:, None, None], [(j + 1) % n, j], out=bands[..., 0])
-        np.add(n * (np.arange(1, B + 1) % R)[:, None, None], j, out=bands[..., 1])
-        if cycle:  # the last band's upper ring is ring 0
-            bands[-1] = bands[-1, ..., ::-1].copy()
-        spokes = out[R + 2 * B:]
-        np.add(n * np.array([0, R - 1])[:fans, None], j, out=spokes[..., 0])
-        spokes[..., 1] = n * R + np.arange(fans)[:, None]
-        return out.reshape(-1, 2)
-
     def tile_edges(self, values: np.ndarray) -> np.ndarray:
         """Per edge, the value of its orbit."""
         return np.repeat(values, self.layout.n)
@@ -252,8 +235,8 @@ class TriangleMesh:
     global embedding.  Edge j of a triangle is opposite vertex j.
     ``orbits`` holds the mesh's rotation orbits: a ``RingOrbits`` from
     ``rings``, the layout of ``_ring_stack``, which numbers the edges by
-    orbit; otherwise every triangle and edge is its own orbit, and one
-    stable sort of the edge keys numbers the edges in order of first
+    orbit; otherwise every triangle and edge is its own orbit, and
+    ``np.unique`` of the edge keys numbers the edges in order of first
     incidence (triangle f, then corner j).  Each edge orbit's
     representative gets one intrinsic length, in the chart of its
     triangle, with one metric call per chart; the representatives of the
@@ -297,7 +280,7 @@ class TriangleMesh:
     def _build_edges(self) -> None:
         self.orbits = RingOrbits.of(self.rings)
         if self.orbits is not None:
-            self.tri_edge, self.edges = self.orbits.tri_edge(), self.orbits.edges()
+            self.tri_edge = self.orbits.tri_edge()
         else:
             # first[p]: the flat (f, j) index f * 3 + j of the first
             # incidence of the edge at flat position p; an edge is new where
@@ -310,29 +293,13 @@ class TriangleMesh:
             self.tri_edge = rank[first].reshape(self.F, 3)
             del first, rank
             self.orbits = _Singletons(self.tri_edge, edge_first)
-            f, j = np.divmod(edge_first, 3)
-            self.edges = np.sort(self.triangles[f[:, None], (j[:, None] + [1, 2]) % 3], axis=1)
-        self.E = len(self.edges)
 
     def _sorted_first(self) -> np.ndarray:
-        tri, V = self.triangles, self.V
-        keys = np.empty((self.F, 3), dtype=np.int64)  # min * V + max per edge
-        for j in range(3):
-            u, v = tri[:, (j + 1) % 3], tri[:, (j + 2) % 3]
-            np.multiply(np.minimum(u, v), V, out=keys[:, j])
-            keys[:, j] += np.maximum(u, v)
-        keys = keys.ravel()
-        # a stable sort keeps each key's first (f, j) position at the head
-        # of its run
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        head = np.empty(keys.size, dtype=bool)
-        head[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        del keys
-        first = np.empty_like(order)
-        first[order] = order[head][np.cumsum(head) - 1]  # the head of each run
-        return first
+        tri = self.triangles
+        u, v = tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()  # edge j of each triangle
+        keys = np.minimum(u, v) * self.V + np.maximum(u, v)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return first[inverse]  # the first (f, j) position of each key
 
     def _compute_lengths(self) -> None:
         """Measure the orbit representatives, check them, tile the orbits."""
@@ -372,6 +339,7 @@ class TriangleMesh:
         if not (areas > 0.0).all():
             raise DegenerateTriangle("zero-area triangle")
         self.edge_lengths = orbits.tile_edges(lengths)
+        self.E = len(self.edge_lengths)
         self._tri_lengths = orbits.tile_triangles(tl)
         self.triangle_areas = orbits.tile_triangles(areas)
 

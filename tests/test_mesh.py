@@ -144,10 +144,11 @@ class TestEdges:
         return first
 
     def test_edge_is_sorted_pair_opposite_corner(self, mesh):
+        pairs = _edge_pairs(mesh)
         for f in range(mesh.F):
             for j in range(3):
                 u, v = mesh.triangles[f, (j + 1) % 3], mesh.triangles[f, (j + 2) % 3]
-                assert tuple(mesh.edges[mesh.tri_edge[f, j]]) == (min(u, v), max(u, v))
+                assert tuple(pairs[mesh.tri_edge[f, j]]) == (min(u, v), max(u, v))
 
     def test_edge_ids_in_order_of_first_incidence(self, mesh, first_incidence):
         # by key: the edges in order of first incidence are the oracle's,
@@ -517,9 +518,20 @@ def _orbit_first(edges, layout):
     return first[orbit]
 
 
+def _edge_pairs(mesh):
+    """Per edge id, its vertex pair (min, max), read at one corner of a
+    triangle that holds the id (a mesh keeps no pair table); an id that no
+    corner holds fails the read."""
+    corner = np.full(mesh.E, 3 * mesh.F)
+    corner[mesh.tri_edge.ravel()] = np.arange(3 * mesh.F)
+    f, j = np.divmod(corner, 3)
+    return np.sort(mesh.triangles[f[:, None], (j[:, None] + [1, 2]) % 3], axis=1)
+
+
 def _keys(mesh):
     """Per edge, its key min * V + max."""
-    return mesh.edges[:, 0] * mesh.V + mesh.edges[:, 1]
+    pairs = _edge_pairs(mesh)
+    return pairs[:, 0] * mesh.V + pairs[:, 1]
 
 
 def _by_key(got, expect):
@@ -543,7 +555,7 @@ def _oracle_lengths(got, expect):
     key, and on a ring stack each orbit at its representative, the member
     whose first incidence comes first.  A mesh measured edge by edge must
     number its edges as the oracle does."""
-    at, first = _by_key(got, expect), _orbit_first(expect.edges, got.rings)
+    at, first = _by_key(got, expect), _orbit_first(_edge_pairs(expect), got.rings)
     if first is None:
         _assert_bytes(at, np.arange(expect.E), "edge ids")
         return expect.edge_lengths
@@ -704,8 +716,8 @@ def _assert_same_edges(got):
     lengths = _oracle_lengths(got, expect)
     _assert_bytes(_keys(got)[got.tri_edge], _keys(expect)[expect.tri_edge], "tri_edge keys")
     if lengths is expect.edge_lengths:  # no layout: the oracle's ids
-        for name in ("tri_edge", "edges"):
-            _assert_bytes(getattr(got, name), getattr(expect, name), name)
+        _assert_bytes(got.tri_edge, expect.tri_edge, "tri_edge")
+        _assert_bytes(_edge_pairs(got), expect.edges, "edges")
         _assert_bytes(got.orbits.edge_corner, expect._edge_first, "edge_corner")
         _assert_bytes(got.triangle_areas, expect.triangle_areas, "triangle_areas")
     _assert_bytes(got.edge_lengths, lengths, "edge_lengths")
@@ -839,7 +851,8 @@ class TestRingOrbitInvariants:
     def test_constant_on_ring_orbits(self, make_family, kind, params):
         fam, s = make_family(), 1e-3
         mesh = mesh_fiber(fam, kind, s, EDGE_PARAMS[params])
-        assert (mesh.edge_lengths == mesh.edge_lengths[_orbit_first(mesh.edges, mesh.rings)]).all()
+        first = _orbit_first(_edge_pairs(mesh), mesh.rings)
+        assert (mesh.edge_lengths == mesh.edge_lengths[first]).all()
         for values in (mesh.triangle_areas, curvature_samples(fam, kind, s, mesh)):
             orbits = self._triangle_orbits(mesh, values)
             assert (orbits == orbits[:, :1]).all()
@@ -857,12 +870,12 @@ class TestRingOrbitInvariants:
         for s in (1e-3, 1e-9):
             mesh = mesh_fiber(make_family(), kind, s, EDGE_PARAMS[params])
             n, R = mesh.rings.n, mesh.rings.rings
-            ids = np.arange(mesh.E)
+            ids, pairs = np.arange(mesh.E), _edge_pairs(mesh)
             first = ids - ids % n
-            _assert_bytes(_orbit_first(mesh.edges, mesh.rings), first, "orbit blocks")
-            ring, j = np.divmod(mesh.edges[first], n)  # fan centers: ring >= R, fixed
-            shifted = np.where(ring < R, ring * n + (j + ids[:, None] % n) % n, mesh.edges[first])
-            _assert_bytes(np.sort(shifted, axis=1), mesh.edges, "ring shifts")
+            _assert_bytes(_orbit_first(pairs, mesh.rings), first, "orbit blocks")
+            ring, j = np.divmod(pairs[first], n)  # fan centers: ring >= R, fixed
+            shifted = np.where(ring < R, ring * n + (j + ids[:, None] % n) % n, pairs[first])
+            _assert_bytes(np.sort(shifted, axis=1), pairs, "ring shifts")
 
     @pytest.mark.parametrize("params", EDGE_PARAMS)
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
